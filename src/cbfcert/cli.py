@@ -299,8 +299,12 @@ def _dump_trajectories(out_dir: Path, groups: list[GroupRecord], config: Experim
 
 
 def _certificate_json(
-    report: CertificateReport, manifest: RunManifest, config: ExperimentConfig
+    report: CertificateReport,
+    manifest: RunManifest,
+    config: ExperimentConfig,
+    groups: list[GroupRecord],
 ) -> dict:
+    rollouts = [r for g in groups for r in g.rollouts]
     per_group = []
     for k, s in enumerate(report.group_stats):
         per_group.append(
@@ -331,6 +335,12 @@ def _certificate_json(
         },
         "analytic_delta": report.analytic_delta,
         "groups": per_group,
+        # Steps whose constraint polyhedron was empty and that ran on the
+        # shared-slack relaxation: the barrier condition did not hold there.
+        "diagnostics": {
+            "relaxed_steps": sum(r.infeasible_steps for r in rollouts),
+            "relaxed_rollouts": sum(r.infeasible_steps > 0 for r in rollouts),
+        },
     }
 
 
@@ -359,7 +369,7 @@ def cmd_verify(args) -> int:
     groups = run_experiment(config, jobs=args.jobs, record_trajectory=args.dump_trajectories)
     report = _build_certificate(groups, config)
     (out_dir / "certificate.json").write_text(
-        json.dumps(_certificate_json(report, manifest, config), indent=2) + "\n",
+        json.dumps(_certificate_json(report, manifest, config, groups), indent=2) + "\n",
         encoding="utf-8",
     )
     rows = [

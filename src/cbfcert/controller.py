@@ -4,15 +4,16 @@ For every unordered agent pair the forward-invariance condition
 hdot_tilde + kappa * h_tilde >= gamma is linear in the joint control once the
 propagation vector is held fixed within the step, so the admissible set is a
 polyhedron and the minimum-effort input is the projection of the origin onto
-it. The solver is Hildreth dual coordinate ascent on that projection; when the
-polyhedron is empty it re-solves with a shared slack variable and reports how
-much relaxation was needed.
+it. That projection is a least-distance program, min ||u|| s.t. A u >= b,
+which Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) reduce to
+one nonnegative least-squares problem; its residual also decides feasibility.
+When the polyhedron is empty the same solver handles the shared-slack
+relaxation, and the step reports how much relaxation was needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,9 +29,8 @@ TOL_PRIMAL = 1e-9
 TOL_ACTIVE = 1e-7
 RELAX_RHO = 1e6
 
-_MAX_SWEEPS = 2_000
-_LAMBDA_DIVERGENCE = 1e10
-_MAX_ENUM_SUBSETS = 50_000
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class QPProblem:
     """
 
     dim: int
-    hessian_diag: np.ndarray
     a_matrix: np.ndarray
     b_vector: np.ndarray
     pair_labels: tuple[tuple[int, int] | None, ...]
@@ -54,11 +53,8 @@ class QPProblem:
             raise ConfigError("constraint rows, bounds and labels must align")
         a.setflags(write=False)
         b.setflags(write=False)
-        h = np.asarray(self.hessian_diag, dtype=float)
-        h.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "b_vector", b)
-        object.__setattr__(self, "hessian_diag", h)
 
     @property
     def n_constraints(self) -> int:
@@ -114,10 +110,15 @@ def _rhs_vector(
     return b
 
 
-def _lhs_matrix(params: SafetyParams, model, table: PairTable, dim: int) -> np.ndarray:
-    """Constraint rows: pair (i, j) places +/-(g^T grad_h + psi*kappa*A) in the
-    blocks of agents i and j (exact negation because g is state-independent
-    for the supported models)."""
+def _constraint_rows(
+    params: SafetyParams, model, table: PairTable, b_pairs: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The full system (A, b): one row per pair, then the optional control box.
+
+    Pair (i, j) places +/-(g^T grad_h + psi*kappa*A) in the blocks of agents i
+    and j (exact negation because g is state-independent for the supported
+    models). A box bound c adds the rows u_k >= -c and -u_k >= -c.
+    """
     m = model.control_dim
     if model.identity_actuation:
         gT_grad = table.grad
@@ -127,13 +128,16 @@ def _lhs_matrix(params: SafetyParams, model, table: PairTable, dim: int) -> np.n
         block = gT_grad + (params.psi * params.kappa) * table.prop
     else:
         block = gT_grad
-    n_pairs = len(table.h)
-    a_matrix = np.zeros((n_pairs, dim))
-    for k in range(n_pairs):
-        i, j = int(table.idx_i[k]), int(table.idx_j[k])
-        a_matrix[k, i * m : (i + 1) * m] = block[k]
-        a_matrix[k, j * m : (j + 1) * m] = -block[k]
-    return a_matrix
+    rows = np.arange(len(b_pairs))[:, None]
+    cols = np.arange(m)
+    a = np.zeros((len(b_pairs), dim))
+    a[rows, table.idx_i[:, None] * m + cols] = block
+    a[rows, table.idx_j[:, None] * m + cols] = -block
+    if params.control_bound is None:
+        return a, b_pairs
+    eye = np.eye(dim)
+    box_b = np.full(2 * dim, -params.control_bound)
+    return np.vstack([a, eye, -eye]), np.concatenate([b_pairs, box_b])
 
 
 def assemble_constraints(
@@ -163,171 +167,126 @@ def assemble_constraints(
         raise ConfigError("psi coupling requires control_dim == state_dim")
     if table is None:
         table = PairTable(x, params, w_bar)
-    n_pairs = len(table.h)
-    b = _rhs_vector(x, u_prev.u, params, model, table)
-    a_pairs = _lhs_matrix(params, model, table, dim)
+    b_pairs = _rhs_vector(x, u_prev.u, params, model, table)
+    a, b = _constraint_rows(params, model, table, b_pairs, dim)
     labels: list[tuple[int, int] | None] = [
-        (int(table.idx_i[k]), int(table.idx_j[k])) for k in range(n_pairs)
+        (int(i), int(j)) for i, j in zip(table.idx_i, table.idx_j)
     ]
-    if params.control_bound is not None:
-        bound = params.control_bound
-        box_a = np.vstack([np.eye(dim), -np.eye(dim)])
-        box_b = np.full(2 * dim, -bound)
-        a_matrix = np.vstack([a_pairs, box_a])
-        b_vector = np.concatenate([b, box_b])
-        labels.extend([None] * (2 * dim))
-    else:
-        a_matrix = a_pairs
-        b_vector = b
-    return QPProblem(
-        dim=dim,
-        hessian_diag=np.ones(dim),
-        a_matrix=a_matrix,
-        b_vector=b_vector,
-        pair_labels=tuple(labels),
-    )
+    labels.extend([None] * (len(b) - len(labels)))
+    return QPProblem(dim=dim, a_matrix=a, b_vector=b, pair_labels=tuple(labels))
 
 
-def _hildreth(a: np.ndarray, b: np.ndarray, tol: float):
-    """Dual coordinate ascent for min ||u||^2 s.t. a_k^T u >= b_k.
+def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """Lawson-Hanson active-set NNLS, min ||E y - f|| s.t. y >= 0, given only
+    the normal equations gram = E^T E and c = E^T f.
 
-    Returns (u, duals, converged). Divergence of the duals certifies primal
-    infeasibility (the dual is unbounded above exactly when no feasible point
-    exists).
+    Each pass frees the coordinate with the largest positive gradient
+    component, then solves the unconstrained problem on the free set, stepping
+    back along the segment whenever a free coordinate would turn nonpositive.
+    A coordinate whose column is numerically dependent on the free set (the
+    solve fails or gives it no positive weight) is skipped for that pass;
+    without that guard, rounding in the gradient re-selects it forever.
     """
-    n_c, dim = a.shape
-    q = np.einsum("ij,ij->i", a, a)
-    lam = np.zeros(n_c)
-    u = np.zeros(dim)
-    order = [k for k in range(n_c) if q[k] > 0.0]
-    for _ in range(_MAX_SWEEPS):
-        max_step = 0.0
-        for k in order:
-            residual = b[k] - a[k] @ u
-            new_lam = lam[k] + residual / q[k]
-            if new_lam < 0.0:
-                new_lam = 0.0
-            delta = new_lam - lam[k]
-            if delta != 0.0:
-                u += delta * a[k]
-                lam[k] = new_lam
-                step = abs(delta) * np.sqrt(q[k])
-                if step > max_step:
-                    max_step = step
-        violation = float(np.max(b - a @ u, initial=0.0))
-        if violation <= tol and max_step <= 1e-12 * (1.0 + float(np.max(lam, initial=0.0))):
-            return u, lam, True
-        if np.max(lam, initial=0.0) > _LAMBDA_DIVERGENCE:
-            return u, lam, False
-    return u, lam, False
+    n = c.size
+    y = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = c.copy()
+    for _ in range(3 * n):
+        candidates = np.where(passive, -np.inf, w)
+        j = int(np.argmax(candidates))
+        if candidates[j] <= tol:
+            return y
+        passive[j] = True
+        idx = np.flatnonzero(passive)
+        try:
+            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+        except np.linalg.LinAlgError:
+            z = None
+        if z is None or not z[np.searchsorted(idx, j)] > 0.0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while z.min() <= 0.0:
+            y_p = y[idx]
+            neg = np.flatnonzero(z <= 0.0)
+            ratio = y_p[neg] / np.maximum(y_p[neg] - z[neg], _TINY)
+            k = int(np.argmin(ratio))
+            y_p += ratio[k] * (z - y_p)
+            y_p[neg[k]] = 0.0  # exact zero, so the blocking coordinate leaves
+            y[idx] = y_p
+            passive[idx[y_p <= tol]] = False
+            idx = np.flatnonzero(passive)
+            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+        y = np.zeros(n)
+        y[idx] = z
+        w = c - gram @ y
+    raise SolverError(f"NNLS did not converge in {3 * n} passes")
 
 
-def _enumerate_kkt(rows: np.ndarray, b_vec: np.ndarray, inv_h: np.ndarray):
-    """Exact optimum of min 1/2 v^T H^-1-weighted norm s.t. rows v >= b_vec.
+def _ldp(a: np.ndarray, b: np.ndarray):
+    """Least-distance program min ||v|| s.t. a v >= b, as one NNLS.
 
-    Enumerates candidate active sets (sizes up to the variable count), solves
-    each equality-constrained system and keeps the KKT-consistent candidate.
-    Returns (v, duals) or None when the polyhedron is empty. Exact for any
-    conditioning, which makes it both the fallback for stalled dual ascent
-    and the feasibility decision.
+    With E = [a^T; b^T] and f the last unit vector, the NNLS residual
+    r = E y - f gives v = -r[:dim] / r[dim] and duals y / (-r[dim]) (Lawson &
+    Hanson, ch. 23). At the optimum -r[dim] = 1 / (1 + ||v||^2), and a zero
+    residual certifies that the polyhedron is empty: returns None then.
+    Each row (a_k, b_k) is scaled to unit norm first, which leaves the
+    program unchanged and makes the NNLS tolerance scale-free.
     """
-    n_rows, dim_total = rows.shape
-    live = [k for k in range(n_rows) if float(rows[k] @ rows[k]) > 0.0]
-    max_active = min(len(live), dim_total)
-    total = sum(_n_choose_k(len(live), size) for size in range(max_active + 1))
-    if total > _MAX_ENUM_SUBSETS:
-        raise SolverError(
-            f"QP with {n_rows} constraints exceeds the active-set "
-            "enumeration budget; please report this instance"
-        )
-    scale = 1.0 + float(np.max(np.abs(b_vec), initial=0.0))
-    for size in range(max_active + 1):
-        for subset in combinations(live, size):
-            if not subset:
-                if np.min(-b_vec, initial=0.0) >= -1e-8 * scale:
-                    return np.zeros(dim_total), np.zeros(n_rows)
-                continue
-            s = list(subset)
-            sub = rows[s]
-            gram = (sub * inv_h) @ sub.T
-            try:
-                mu, *_ = np.linalg.lstsq(gram, b_vec[s], rcond=None)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(mu < -1e-9 * scale):
-                continue
-            v = inv_h * (sub.T @ mu)
-            if np.max(np.abs(sub @ v - b_vec[s]), initial=0.0) > 1e-7 * scale:
-                continue
-            if np.min(rows @ v - b_vec, initial=0.0) < -1e-8 * scale:
-                continue
-            # A KKT-consistent point of a strictly convex QP is the unique
-            # global optimum, so the first valid candidate wins.
-            duals = np.zeros(n_rows)
-            duals[s] = np.maximum(mu, 0.0)
-            return v, duals
-    return None
-
-
-def _solve_relaxed(a: np.ndarray, b: np.ndarray, rho: float):
-    """Exact solve of min ||u||^2 + rho*s^2 s.t. a_k^T u + s >= b_k, s >= 0.
-
-    The augmented problem is tiny and always feasible, so active-set
-    enumeration applies directly.
-    """
-    n_c, dim = a.shape
-    rows = np.zeros((n_c + 1, dim + 1))
-    rows[:n_c, :dim] = a
-    rows[:n_c, dim] = 1.0
-    rows[n_c, dim] = 1.0
-    b_ext = np.append(b, 0.0)
-    inv_h = np.append(np.ones(dim), 1.0 / rho)
-    best = _enumerate_kkt(rows, b_ext, inv_h)
-    if best is None:
-        raise SolverError("relaxed QP enumeration found no KKT point")
-    v, duals = best
-    return v[:dim], max(float(v[dim]), 0.0), duals[:n_c]
-
-
-def _n_choose_k(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    dim = a.shape[1]
+    e = np.empty((len(b), dim + 1))
+    e[:, :dim] = a
+    e[:, dim] = b
+    norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", e, e)), _TINY)
+    e /= norms[:, None]
+    tol = 10.0 * max(e.shape) * _EPS
+    y = _nnls(e @ e.T, e[:, dim], tol)
+    r = e.T @ y
+    gap = 1.0 - r[dim]
+    if gap <= tol:
+        return None
+    return r[:dim] / gap, y / (norms * gap)
 
 
 def _solve_arrays(a: np.ndarray, b: np.ndarray, dim: int, tol: float):
     """Shared solver core; returns (u, duals, status, slack_used)."""
-    zero_rows = np.einsum("ij,ij->i", a, a) == 0.0
-    structurally_infeasible = bool(np.any(b[zero_rows] > tol))
-
-    if not structurally_infeasible:
-        if a.shape[0] == 0 or float(np.max(b, initial=0.0)) <= tol:
-            # The unconstrained optimum u = 0 already satisfies everything.
-            return np.zeros(dim), np.zeros(a.shape[0]), STATUS_OPTIMAL, 0.0
-        u, lam, converged = _hildreth(a, b, tol)
-        if converged:
-            return u, lam, STATUS_OPTIMAL, 0.0
-        # Dual ascent stalls on near-parallel constraint pairs; fall back to
-        # the exact enumeration, which also decides feasibility outright.
-        exact = _enumerate_kkt(a, b, np.ones(dim))
-        if exact is not None:
-            u, duals = exact
+    n_c = a.shape[0]
+    if n_c == 0 or b.max() <= tol:
+        # The unconstrained optimum u = 0 already satisfies everything.
+        return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
+    exact = _ldp(a, b)
+    if exact is not None:
+        u, duals = exact
+        if (b - a @ u).max() <= tol * (1.0 + np.abs(b).max()):
             return u, duals, STATUS_OPTIMAL, 0.0
 
-    u, slack, duals = _solve_relaxed(a, b, RELAX_RHO)
+    # Empty polyhedron, or a point the check rejects: min ||u||^2 + rho*s^2
+    # s.t. a_k^T u + s >= b_k, s >= 0 is the same program in
+    # (u, sqrt(rho)*s), and it is always feasible.
+    root_rho = np.sqrt(RELAX_RHO)
+    rows = np.zeros((n_c + 1, dim + 1))
+    rows[:n_c, :dim] = a
+    rows[:n_c, dim] = 1.0 / root_rho
+    rows[n_c, dim] = 1.0
+    relaxed = _ldp(rows, np.append(b, 0.0))
+    if relaxed is None:
+        raise SolverError("relaxed QP produced no finite control")
+    v, duals = relaxed
+    slack = max(float(v[dim]) / root_rho, 0.0)
     if slack <= 1e-9:
-        return u, duals, STATUS_OPTIMAL, 0.0
-    return u, duals, STATUS_INFEASIBLE_RELAXED, slack
+        return v[:dim], duals[:n_c], STATUS_OPTIMAL, 0.0
+    return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
 
 
 def solve_qp(problem: QPProblem, tol: float = TOL_PRIMAL) -> QPSolution:
     """Minimum-norm point of the constraint polyhedron, or its relaxation.
 
-    Feasible problems are solved by Hildreth iteration; if the duals diverge
-    (an infeasibility certificate) the problem is re-solved with a shared
-    slack s >= 0 weighted by ``RELAX_RHO``, and the answer is flagged
-    ``infeasible_relaxed`` with ``slack_used`` set to the optimal slack.
+    The projection is solved exactly as a least-distance program through one
+    Lawson-Hanson NNLS. When the NNLS residual certifies that the polyhedron
+    is empty (or the point fails the feasibility check), the problem is
+    re-solved with a shared slack s >= 0 weighted by ``RELAX_RHO``, and the
+    answer is flagged ``infeasible_relaxed`` with ``slack_used`` set to the
+    optimal slack.
     """
     a, b = problem.a_matrix, problem.b_vector
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -351,11 +310,12 @@ def fast_control(
 ) -> tuple[np.ndarray, str, float]:
     """Hot-path variant of :func:`control_step` on raw arrays.
 
-    Skips constraint-matrix assembly entirely whenever every pair constraint
-    has a non-positive right-hand side (the joint zero control is then
-    optimal, including under box bounds). Behaviour is identical to
-    ``assemble_constraints`` + ``solve_qp``; the rollout engine relies on that
-    equivalence, which the test suite checks directly.
+    Returns (u, status, slack_used). Skips constraint-matrix assembly
+    entirely whenever every pair constraint has a non-positive right-hand
+    side (the joint zero control is then optimal, including under box
+    bounds); otherwise builds the same rows as ``assemble_constraints`` and
+    runs the same least-distance NNLS solve as ``solve_qp``. The rollout
+    engine relies on that equivalence, which the test suite checks directly.
     """
     n_agents = x.shape[0]
     m = model.control_dim
@@ -363,10 +323,7 @@ def fast_control(
     if float(np.max(b, initial=0.0)) <= TOL_PRIMAL:
         return np.zeros((n_agents, m)), STATUS_OPTIMAL, 0.0
     dim = n_agents * m
-    a = _lhs_matrix(params, model, table, dim)
-    if params.control_bound is not None:
-        a = np.vstack([a, np.eye(dim), -np.eye(dim)])
-        b = np.concatenate([b, np.full(2 * dim, -params.control_bound)])
+    a, b = _constraint_rows(params, model, table, b, dim)
     u, _, status, slack = _solve_arrays(a, b, dim, TOL_PRIMAL)
     if not np.all(np.isfinite(u)):
         raise SolverError("QP returned a non-finite control")

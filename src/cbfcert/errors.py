@@ -14,4 +14,4 @@ class SetupError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Internal QP solver failure that should never occur in normal operation. Exit code 4."""
+    """The QP solver produced a non-finite control or hit its NNLS iteration cap. Exit code 4."""

@@ -6,7 +6,7 @@ sampling.
 """
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 
 def make_feasible_qp(rng, dim, n_cons):
@@ -52,6 +52,23 @@ def qp_oracle_slsqp(a, b, start):
             best_u = u
     assert best_u is not None, "SLSQP oracle produced no feasible candidate"
     return best_u, best_obj
+
+
+def min_shared_slack_lp(a, b):
+    """Smallest t >= 0 with a u + t >= b for some u (LP phase one via HiGHS).
+
+    Zero exactly when the polyhedron a u >= b is nonempty.
+    """
+    n_cons, dim = a.shape
+    res = linprog(
+        np.append(np.zeros(dim), 1.0),
+        A_ub=-np.hstack([a, np.ones((n_cons, 1))]),
+        b_ub=-b,
+        bounds=[(None, None)] * dim + [(0.0, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.x[-1])
 
 
 def qp_grid_oracle_2d(a, b, lo=-5.0, hi=5.0, step=1e-3, chunk=64):

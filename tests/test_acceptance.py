@@ -149,7 +149,6 @@ def test_criterion_5_qp_oracle_equivalence():
         a, b, witness = make_feasible_qp(rng, dim, n_cons)
         prob = QPProblem(
             dim=dim,
-            hessian_diag=np.ones(dim),
             a_matrix=a,
             b_vector=b,
             pair_labels=tuple((0, k + 1) for k in range(n_cons)),

@@ -14,6 +14,7 @@ from cbfcert.cli import (
     resolved_config_dict,
 )
 from cbfcert.errors import ConfigError
+from cbfcert.rollout import run_experiment
 
 TINY = {
     "groups": 2,
@@ -119,6 +120,7 @@ class TestVerifyCommand:
         assert 0.0 <= cert["pooled_violation_rate"] <= 1.0
         assert 0.0 <= cert["satisfaction"]["bernstein"] <= 1.0
         assert 0.0 < cert["analytic_delta"] <= 1.0
+        assert cert["diagnostics"] == {"relaxed_steps": 0, "relaxed_rollouts": 0}
         with open(out / "groups.csv") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         assert [r["group_id"] for r in rows] == ["0", "1"]
@@ -133,6 +135,36 @@ class TestVerifyCommand:
             assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
             bodies.append(csv_body(out / "groups.csv"))
         assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_certificate_reports_relaxed_steps(self, tmp_path):
+        # Six double-integrator agents regularly face an empty constraint
+        # polyhedron; the relaxed steps must reach the certificate. This seed
+        # also gives one rollout without any relaxed step.
+        data = {
+            "groups": 2,
+            "rollouts_per_group": 2,
+            "base_seed": 52,
+            "system": {
+                "n_agents": 6,
+                "state_dim": 4,
+                "control_dim": 2,
+                "dynamics": "double_integrator",
+                "domain_half_width": 5.0,
+                "horizon_steps": 30,
+            },
+            "safety": {"psi": 0.0, "kappa": 0.1},
+        }
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, data)
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        rollouts = [r for g in run_experiment(build_config(data)) for r in g.rollouts]
+        steps = [r.infeasible_steps for r in rollouts]
+        assert 0 in steps and sum(steps) > 0
+        assert cert["diagnostics"] == {
+            "relaxed_steps": sum(steps),
+            "relaxed_rollouts": sum(n > 0 for n in steps),
+        }
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbfcert.controller import (
+    RELAX_RHO,
     STATUS_INFEASIBLE_RELAXED,
     STATUS_OPTIMAL,
     QPProblem,
@@ -14,7 +15,13 @@ from cbfcert.controller import (
 )
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import ControlVector, SystemConfig, SystemState, dynamics_model
-from oracles import kkt_residuals, make_feasible_qp, qp_grid_oracle_2d, qp_oracle_slsqp
+from oracles import (
+    kkt_residuals,
+    make_feasible_qp,
+    min_shared_slack_lp,
+    qp_grid_oracle_2d,
+    qp_oracle_slsqp,
+)
 
 MODEL = dynamics_model(SystemConfig())
 
@@ -23,7 +30,6 @@ def problem(a, b):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     return QPProblem(
         dim=a.shape[1],
-        hessian_diag=np.ones(a.shape[1]),
         a_matrix=a,
         b_vector=np.asarray(b, dtype=float),
         pair_labels=tuple((0, k + 1) for k in range(a.shape[0])),
@@ -139,7 +145,6 @@ class TestSolveQP:
     def test_no_constraints(self):
         prob = QPProblem(
             dim=3,
-            hessian_diag=np.ones(3),
             a_matrix=np.zeros((0, 3)),
             b_vector=np.zeros(0),
             pair_labels=(),
@@ -201,6 +206,59 @@ class TestSolveQP:
             _, ref_obj = qp_oracle_slsqp(a, b, witness)
             assert float(sol.u_star @ sol.u_star) == pytest.approx(ref_obj, abs=1e-6)
 
+    def test_feasibility_decision_matches_lp(self, rng):
+        # More rows than variables, every other system with repeated (scaled)
+        # rows: often empty and degenerate. The status must agree with an LP
+        # phase one, and optimal answers must satisfy the KKT conditions.
+        for trial in range(150):
+            dim = int(rng.integers(1, 6))
+            n_cons = int(rng.integers(dim + 1, 13))
+            a = rng.standard_normal((n_cons, dim))
+            b = rng.standard_normal(n_cons)
+            if trial % 2:
+                pick = rng.integers(0, n_cons, size=3)
+                a = np.vstack([a, 2.0 * a[pick]])
+                b = np.append(b, 2.0 * b[pick])
+            sol = solve_qp(problem(a, b))
+            infeasible = min_shared_slack_lp(a, b) > 1e-7
+            assert (sol.status == STATUS_INFEASIBLE_RELAXED) == infeasible
+            if not infeasible:
+                stat, comp, sign, primal = kkt_residuals(a, b, sol.u_star, sol.duals)
+                assert max(stat, comp, sign) <= 1e-6
+                assert primal <= 1e-8
+
+    def test_relaxed_matches_slsqp_on_augmented_rows(self, rng):
+        # The shared-slack problem min ||u||^2 + rho*s^2 s.t. a u + s >= b,
+        # s >= 0 is a plain minimum-norm problem in (u, sqrt(rho)*s) over the
+        # rows [a, 1/sqrt(rho)] and [0, 1], which the oracle solves directly.
+        root_rho = np.sqrt(RELAX_RHO)
+        worst_obj, worst_slack = 0.0, 0.0
+        for _ in range(40):
+            dim = int(rng.integers(1, 5))
+            n_cons = int(rng.integers(1, 8))
+            a = rng.uniform(-2.0, 2.0, size=(n_cons, dim))
+            b = rng.uniform(-1.0, 1.0, size=n_cons)
+            # Farkas certificate (mu, 1): the extra row cancels mu^T a while
+            # its bound exceeds -mu^T b, so no u satisfies every row.
+            mu = rng.uniform(0.5, 1.5, size=n_cons)
+            a = np.vstack([a, -mu @ a])
+            b = np.append(b, -mu @ b + rng.uniform(0.05, 1.0))
+            sol = solve_qp(problem(a, b))
+            assert sol.status == STATUS_INFEASIBLE_RELAXED
+            rows = np.zeros((n_cons + 2, dim + 1))
+            rows[:-1, :dim] = a
+            rows[:-1, dim] = 1.0 / root_rho
+            rows[-1, dim] = 1.0
+            start = np.append(np.zeros(dim), root_rho * (np.max(b) + 1.0))
+            v, ref_obj = qp_oracle_slsqp(rows, np.append(b, 0.0), start)
+            obj = float(sol.u_star @ sol.u_star) + RELAX_RHO * sol.slack_used**2
+            worst_obj = max(worst_obj, abs(obj - ref_obj) / ref_obj)
+            worst_slack = max(worst_slack, abs(sol.slack_used - v[dim] / root_rho))
+        # The oracle accepts points up to 1e-7 infeasible, which can lower
+        # rho*s^2 by 2e-7*rho*s: about 1e-5 of the objective at these slacks.
+        assert worst_obj <= 1e-5
+        assert worst_slack <= 1e-6
+
 
 class TestControlStep:
     def test_far_separated_agents_get_zero_control(self):
@@ -259,11 +317,8 @@ class TestControlStep:
         ],
     )
     def test_fast_control_matches_public_path(self, rng, params):
-        # Box bounds multiply the constraint count, so the relaxed fallback
-        # stays within its enumeration budget only for small agent counts.
-        max_n = 4 if params.control_bound is None else 3
         for _ in range(30):
-            n = int(rng.integers(2, max_n + 1))
+            n = int(rng.integers(2, 13))
             x = rng.uniform(0.0, 3.0, size=(n, 2))
             u_prev = rng.uniform(-0.5, 0.5, size=(n, 2))
             table = PairTable(x, params, 0.03)

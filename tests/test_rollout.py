@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from cbfcert.cli import build_config
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
     ExperimentConfig,
@@ -202,6 +206,17 @@ class TestRunGroup:
             assert np.array_equal(gs.z_scores, gp.z_scores)
             assert np.array_equal(gs.x_flags, gp.x_flags)
             assert gs.h_tilde_max == gp.h_tilde_max
+
+    def test_crowded_double_integrator_relaxes_instead_of_failing(self):
+        # Six double-integrator agents give 15 pair rows whose polyhedron is
+        # regularly empty; every rollout must finish and count those steps.
+        path = Path(__file__).parents[1] / "perfbench" / "configs" / "double-integrator.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.update(groups=1, rollouts_per_group=3)
+        data["system"]["n_agents"] = 6
+        (group,) = run_experiment(build_config(data))
+        assert len(group.rollouts) == 3
+        assert all(r.infeasible_steps >= 1 for r in group.rollouts)
 
 
 class TestExperimentConfigValidation:
