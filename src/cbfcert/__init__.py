@@ -1,50 +1,3 @@
 """Monte Carlo safety certification for multi-agent CBF-QP control loops."""
 
 __version__ = "0.1.0"
-
-from .bounds import (
-    AnalyticBoundInputs,
-    CertificateReport,
-    GroupStats,
-    analytic_delta,
-    bernstein_bound,
-    bernstein_slack,
-    count_support,
-    empirical_mean,
-    hoeffding_bound,
-    pairwise_variance,
-    scenario_bound,
-)
-from .controller import QPProblem, QPSolution, assemble_constraints, control_step, solve_qp
-from .errors import ConfigError, SetupError, SolverError
-from .rollout import (
-    ExperimentConfig,
-    GroupRecord,
-    RolloutRecord,
-    margin_scores,
-    run_experiment,
-    run_group,
-    run_rollout,
-)
-from .safety import (
-    PairMargin,
-    SafetyParams,
-    class_k,
-    disturbance_margin,
-    grad_h_pair,
-    h_pair,
-    pair_margins,
-    propagation_vector,
-    psi_safety,
-)
-from .sysmodel import (
-    ControlVector,
-    DisturbanceSample,
-    SystemConfig,
-    SystemState,
-    actuation,
-    drift,
-    sample_initial_state,
-    sample_noise,
-    step,
-)

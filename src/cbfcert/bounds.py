@@ -166,10 +166,12 @@ def step_variance(w_bar: float, domain_side: float, dt: float) -> float:
 def increment_bound(
     w_bar: float, domain_side: float, dt: float, u_max_observed: float
 ) -> float:
-    """Conservative per-step margin increment bound.
+    """Per-step margin increment bound dt * sup||grad h|| * (2 u_max + 2 w_bar).
 
-    Heuristic: dt * sup||grad h|| * (2 u_max + 2 w_bar), with u_max taken from
-    the observed controls of a calibration or production run.
+    Heuristic, not a proven bound: sup||grad h|| is taken over the spawn
+    square, which agents leave during a rollout, and u_max is the largest
+    control norm observed in a calibration or production run rather than a
+    bound on every control the loop can produce.
     """
     return dt * sup_grad_norm(domain_side) * (2.0 * u_max_observed + 2.0 * w_bar)
 
@@ -225,6 +227,9 @@ def certificate(
 ) -> CertificateReport:
     """Aggregate scored groups into the experiment-level certificate.
 
+    The analytic delta is heuristic: its variance and increment inputs use
+    sup||grad h|| over the spawn square and the observed maximum control
+    (see :func:`increment_bound`), not bounds over the region visited.
     With zero groups the report is empty: the satisfaction fractions are
     vacuously one and the pooled rate zero.
     """

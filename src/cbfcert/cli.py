@@ -22,9 +22,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from . import __version__
 from .bounds import CertificateReport, bernstein_bound, certificate
 from .errors import ConfigError, SetupError, SolverError
 from .rollout import ExperimentConfig, GroupRecord, run_experiment
-from .safety import SafetyParams
-from .sysmodel import SystemConfig
 
 PSI_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 TABLE1_NOISE_GRID = (0.01, 0.03, 0.05)
@@ -41,67 +40,74 @@ TABLE1_AGENT_GRID = (2, 3)
 SWEEP_PSI_ROLLOUTS = 100
 SWEEP_PSI_NOISE = 0.03
 
-# (json type, default, description) per config key; defaults mirror the
-# dataclass defaults and are what an empty config resolves to.
-_TOP_FIELDS = {
-    "groups": ("integer", 100, "number of independent rollout groups"),
-    "rollouts_per_group": ("integer", 50, "rollouts P per group (>= 2)"),
-    "theta": ("number", 0.1, "violation threshold on normalized scores, in (0, 1)"),
-    "delta": ("number", 0.1, "confidence level for all bounds, in (0, 1)"),
-    "base_seed": ("integer", 12345, "rollout p of group g is seeded base_seed + g*P + p"),
-    "h_min": ("number", 0.05, "minimum accepted initial weighted margin"),
-    "eps_norm": ("number", 1e-9, "floor for the per-group score normalizer"),
+# JSON kind of each config field type; every config key is a field of
+# ExperimentConfig, SystemConfig or SafetyParams, which supply its default.
+_KINDS = {
+    int: "integer",
+    float: "number",
+    float | None: "number|null",
+    bool: "boolean",
+    str: "string",
 }
-_SYSTEM_FIELDS = {
-    "n_agents": ("integer", 2, "number of agents N (>= 2)"),
-    "state_dim": ("integer", 2, "per-agent state dimension n"),
-    "control_dim": ("integer", 2, "per-agent control dimension m"),
-    "noise_bound": ("number", 0.03, "per-agent disturbance norm bound"),
-    "dt": ("number", 0.1, "integration step"),
-    "horizon_steps": ("integer", 50, "number of Euler steps per rollout"),
-    "domain_half_width": ("number", 10.0, "side length of the square spawn region"),
-    "min_initial_separation": ("number", 1.0, "required pairwise spawn distance"),
-    "dynamics": ("string", "single_integrator", "single_integrator | double_integrator"),
-    "noise_dist": ("string", "ball", "ball (uniform in ball) | sphere (norm pinned at bound)"),
+_DESCRIPTIONS = {
+    "groups": "number of independent rollout groups",
+    "rollouts_per_group": "rollouts P per group (>= 2)",
+    "theta": "violation threshold on normalized scores, in (0, 1)",
+    "delta": "confidence level for all bounds, in (0, 1)",
+    "base_seed": "rollout p of group g is seeded base_seed + g*P + p",
+    "h_min": "minimum accepted initial weighted margin",
+    "eps_norm": "floor for the per-group score normalizer",
+    "n_agents": "number of agents N (>= 2)",
+    "state_dim": "per-agent state dimension n",
+    "control_dim": "per-agent control dimension m",
+    "noise_bound": "per-agent disturbance norm bound",
+    "dt": "integration step",
+    "horizon_steps": "number of Euler steps per rollout",
+    "domain_half_width": "side length of the square spawn region",
+    "min_initial_separation": "required pairwise spawn distance",
+    "dynamics": "single_integrator | double_integrator",
+    "noise_dist": "ball (uniform in ball) | sphere (norm pinned at bound)",
+    "psi": "control-alignment weight (>= 0)",
+    "reg_eps": "regularizer in the propagation vector",
+    "d_min": "minimum separation radius",
+    "kappa": "linear class-K gain",
+    "robust_margin_enabled": "subtract the worst-case noise margin",
+    "freeze_adot": "fold the frozen propagation derivative into the QP rhs",
+    "control_bound": "optional symmetric box bound on each control entry",
 }
-_SAFETY_FIELDS = {
-    "psi": ("number", 2.0, "control-alignment weight (>= 0)"),
-    "reg_eps": ("number", 1e-6, "regularizer in the propagation vector"),
-    "d_min": ("number", 1.0, "minimum separation radius"),
-    "kappa": ("number", 1.0, "linear class-K gain"),
-    "robust_margin_enabled": ("boolean", True, "subtract the worst-case noise margin"),
-    "freeze_adot": ("boolean", False, "fold the frozen propagation derivative into the QP rhs"),
-    "control_bound": ("number|null", None, "optional symmetric box bound on each control entry"),
-}
+
+
+def _config_fields(cls) -> list:
+    """(field, resolved type) for every field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
 
 
 def config_schema() -> dict:
     """JSON-schema-style description of the config file, defaults included."""
 
-    def section(fields: dict) -> dict:
+    def section(cls) -> dict:
         props = {}
-        for name, (kind, default, doc) in fields.items():
-            entry: dict = {"type": kind, "description": doc}
-            entry["default"] = default
-            props[name] = entry
+        for f, hint in _config_fields(cls):
+            if is_dataclass(hint):
+                props[f.name] = {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": section(hint),
+                }
+            else:
+                props[f.name] = {
+                    "type": _KINDS[hint],
+                    "description": _DESCRIPTIONS[f.name],
+                    "default": f.default,
+                }
         return props
 
-    props = section(_TOP_FIELDS)
-    props["system"] = {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": section(_SYSTEM_FIELDS),
-    }
-    props["safety"] = {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": section(_SAFETY_FIELDS),
-    }
     return {
         "title": "cbfcert experiment configuration",
         "type": "object",
         "additionalProperties": False,
-        "properties": props,
+        "properties": section(ExperimentConfig),
     }
 
 
@@ -131,38 +137,29 @@ def _coerce(value, kind: str, path: str):
     raise AssertionError(kind)
 
 
-def _read_section(data: dict, fields: dict, path: str) -> dict:
-    out = {}
+def _build(cls, data: dict, prefix: str):
+    """One config dataclass from its JSON object; nested sections recurse."""
+    known = {f.name: hint for f, hint in _config_fields(cls)}
+    kwargs = {}
     for key, value in data.items():
-        if key not in fields:
-            raise ConfigError(f"unknown config key '{path}{key}'")
-        out[key] = _coerce(value, fields[key][0], f"{path}{key}")
-    return out
+        path = prefix + key
+        if key not in known:
+            raise ConfigError(f"unknown config key {path!r}")
+        hint = known[key]
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: expected an object")
+            kwargs[key] = _build(hint, value, path + ".")
+        else:
+            kwargs[key] = _coerce(value, _KINDS[hint], path)
+    return cls(**kwargs)
 
 
 def build_config(data: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and fill defaults."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    top: dict = {}
-    system: dict = {}
-    safety: dict = {}
-    for key, value in data.items():
-        if key == "system":
-            if not isinstance(value, dict):
-                raise ConfigError("system: expected an object")
-            system = _read_section(value, _SYSTEM_FIELDS, "system.")
-        elif key == "safety":
-            if not isinstance(value, dict):
-                raise ConfigError("safety: expected an object")
-            safety = _read_section(value, _SAFETY_FIELDS, "safety.")
-        elif key in _TOP_FIELDS:
-            top[key] = _coerce(value, _TOP_FIELDS[key][0], key)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return ExperimentConfig(
-        system=SystemConfig(**system), safety=SafetyParams(**safety), **top
-    )
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -182,17 +179,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def resolved_config_dict(config: ExperimentConfig) -> dict:
     """Plain-dict view of a resolved config; re-parsing it reproduces the config."""
-    return {
-        "groups": config.groups,
-        "rollouts_per_group": config.rollouts_per_group,
-        "theta": config.theta,
-        "delta": config.delta,
-        "base_seed": config.base_seed,
-        "h_min": config.h_min,
-        "eps_norm": config.eps_norm,
-        "system": {name: getattr(config.system, name) for name in _SYSTEM_FIELDS},
-        "safety": {name: getattr(config.safety, name) for name in _SAFETY_FIELDS},
-    }
+    return asdict(config)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -257,19 +244,8 @@ def _make_manifest(args, config: ExperimentConfig, command: str) -> RunManifest:
 
 
 def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    payload = {
-        "config_path": manifest.config_path,
-        "config": manifest.config,
-        "config_hash": manifest.config_hash,
-        "base_seed": manifest.base_seed,
-        "tool_version": manifest.tool_version,
-        "timestamp_utc": manifest.timestamp_utc,
-        "out_dir": manifest.out_dir,
-        "command": manifest.command,
-        "jobs": manifest.jobs,
-    }
     (out_dir / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -497,13 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Monte Carlo safety certification for multi-agent CBF-QP control "
             "loops under bounded noise. Config defaults: "
-            + json.dumps(
-                {
-                    **{k: v[1] for k, v in _TOP_FIELDS.items()},
-                    "system": {k: v[1] for k, v in _SYSTEM_FIELDS.items()},
-                    "safety": {k: v[1] for k, v in _SAFETY_FIELDS.items()},
-                }
-            )
+            + json.dumps(asdict(ExperimentConfig()))
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

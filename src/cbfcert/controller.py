@@ -13,61 +13,20 @@ relaxation, and the step reports how much relaxation was needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 from .safety import PairTable, SafetyParams
-from .sysmodel import ControlVector, SystemState
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE_RELAXED = "infeasible_relaxed"
 
-# Solver tolerances (absolute; constraint data is O(1)-O(10) in practice).
+# Feasibility tolerance (absolute; constraint data is O(1)-O(10) in practice).
 TOL_PRIMAL = 1e-9
-TOL_ACTIVE = 1e-7
 RELAX_RHO = 1e6
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class QPProblem:
-    """min ||u||^2 subject to a_k^T u >= b_k for every row k.
-
-    ``pair_labels[k]`` names the agent pair behind row k (None for auxiliary
-    rows such as control box bounds).
-    """
-
-    dim: int
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-    pair_labels: tuple[tuple[int, int] | None, ...]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a_matrix, dtype=float).reshape(-1, self.dim)
-        b = np.asarray(self.b_vector, dtype=float).reshape(-1)
-        if a.shape[0] != b.shape[0] or a.shape[0] != len(self.pair_labels):
-            raise ConfigError("constraint rows, bounds and labels must align")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "b_vector", b)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.a_matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class QPSolution:
-    u_star: np.ndarray
-    active_set: tuple[int, ...]
-    status: str
-    slack_used: float
-    duals: np.ndarray
 
 
 def _rhs_vector(
@@ -97,7 +56,7 @@ def _rhs_vector(
         if model.identity_actuation:
             xdot = u_prev
         else:
-            xdot = drift_all + u_prev @ model.actuation(None).T
+            xdot = drift_all + u_prev @ model.actuation.T
         dxdot = xdot[idx_i] - xdot[idx_j]
         du_prev = u_prev[idx_i] - u_prev[idx_j]
         q = table.dist_sq
@@ -123,7 +82,7 @@ def _constraint_rows(
     if model.identity_actuation:
         gT_grad = table.grad
     else:
-        gT_grad = table.grad @ model.actuation(None)
+        gT_grad = table.grad @ model.actuation
     if params.psi > 0:
         block = gT_grad + (params.psi * params.kappa) * table.prop
     else:
@@ -138,42 +97,6 @@ def _constraint_rows(
     eye = np.eye(dim)
     box_b = np.full(2 * dim, -params.control_bound)
     return np.vstack([a, eye, -eye]), np.concatenate([b_pairs, box_b])
-
-
-def assemble_constraints(
-    state: SystemState,
-    u_prev: ControlVector,
-    params: SafetyParams,
-    w_bar: float,
-    model,
-    table: PairTable | None = None,
-) -> QPProblem:
-    """Build one inequality row per unordered agent pair.
-
-    Row blocks: agents i and j of a pair receive +/-(g^T grad_h + psi*kappa*A);
-    everyone else is zero. The right side collects the disturbance margin, the
-    drift contribution and kappa * h. With ``freeze_adot`` the time derivative
-    of the propagation vector, evaluated along the previous step's control, is
-    folded into the right side as well (by default it is treated as zero,
-    which is exact in the piecewise-constant-control limit).
-
-    Optional control box bounds append rows with a ``None`` pair label.
-    """
-    x = state.x
-    n_agents, n = x.shape
-    m = model.control_dim
-    dim = n_agents * m
-    if params.psi > 0 and m != n:
-        raise ConfigError("psi coupling requires control_dim == state_dim")
-    if table is None:
-        table = PairTable(x, params, w_bar)
-    b_pairs = _rhs_vector(x, u_prev.u, params, model, table)
-    a, b = _constraint_rows(params, model, table, b_pairs, dim)
-    labels: list[tuple[int, int] | None] = [
-        (int(i), int(j)) for i, j in zip(table.idx_i, table.idx_j)
-    ]
-    labels.extend([None] * (len(b) - len(labels)))
-    return QPProblem(dim=dim, a_matrix=a, b_vector=b, pair_labels=tuple(labels))
 
 
 def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
@@ -248,16 +171,26 @@ def _ldp(a: np.ndarray, b: np.ndarray):
     return r[:dim] / gap, y / (norms * gap)
 
 
-def _solve_arrays(a: np.ndarray, b: np.ndarray, dim: int, tol: float):
-    """Shared solver core; returns (u, duals, status, slack_used)."""
-    n_c = a.shape[0]
-    if n_c == 0 or b.max() <= tol:
+def solve_qp(a: np.ndarray, b: np.ndarray):
+    """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
+
+    Returns (u, duals, status, slack_used). The projection is solved exactly
+    as a least-distance program through one Lawson-Hanson NNLS. When the
+    NNLS residual certifies that the polyhedron is empty (or the point fails
+    the feasibility check), the problem is re-solved with a shared slack
+    s >= 0 weighted by ``RELAX_RHO``, and the answer is flagged
+    ``infeasible_relaxed`` with ``slack_used`` set to the optimal slack.
+    """
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite constraint data")
+    n_c, dim = a.shape
+    if n_c == 0 or b.max() <= TOL_PRIMAL:
         # The unconstrained optimum u = 0 already satisfies everything.
         return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
     exact = _ldp(a, b)
     if exact is not None:
         u, duals = exact
-        if (b - a @ u).max() <= tol * (1.0 + np.abs(b).max()):
+        if (b - a @ u).max() <= TOL_PRIMAL * (1.0 + np.abs(b).max()):
             return u, duals, STATUS_OPTIMAL, 0.0
 
     # Empty polyhedron, or a point the check rejects: min ||u||^2 + rho*s^2
@@ -278,29 +211,6 @@ def _solve_arrays(a: np.ndarray, b: np.ndarray, dim: int, tol: float):
     return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
 
 
-def solve_qp(problem: QPProblem, tol: float = TOL_PRIMAL) -> QPSolution:
-    """Minimum-norm point of the constraint polyhedron, or its relaxation.
-
-    The projection is solved exactly as a least-distance program through one
-    Lawson-Hanson NNLS. When the NNLS residual certifies that the polyhedron
-    is empty (or the point fails the feasibility check), the problem is
-    re-solved with a shared slack s >= 0 weighted by ``RELAX_RHO``, and the
-    answer is flagged ``infeasible_relaxed`` with ``slack_used`` set to the
-    optimal slack.
-    """
-    a, b = problem.a_matrix, problem.b_vector
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite constraint data")
-    u, duals, status, slack = _solve_arrays(a, b, problem.dim, tol)
-    return QPSolution(
-        u_star=u,
-        active_set=_active_set(a, b, u),
-        status=status,
-        slack_used=slack,
-        duals=duals,
-    )
-
-
 def fast_control(
     x: np.ndarray,
     u_prev: np.ndarray,
@@ -308,14 +218,13 @@ def fast_control(
     model,
     table: PairTable,
 ) -> tuple[np.ndarray, str, float]:
-    """Hot-path variant of :func:`control_step` on raw arrays.
+    """The minimum-effort joint control for one step.
 
-    Returns (u, status, slack_used). Skips constraint-matrix assembly
-    entirely whenever every pair constraint has a non-positive right-hand
-    side (the joint zero control is then optimal, including under box
-    bounds); otherwise builds the same rows as ``assemble_constraints`` and
-    runs the same least-distance NNLS solve as ``solve_qp``. The rollout
-    engine relies on that equivalence, which the test suite checks directly.
+    Returns (u, status, slack_used) with u an N x m array. Skips
+    constraint-matrix assembly entirely whenever every pair constraint has a
+    non-positive right-hand side (the joint zero control is then optimal,
+    including under box bounds); otherwise builds the rows with
+    ``_constraint_rows`` and solves them with ``solve_qp``.
     """
     n_agents = x.shape[0]
     m = model.control_dim
@@ -324,31 +233,10 @@ def fast_control(
         return np.zeros((n_agents, m)), STATUS_OPTIMAL, 0.0
     dim = n_agents * m
     a, b = _constraint_rows(params, model, table, b, dim)
-    u, _, status, slack = _solve_arrays(a, b, dim, TOL_PRIMAL)
+    try:
+        u, _, status, slack = solve_qp(a, b)
+    except ValueError as exc:  # non-finite state or config values
+        raise SolverError(str(exc)) from exc
     if not np.all(np.isfinite(u)):
         raise SolverError("QP returned a non-finite control")
     return u.reshape(n_agents, m), status, slack
-
-
-def _active_set(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple[int, ...]:
-    if a.shape[0] == 0:
-        return ()
-    residual = np.abs(a @ u - b)
-    return tuple(int(k) for k in np.nonzero(residual <= TOL_ACTIVE)[0])
-
-
-def control_step(
-    state: SystemState,
-    u_prev: ControlVector,
-    params: SafetyParams,
-    w_bar: float,
-    model,
-    table: PairTable | None = None,
-) -> tuple[ControlVector, QPSolution]:
-    """Assemble the pairwise constraints and solve for the joint control."""
-    problem = assemble_constraints(state, u_prev, params, w_bar, model, table)
-    solution = solve_qp(problem)
-    if not np.all(np.isfinite(solution.u_star)):
-        raise SolverError("QP returned a non-finite control")
-    u = solution.u_star.reshape(state.x.shape[0], model.control_dim)
-    return ControlVector(u=u), solution

@@ -14,4 +14,4 @@ class SetupError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The QP solver produced a non-finite control or hit its NNLS iteration cap. Exit code 4."""
+    """The QP met non-finite data, gave a non-finite control or hit its NNLS pass cap. Exit code 4."""

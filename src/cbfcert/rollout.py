@@ -16,7 +16,13 @@ import numpy as np
 from .controller import STATUS_OPTIMAL, fast_control
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
-from .sysmodel import SystemConfig, dynamics_model, noise_array, sample_initial_state
+from .sysmodel import (
+    SystemConfig,
+    dynamics_model,
+    euler_step,
+    noise_array,
+    sample_initial_state,
+)
 
 _MAX_INITIAL_DRAWS = 1_000
 
@@ -124,7 +130,7 @@ def run_rollout(
     u_zero = np.zeros((n_agents, sys_cfg.control_dim))
 
     for _ in range(_MAX_INITIAL_DRAWS):
-        x = np.asarray(sample_initial_state(sys_cfg, rng).x)
+        x = sample_initial_state(sys_cfg, rng)
         table = PairTable(x, params, w_bar)
         u, status, _ = fast_control(x, u_zero, params, model, table)
         h_tilde = table.weighted_margins(u, psi)
@@ -136,7 +142,6 @@ def run_rollout(
             f"in {_MAX_INITIAL_DRAWS} draws"
         )
 
-    g_transpose = None if model.identity_actuation else model.actuation(None).T
     raw_min = np.inf
     min_dist = np.inf
     infeasible = 0
@@ -160,9 +165,7 @@ def run_rollout(
             trajectory.append((t, x.copy(), u.copy(), step_min))
         if k == sys_cfg.horizon_steps:
             break
-        w = noise_array(sys_cfg, rng)
-        actuated = u if g_transpose is None else u @ g_transpose
-        x = x + dt * (model.drift_all(x) + actuated + w)
+        x = euler_step(x, u, noise_array(sys_cfg, rng), dt, model)
         t += dt
         table = PairTable(x, params, w_bar)
         u, status, _ = fast_control(x, u, params, model, table)

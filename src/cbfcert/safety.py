@@ -41,105 +41,6 @@ class SafetyParams:
             raise ConfigError("control_bound must be > 0 when set")
 
 
-def h_pair(x_i: np.ndarray, x_j: np.ndarray, params: SafetyParams) -> float:
-    """Separation margin ||x_i - x_j||^2 - d_min^2."""
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    return float(diff @ diff - params.d_min**2)
-
-
-def grad_h_pair(x_i: np.ndarray, x_j: np.ndarray, params: SafetyParams) -> np.ndarray:
-    """Gradient of ``h_pair`` with respect to x_i (negate for x_j)."""
-    return 2.0 * (np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float))
-
-
-def propagation_vector(x_i: np.ndarray, x_j: np.ndarray, params: SafetyParams) -> np.ndarray:
-    """Regularized unit direction from j to i, damped by exp(-squared distance).
-
-    Always finite; the norm never exceeds exp(-d^2) <= 1 at separation d.
-    """
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    dsq = float(diff @ diff)
-    return diff * (np.exp(-dsq) / np.sqrt(dsq + params.reg_eps**2))
-
-
-def propagation_jacobian(x_i: np.ndarray, x_j: np.ndarray, params: SafetyParams) -> np.ndarray:
-    """Jacobian of ``propagation_vector`` with respect to (x_i - x_j).
-
-    With q = ||d||^2 and phi(q) = exp(-q) / sqrt(q + eps^2), the vector is
-    phi(q) d, so the Jacobian is phi I + 2 phi'(q) d d^T.
-    """
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    q = float(diff @ diff)
-    root = np.sqrt(q + params.reg_eps**2)
-    phi = np.exp(-q) / root
-    dphi = -np.exp(-q) * (1.0 / root + 0.5 / root**3)
-    return phi * np.eye(diff.size) + 2.0 * dphi * np.outer(diff, diff)
-
-
-def psi_safety(
-    x_i: np.ndarray,
-    x_j: np.ndarray,
-    u_i: np.ndarray,
-    u_j: np.ndarray,
-    params: SafetyParams,
-) -> float:
-    """Weighted pairwise margin h + psi * A^T (u_i - u_j)."""
-    du = np.asarray(u_i, dtype=float) - np.asarray(u_j, dtype=float)
-    return h_pair(x_i, x_j, params) + params.psi * float(
-        propagation_vector(x_i, x_j, params) @ du
-    )
-
-
-def disturbance_margin(
-    x_i: np.ndarray, x_j: np.ndarray, w_bar: float, params: SafetyParams
-) -> float:
-    """Worst-case instantaneous noise effect on h over two independent balls.
-
-    The supremum of |grad_h^T (w_i - w_j)| over ||w_i||, ||w_j|| <= w_bar is
-    attained with both disturbances (anti-)aligned with the gradient, giving
-    the closed form 2 * w_bar * ||grad_h||.
-    """
-    if w_bar < 0:
-        raise ConfigError("w_bar must be >= 0")
-    return 2.0 * w_bar * float(np.linalg.norm(grad_h_pair(x_i, x_j, params)))
-
-
-def class_k(s: float, params: SafetyParams) -> float:
-    """Linear class-K gain: strictly increasing, zero at zero."""
-    return params.kappa * s
-
-
-@dataclass(frozen=True)
-class PairMargin:
-    """Per-pair snapshot (stored once per unordered pair, i < j).
-
-    ``grad_h`` and ``A`` are oriented with respect to agent i; use
-    :meth:`grad_wrt` / :meth:`prop_wrt` for the sign-adjusted view from j.
-    """
-
-    i: int
-    j: int
-    h: float
-    h_tilde: float
-    grad_h: np.ndarray
-    A: np.ndarray
-    gamma: float
-
-    def grad_wrt(self, agent: int) -> np.ndarray:
-        if agent == self.i:
-            return self.grad_h
-        if agent == self.j:
-            return -self.grad_h
-        raise ValueError(f"agent {agent} is not part of pair ({self.i}, {self.j})")
-
-    def prop_wrt(self, agent: int) -> np.ndarray:
-        if agent == self.i:
-            return self.A
-        if agent == self.j:
-            return -self.A
-        raise ValueError(f"agent {agent} is not part of pair ({self.i}, {self.j})")
-
-
 @lru_cache(maxsize=64)
 def pair_indices(n_agents: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (first, second) enumerating unordered pairs with i < j."""
@@ -152,8 +53,13 @@ def pair_indices(n_agents: int) -> tuple[np.ndarray, np.ndarray]:
 class PairTable:
     """Vectorized per-pair geometry for one joint state.
 
-    Row k describes pair (idx_i[k], idx_j[k]) with i < j. This is the hot-path
-    representation; ``as_margins`` converts to :class:`PairMargin` records.
+    Row k describes pair (idx_i[k], idx_j[k]) with i < j: the difference
+    d = x_i - x_j, the margin h, its gradient 2d with respect to x_i (negate
+    for x_j), the damped direction A = phi(||d||^2) d with
+    phi(q) = exp(-q) / sqrt(q + eps^2), whose norm never exceeds
+    exp(-||d||^2) <= 1, and the worst-case noise effect
+    gamma = 2 w_bar ||grad h|| attained by two disturbances (anti-)aligned
+    with the gradient (zero when the robust margin is off).
     """
 
     __slots__ = ("idx_i", "idx_j", "diff", "dist_sq", "dist", "h", "grad", "prop", "gamma")
@@ -177,41 +83,12 @@ class PairTable:
             self.gamma = np.zeros_like(self.h)
 
     def weighted_margins(self, u: np.ndarray, psi: float) -> np.ndarray:
-        """h_tilde for every pair at the joint control u (N x m rows)."""
+        """h_tilde for every pair at the joint control u (N x m rows).
+
+        The alignment term pairs A with control differences, so psi > 0
+        needs m == n; ``ExperimentConfig`` rejects other shapes.
+        """
         if psi == 0.0:
             return self.h
         du = u[self.idx_i] - u[self.idx_j]
-        if du.shape[1] != self.prop.shape[1]:
-            # The alignment term pairs A directly with control differences,
-            # which requires m == n (hold psi = 0 for other dynamics).
-            raise ConfigError("psi coupling requires control_dim == state_dim")
         return self.h + psi * np.einsum("ij,ij->i", self.prop, du)
-
-    def as_margins(self, u: np.ndarray | None, psi: float) -> list[PairMargin]:
-        h_tilde = self.h if u is None else self.weighted_margins(u, psi)
-        return [
-            PairMargin(
-                i=int(self.idx_i[k]),
-                j=int(self.idx_j[k]),
-                h=float(self.h[k]),
-                h_tilde=float(h_tilde[k]),
-                grad_h=self.grad[k],
-                A=self.prop[k],
-                gamma=float(self.gamma[k]),
-            )
-            for k in range(len(self.h))
-        ]
-
-
-def pair_margins(
-    x: np.ndarray,
-    params: SafetyParams,
-    w_bar: float,
-    u: np.ndarray | None = None,
-) -> list[PairMargin]:
-    """All unordered-pair margins for a joint state (rows of ``x``).
-
-    ``h_tilde`` is evaluated at the supplied joint control, or equals ``h``
-    when no control is given.
-    """
-    return PairTable(np.asarray(x, dtype=float), params, w_bar).as_margins(u, params.psi)

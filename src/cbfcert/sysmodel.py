@@ -1,9 +1,9 @@
-"""Multi-agent system model: state containers, control-affine dynamics,
-bounded-noise sampling, and fixed-step Euler integration.
+"""Multi-agent system model: control-affine dynamics, bounded-noise
+sampling, and fixed-step Euler integration.
 
-All value types are immutable after construction and every sampling routine
-takes an explicit ``numpy.random.Generator``, so identical (config, seed)
-pairs reproduce trajectories bit for bit.
+Joint states are N x n arrays (row i is agent i), joint controls N x m.
+Every sampling routine takes an explicit ``numpy.random.Generator``, so
+identical (config, seed) pairs reproduce trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -73,72 +73,6 @@ class SystemConfig:
             raise ConfigError(f"unknown noise distribution {self.noise_dist!r}")
 
 
-def _frozen_array(values, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != shape:
-        raise ConfigError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Joint state of all agents: row i is agent i's state vector."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.x, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigError("state must be an N x n matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("state contains non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "x", arr)
-
-    @property
-    def n_agents(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class ControlVector:
-    """Joint control input: row i is agent i's input."""
-
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.u, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigError("control must be an N x m matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("control contains non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "u", arr)
-
-
-@dataclass(frozen=True)
-class DisturbanceSample:
-    """One disturbance vector per agent; per-agent norm bounded by construction."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.w, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigError("disturbance must be an N x n matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("disturbance contains non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
-
-
 class SingleIntegrator:
     """x_dot = u + w: zero drift, identity actuation."""
 
@@ -147,20 +81,18 @@ class SingleIntegrator:
     def __init__(self, dim: int):
         self.state_dim = dim
         self.control_dim = dim
-        self._g = np.eye(dim)
-
-    def drift(self, x_i: np.ndarray) -> np.ndarray:
-        return np.zeros(self.state_dim)
+        self.actuation = np.eye(dim)
 
     def drift_all(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
-    def actuation(self, x_i: np.ndarray) -> np.ndarray:
-        return self._g
-
 
 class DoubleIntegrator:
-    """Planar kinematic chain: state (p, v), p_dot = v, v_dot = u + w_v."""
+    """Planar kinematic chain: state (p, v), p_dot = v + w_p, v_dot = u + w_v.
+
+    The disturbance is drawn over the full state, so it perturbs positions as
+    well as velocities.
+    """
 
     identity_actuation = False
 
@@ -169,20 +101,12 @@ class DoubleIntegrator:
         self.state_dim = 2 * planar_dim
         g = np.zeros((self.state_dim, planar_dim))
         g[planar_dim:, :] = np.eye(planar_dim)
-        self._g = g
-
-    def drift(self, x_i: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.state_dim)
-        out[: self.control_dim] = x_i[self.control_dim :]
-        return out
+        self.actuation = g
 
     def drift_all(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         out[:, : self.control_dim] = x[:, self.control_dim :]
         return out
-
-    def actuation(self, x_i: np.ndarray) -> np.ndarray:
-        return self._g
 
 
 def dynamics_model(config: SystemConfig):
@@ -191,44 +115,21 @@ def dynamics_model(config: SystemConfig):
     return DoubleIntegrator(config.control_dim)
 
 
-def drift(state: SystemState, agent: int, config: SystemConfig) -> np.ndarray:
-    """Drift term f(x_i) of the configured dynamics."""
-    return dynamics_model(config).drift(state.x[agent])
-
-
-def actuation(state: SystemState, agent: int, config: SystemConfig) -> np.ndarray:
-    """Actuation matrix g(x_i) of the configured dynamics."""
-    return dynamics_model(config).actuation(state.x[agent])
-
-
-def step(
-    state: SystemState,
-    u: ControlVector,
-    w: DisturbanceSample,
-    dt: float,
-    config: SystemConfig,
-) -> SystemState:
-    """One explicit Euler step: x_i' = x_i + dt * (f(x_i) + g(x_i) u_i + w_i)."""
-    model = dynamics_model(config)
-    n, m = model.state_dim, model.control_dim
-    if state.x.shape != (config.n_agents, n):
-        raise ConfigError(f"state shape {state.x.shape} does not match config ({config.n_agents}, {n})")
-    if u.u.shape != (config.n_agents, m):
-        raise ConfigError(f"control shape {u.u.shape} does not match config ({config.n_agents}, {m})")
-    if w.w.shape != (config.n_agents, n):
-        raise ConfigError(f"disturbance shape {w.w.shape} does not match config ({config.n_agents}, {n})")
-    if model.identity_actuation:
-        actuated = u.u
-    else:
-        actuated = u.u @ model.actuation(None).T
-    x_next = state.x + dt * (model.drift_all(state.x) + actuated + w.w)
-    return SystemState(x=x_next, t=state.t + dt)
+def euler_step(
+    x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float, model
+) -> np.ndarray:
+    """One explicit Euler step of every agent: x_i + dt * (f(x_i) + g u_i + w_i)."""
+    actuated = u if model.identity_actuation else u @ model.actuation.T
+    return x + dt * (model.drift_all(x) + actuated + w)
 
 
 def noise_array(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Raw N x n bounded-noise draw; see :func:`sample_noise` for semantics.
+    """Draw one bounded disturbance per agent, as an N x n array.
 
-    The generator consumption pattern is independent of ``noise_bound``, so
+    ``ball`` mode is uniform on the closed Euclidean ball of radius
+    ``noise_bound`` (uniform direction, radius = bound * U^(1/n)); ``sphere``
+    mode pins the norm at the bound. Either way the per-agent norm never
+    exceeds the bound. The generator consumption pattern is independent of ``noise_bound``, so
     runs that differ only in the bound see the same underlying draws scaled
     linearly (common random numbers across noise levels).
     """
@@ -246,19 +147,8 @@ def noise_array(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return z * (radii / norms)[:, None]
 
 
-def sample_noise(config: SystemConfig, rng: np.random.Generator) -> DisturbanceSample:
-    """Draw one bounded disturbance per agent.
-
-    ``ball`` mode is uniform on the closed Euclidean ball of radius
-    ``noise_bound`` (uniform direction, radius = bound * U^(1/n)); ``sphere``
-    mode pins the norm at the bound. Either way the per-agent norm never
-    exceeds the bound.
-    """
-    return DisturbanceSample(w=noise_array(config, rng))
-
-
-def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> SystemState:
-    """Rejection-sample a spawn configuration.
+def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Rejection-sample a spawn configuration as an N x n joint state.
 
     Positions are i.i.d. uniform on the square; the whole configuration is
     redrawn until every pairwise distance reaches ``min_initial_separation``,
@@ -289,7 +179,7 @@ def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> Syst
         if ok:
             x = np.zeros((n_agents, config.state_dim))
             x[:, :2] = pos
-            return SystemState(x=x, t=0.0)
+            return x
     raise SetupError(
         f"initial-state sampling did not terminate in {_MAX_REJECTION_ROUNDS} rounds"
     )

@@ -1,12 +1,76 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here shares code with cbfcert internals: the QP oracles go through
-scipy and literal grid enumeration, and the samplers are plain rejection
-sampling.
+scipy and literal grid enumeration, the constraint rows are built pair by
+pair from the scalar formulas, and the samplers are plain rejection sampling.
 """
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+
+
+def prop_jacobian(d, reg_eps):
+    """Jacobian of A(d) = phi(q) d with q = ||d||^2, phi(q) = exp(-q) / sqrt(q + eps^2).
+
+    Equals phi I + 2 phi'(q) d d^T.
+    """
+    q = float(d @ d)
+    root = np.sqrt(q + reg_eps**2)
+    phi = np.exp(-q) / root
+    dphi = -np.exp(-q) * (1.0 / root + 0.5 / root**3)
+    return phi * np.eye(d.size) + 2.0 * dphi * np.outer(d, d)
+
+
+def reference_rows(x, u_prev, params, w_bar, dynamics):
+    """Constraint system (A, b) of one control step, built pair by pair.
+
+    For pair (i, j), i < j, with d = x_i - x_j: h = ||d||^2 - d_min^2,
+    grad h = 2d, A = phi(||d||^2) d and gamma = 2 w_bar ||grad h|| (zero with
+    the robust margin off). Agent i's block is g^T grad h + psi kappa A and
+    agent j's its negation; b = gamma - grad h . (f_i - f_j) - kappa h, and
+    with freeze_adot also minus psi Adot . (u_prev_i - u_prev_j), where
+    Adot = J(d) (xdot_i - xdot_j) along the previous control. A box bound c
+    appends u >= -c and -u >= -c.
+    """
+    n_agents, n = x.shape
+    m = u_prev.shape[1]
+    if dynamics == "single_integrator":
+        g = np.eye(n)
+        f = np.zeros_like(x)
+    else:  # double integrator: positions over velocities
+        g = np.vstack([np.zeros((m, m)), np.eye(m)])
+        f = np.hstack([x[:, m:], np.zeros((n_agents, m))])
+    rows, rhs = [], []
+    for i in range(n_agents):
+        for j in range(i + 1, n_agents):
+            d = x[i] - x[j]
+            q = float(d @ d)
+            h = q - params.d_min**2
+            grad = 2.0 * d
+            prop = d * np.exp(-q) / np.sqrt(q + params.reg_eps**2)
+            gamma = 2.0 * w_bar * float(np.linalg.norm(grad))
+            if not params.robust_margin_enabled:
+                gamma = 0.0
+            block = g.T @ grad
+            if params.psi > 0:  # A lives in state space: needs m == n
+                block = block + params.psi * params.kappa * prop
+            row = np.zeros(n_agents * m)
+            row[i * m : (i + 1) * m] = block
+            row[j * m : (j + 1) * m] = -block
+            b = gamma - float(grad @ (f[i] - f[j])) - params.kappa * h
+            if params.freeze_adot and params.psi > 0:
+                dxdot = (f[i] + g @ u_prev[i]) - (f[j] + g @ u_prev[j])
+                a_dot = prop_jacobian(d, params.reg_eps) @ dxdot
+                b -= params.psi * float(a_dot @ (u_prev[i] - u_prev[j]))
+            rows.append(row)
+            rhs.append(b)
+    a = np.array(rows)
+    b = np.array(rhs)
+    if params.control_bound is not None:
+        eye = np.eye(n_agents * m)
+        a = np.vstack([a, eye, -eye])
+        b = np.concatenate([b, np.full(2 * n_agents * m, -params.control_bound)])
+    return a, b
 
 
 def make_feasible_qp(rng, dim, n_cons):

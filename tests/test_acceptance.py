@@ -16,22 +16,10 @@ from scipy.stats import binom
 
 from cbfcert.bounds import bernstein_slack, hoeffding_bound, pairwise_variance, scenario_bound
 from cbfcert.cli import main
-from cbfcert.controller import (
-    STATUS_OPTIMAL,
-    QPProblem,
-    control_step,
-    solve_qp,
-)
+from cbfcert.controller import STATUS_OPTIMAL, fast_control, solve_qp
 from cbfcert.rollout import ExperimentConfig, run_rollout
 from cbfcert.safety import PairTable, SafetyParams
-from cbfcert.sysmodel import (
-    ControlVector,
-    DisturbanceSample,
-    SystemConfig,
-    SystemState,
-    dynamics_model,
-    step,
-)
+from cbfcert.sysmodel import SystemConfig, dynamics_model, euler_step
 from oracles import (
     kkt_residuals,
     make_feasible_qp,
@@ -147,18 +135,12 @@ def test_criterion_5_qp_oracle_equivalence():
         dim = int(rng.integers(2, 5))
         n_cons = int(rng.integers(1, 4))
         a, b, witness = make_feasible_qp(rng, dim, n_cons)
-        prob = QPProblem(
-            dim=dim,
-            a_matrix=a,
-            b_vector=b,
-            pair_labels=tuple((0, k + 1) for k in range(n_cons)),
-        )
-        sol = solve_qp(prob)
-        assert sol.status == STATUS_OPTIMAL
-        obj = float(sol.u_star @ sol.u_star)
+        u, duals, status, _ = solve_qp(a, b)
+        assert status == STATUS_OPTIMAL
+        obj = float(u @ u)
         _, ref_obj = qp_oracle_slsqp(a, b, witness)
         worst_obj = max(worst_obj, abs(obj - ref_obj))
-        stat, comp, sign, primal = kkt_residuals(a, b, sol.u_star, sol.duals)
+        stat, comp, sign, primal = kkt_residuals(a, b, u, duals)
         worst_kkt = max(worst_kkt, stat, comp, sign)
         worst_feas = max(worst_feas, primal)
         if dim == 2 and grid_checked < 5:
@@ -200,21 +182,21 @@ def _braking_invariance_run(seed: int):
     centroid = pos.mean(axis=0)
     vel = 0.6 * (centroid - pos) / np.linalg.norm(centroid - pos, axis=1, keepdims=True)
     vel += rng.uniform(-0.2, 0.2, (3, 2))
-    state = SystemState(x=np.hstack([pos, vel]))
-    u = ControlVector(u=np.zeros((3, 2)))
-    w = DisturbanceSample(w=np.zeros((3, 4)))
+    x = np.hstack([pos, vel])
+    u = np.zeros((3, 2))
+    w = np.zeros((3, 4))
     min_h = np.inf
     active_steps = 0
     for k in range(cfg.horizon_steps + 1):
-        table = PairTable(state.x, params, 0.0)
-        u, sol = control_step(state, u, params, 0.0, model, table)
-        assert sol.status == STATUS_OPTIMAL
+        table = PairTable(x, params, 0.0)
+        u, status, _ = fast_control(x, u, params, model, table)
+        assert status == STATUS_OPTIMAL
         min_h = min(min_h, float(np.min(table.h)))
-        if u.u.any():
+        if u.any():
             active_steps += 1
         if k == cfg.horizon_steps:
             break
-        state = step(state, u, w, 0.1, cfg)
+        x = euler_step(x, u, w, 0.1, model)
     return min_h, active_steps
 
 

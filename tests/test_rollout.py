@@ -18,7 +18,7 @@ from cbfcert.rollout import (
     run_group,
     run_rollout,
 )
-from cbfcert.safety import SafetyParams, pair_margins
+from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import SystemConfig, sample_initial_state
 
 
@@ -106,13 +106,11 @@ class TestRunRollout:
         # Everything is static, so the recorded margin equals the weighted
         # margin of the accepted spawn state; replay the sampling to check.
         rng = np.random.default_rng(seed)
-        state = sample_initial_state(cfg.system, rng)
-        margins = pair_margins(state.x, cfg.safety, 0.0)
-        assert rec.raw_min_margin == pytest.approx(
-            min(m.h for m in margins), abs=1e-12
-        )
+        x = sample_initial_state(cfg.system, rng)
+        table = PairTable(x, cfg.safety, 0.0)
+        assert rec.raw_min_margin == pytest.approx(float(np.min(table.h)), abs=1e-12)
         assert rec.min_distance == pytest.approx(
-            float(np.linalg.norm(state.x[0] - state.x[1])), abs=1e-12
+            float(np.linalg.norm(x[0] - x[1])), abs=1e-12
         )
 
     def test_same_seed_identical_records(self):

@@ -5,107 +5,96 @@ from hypothesis import strategies as st
 
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.sysmodel import (
-    ControlVector,
-    DisturbanceSample,
     SystemConfig,
-    SystemState,
-    actuation,
-    drift,
+    dynamics_model,
+    euler_step,
+    noise_array,
     sample_initial_state,
-    sample_noise,
-    step,
 )
 from oracles import ball_samples_rejection
 
 DOUBLE = SystemConfig(dynamics="double_integrator", state_dim=4, control_dim=2)
+SINGLE_MODEL = dynamics_model(SystemConfig())
+DOUBLE_MODEL = dynamics_model(DOUBLE)
 
 
 class TestDynamics:
     def test_single_integrator_drift_is_zero(self):
-        state = SystemState(x=[[3.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(drift(state, 0, SystemConfig()), [0.0, 0.0])
-        assert np.array_equal(drift(state, 1, SystemConfig()), [0.0, 0.0])
+        x = np.array([[3.0, -1.0], [0.5, 2.0]])
+        assert np.array_equal(SINGLE_MODEL.drift_all(x), np.zeros((2, 2)))
 
     def test_double_integrator_drift_kinematic_chain(self):
-        state = SystemState(x=[[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        assert np.array_equal(drift(state, 0, DOUBLE), [3.0, 4.0, 0.0, 0.0])
+        x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(DOUBLE_MODEL.drift_all(x)[0], [3.0, 4.0, 0.0, 0.0])
 
     def test_single_integrator_actuation_is_identity(self):
-        state = SystemState(x=[[0.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(actuation(state, 0, SystemConfig()), np.eye(2))
+        assert SINGLE_MODEL.identity_actuation
+        assert np.array_equal(SINGLE_MODEL.actuation, np.eye(2))
 
     def test_double_integrator_actuation_block_form(self):
-        state = SystemState(x=[[1.0, 2.0, 3.0, 4.0], [0.0] * 4])
-        g = actuation(state, 0, DOUBLE)
         expected = np.zeros((4, 2))
         expected[2:, :] = np.eye(2)
-        assert np.array_equal(g, expected)
-
-    def test_nan_state_rejected_at_construction(self):
-        with pytest.raises(ConfigError):
-            SystemState(x=[[np.nan, 0.0], [1.0, 1.0]])
-        with pytest.raises(ConfigError):
-            SystemState(x=[[np.inf, 0.0], [1.0, 1.0]])
+        assert not DOUBLE_MODEL.identity_actuation
+        assert np.array_equal(DOUBLE_MODEL.actuation, expected)
 
 
 class TestStep:
     def test_euler_hand_example(self):
-        state = SystemState(x=[[0.0, 0.0], [5.0, 5.0]])
-        u = ControlVector(u=[[1.0, 0.0], [0.0, 0.0]])
-        w = DisturbanceSample(w=np.zeros((2, 2)))
-        nxt = step(state, u, w, 0.1, SystemConfig())
-        assert np.allclose(nxt.x[0], [0.1, 0.0])
-        assert nxt.t == pytest.approx(0.1)
+        x = np.array([[0.0, 0.0], [5.0, 5.0]])
+        u = np.array([[1.0, 0.0], [0.0, 0.0]])
+        nxt = euler_step(x, u, np.zeros((2, 2)), 0.1, SINGLE_MODEL)
+        assert np.allclose(nxt[0], [0.1, 0.0])
 
     def test_zero_inputs_are_a_fixed_point(self):
-        state = SystemState(x=[[2.0, -3.0], [5.0, 5.0]])
-        u = ControlVector(u=np.zeros((2, 2)))
-        w = DisturbanceSample(w=np.zeros((2, 2)))
-        nxt = step(state, u, w, 0.1, SystemConfig())
-        assert np.array_equal(nxt.x, state.x)
+        x = np.array([[2.0, -3.0], [5.0, 5.0]])
+        nxt = euler_step(x, np.zeros((2, 2)), np.zeros((2, 2)), 0.1, SINGLE_MODEL)
+        assert np.array_equal(nxt, x)
 
     def test_euler_hand_example_with_noise(self):
-        state = SystemState(x=[[1.0, 1.0], [9.0, 9.0]])
-        u = ControlVector(u=[[0.0, 1.0], [0.0, 0.0]])
-        w = DisturbanceSample(w=[[0.01, 0.0], [0.0, 0.0]])
-        nxt = step(state, u, w, 0.1, SystemConfig())
-        assert np.allclose(nxt.x[0], [1.001, 1.1])
+        x = np.array([[1.0, 1.0], [9.0, 9.0]])
+        u = np.array([[0.0, 1.0], [0.0, 0.0]])
+        w = np.array([[0.01, 0.0], [0.0, 0.0]])
+        nxt = euler_step(x, u, w, 0.1, SINGLE_MODEL)
+        assert np.allclose(nxt[0], [1.001, 1.1])
 
     def test_double_integrator_positions_follow_velocity(self):
-        state = SystemState(x=[[1.0, 2.0, 3.0, 4.0], [10.0, 10.0, 0.0, 0.0]])
-        u = ControlVector(u=np.zeros((2, 2)))
-        w = DisturbanceSample(w=np.zeros((2, 4)))
-        nxt = step(state, u, w, 0.1, DOUBLE)
-        assert np.allclose(nxt.x[0], [1.3, 2.4, 3.0, 4.0])
+        x = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 10.0, 0.0, 0.0]])
+        nxt = euler_step(x, np.zeros((2, 2)), np.zeros((2, 4)), 0.1, DOUBLE_MODEL)
+        assert np.allclose(nxt[0], [1.3, 2.4, 3.0, 4.0])
+
+    def test_double_integrator_control_drives_velocity_noise_drives_all(self):
+        x = np.zeros((2, 4))
+        u = np.array([[1.0, -2.0], [0.0, 0.0]])
+        w = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]])
+        nxt = euler_step(x, u, w, 0.5, DOUBLE_MODEL)
+        assert np.allclose(nxt[0], [0.05, 0.1, 0.65, -0.8])
 
     def test_dimension_mismatch_raises(self):
-        state = SystemState(x=[[0.0, 0.0], [1.0, 1.0]])
-        u = ControlVector(u=np.zeros((3, 2)))
-        w = DisturbanceSample(w=np.zeros((2, 2)))
-        with pytest.raises(ConfigError):
-            step(state, u, w, 0.1, SystemConfig())
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError):
+            euler_step(x, np.zeros((3, 2)), np.zeros((2, 2)), 0.1, SINGLE_MODEL)
 
     def test_half_steps_exact_for_constant_inputs(self):
         # Single integrator with held inputs: two half steps equal one full step.
-        state = SystemState(x=[[0.3, -0.4], [5.0, 5.0]])
-        u = ControlVector(u=[[0.7, -0.2], [0.1, 0.9]])
-        w = DisturbanceSample(w=[[0.01, 0.02], [-0.01, 0.0]])
-        full = step(state, u, w, 0.1, SystemConfig())
-        half = step(step(state, u, w, 0.05, SystemConfig()), u, w, 0.05, SystemConfig())
-        assert np.allclose(full.x, half.x, atol=1e-15)
+        x = np.array([[0.3, -0.4], [5.0, 5.0]])
+        u = np.array([[0.7, -0.2], [0.1, 0.9]])
+        w = np.array([[0.01, 0.02], [-0.01, 0.0]])
+        full = euler_step(x, u, w, 0.1, SINGLE_MODEL)
+        half = euler_step(euler_step(x, u, w, 0.05, SINGLE_MODEL), u, w, 0.05, SINGLE_MODEL)
+        assert np.allclose(full, half, atol=1e-15)
 
 
 class TestSampleNoise:
     def test_zero_bound_gives_zero_sample(self, rng):
         cfg = SystemConfig(noise_bound=0.0)
-        w = sample_noise(cfg, rng)
-        assert np.array_equal(w.w, np.zeros((2, 2)))
+        w = noise_array(cfg, rng)
+        assert np.array_equal(w, np.zeros((2, 2)))
 
     def test_norm_bound_and_mean_norm(self):
         # Uniform-ball radius has mean bound * n/(n+1) = 2/3 * bound for n=2.
         cfg = SystemConfig(noise_bound=0.05)
         rng = np.random.default_rng(7)
-        draws = np.vstack([sample_noise(cfg, rng).w for _ in range(50_000)])
+        draws = np.vstack([noise_array(cfg, rng) for _ in range(50_000)])
         norms = np.linalg.norm(draws, axis=1)
         assert norms.max() <= 0.05 + 1e-15
         assert norms.mean() == pytest.approx(0.05 * 2.0 / 3.0, abs=1e-3)
@@ -113,7 +102,7 @@ class TestSampleNoise:
     def test_mean_norm_matches_rejection_oracle(self, rng):
         cfg = SystemConfig(noise_bound=0.05)
         gen = np.random.default_rng(11)
-        draws = np.vstack([sample_noise(cfg, gen).w for _ in range(20_000)])
+        draws = np.vstack([noise_array(cfg, gen) for _ in range(20_000)])
         oracle = ball_samples_rejection(rng, 0.05, 40_000)
         ours = np.linalg.norm(draws, axis=1).mean()
         ref = np.linalg.norm(oracle, axis=1).mean()
@@ -121,21 +110,21 @@ class TestSampleNoise:
 
     def test_sphere_mode_pins_the_norm(self, rng):
         cfg = SystemConfig(noise_bound=0.05, noise_dist="sphere")
-        w = sample_noise(cfg, rng)
-        assert np.allclose(np.linalg.norm(w.w, axis=1), 0.05)
+        w = noise_array(cfg, rng)
+        assert np.allclose(np.linalg.norm(w, axis=1), 0.05)
 
     def test_fixed_seed_is_bit_identical(self):
         cfg = SystemConfig(noise_bound=0.03)
         gen1, gen2 = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(10):
-            assert np.array_equal(sample_noise(cfg, gen1).w, sample_noise(cfg, gen2).w)
+            assert np.array_equal(noise_array(cfg, gen1), noise_array(cfg, gen2))
 
     @given(bound=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_never_exceeds_bound(self, bound, seed):
         cfg = SystemConfig(noise_bound=bound)
-        w = sample_noise(cfg, np.random.default_rng(seed))
-        assert np.all(np.linalg.norm(w.w, axis=1) <= bound + 1e-12)
+        w = noise_array(cfg, np.random.default_rng(seed))
+        assert np.all(np.linalg.norm(w, axis=1) <= bound + 1e-12)
 
 
 class TestSampleInitialState:
@@ -143,8 +132,8 @@ class TestSampleInitialState:
         cfg = SystemConfig(domain_half_width=10.0, min_initial_separation=1.0)
         gen = np.random.default_rng(5)
         for _ in range(200):
-            state = sample_initial_state(cfg, gen)
-            assert np.linalg.norm(state.x[0] - state.x[1]) >= 1.0
+            x = sample_initial_state(cfg, gen)
+            assert np.linalg.norm(x[0] - x[1]) >= 1.0
 
     def test_mean_pairwise_distance(self, rng):
         # Expected distance between uniform points on a 10 x 10 square is
@@ -154,7 +143,7 @@ class TestSampleInitialState:
         gen = np.random.default_rng(17)
         dists = np.array(
             [
-                np.linalg.norm(s.x[0] - s.x[1])
+                np.linalg.norm(s[0] - s[1])
                 for s in (sample_initial_state(cfg, gen) for _ in range(10_000))
             ]
         )
@@ -174,11 +163,12 @@ class TestSampleInitialState:
         cfg = SystemConfig()
         s1 = sample_initial_state(cfg, np.random.default_rng(9))
         s2 = sample_initial_state(cfg, np.random.default_rng(9))
-        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(s1, s2)
 
     def test_double_integrator_spawns_at_rest(self, rng):
-        state = sample_initial_state(DOUBLE, rng)
-        assert np.array_equal(state.x[:, 2:], np.zeros((2, 2)))
+        x = sample_initial_state(DOUBLE, rng)
+        assert x.shape == (2, 4)
+        assert np.array_equal(x[:, 2:], np.zeros((2, 2)))
 
 
 class TestConfigValidation:
@@ -198,8 +188,3 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
-
-    def test_immutability(self):
-        state = SystemState(x=[[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            state.x[0, 0] = 5.0
