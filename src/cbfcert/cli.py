@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
@@ -116,16 +117,21 @@ def _coerce(value, kind: str, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if kind == "number":
+    if kind == "number|null" and value is None:
+        return None
+    if kind in ("number", "number|null"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind == "number|null":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number or null, got {value!r}")
-        return float(value)
+            expected = "a number" if kind == "number" else "a number or null"
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        # Python's JSON parser accepts NaN and Infinity, and integers too
+        # large for a float; no range check catches NaN, so reject them here.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if kind == "boolean":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")

@@ -38,6 +38,9 @@ def _rhs_vector(
 ) -> np.ndarray:
     """Right-hand side b per pair: gamma - grad_h . (f_i - f_j) - kappa * h,
     minus the frozen propagation-derivative term when ``freeze_adot`` is on.
+
+    x (..., N, n), u_prev (..., N, m) and ``table`` may carry the same leading
+    batch axes; b then has shape (..., pairs).
     """
     idx_i, idx_j = table.idx_i, table.idx_j
     if model.identity_actuation:
@@ -46,10 +49,10 @@ def _rhs_vector(
         drift_all = None
     else:
         drift_all = model.drift_all(x)
-        ddrift = drift_all[idx_i] - drift_all[idx_j]
+        ddrift = drift_all[..., idx_i, :] - drift_all[..., idx_j, :]
         b = (
             table.gamma
-            - np.einsum("ij,ij->i", table.grad, ddrift)
+            - np.einsum("...j,...j->...", table.grad, ddrift)
             - params.kappa * table.h
         )
     if params.freeze_adot and params.psi > 0:
@@ -57,15 +60,15 @@ def _rhs_vector(
             xdot = u_prev
         else:
             xdot = drift_all + u_prev @ model.actuation.T
-        dxdot = xdot[idx_i] - xdot[idx_j]
-        du_prev = u_prev[idx_i] - u_prev[idx_j]
+        dxdot = xdot[..., idx_i, :] - xdot[..., idx_j, :]
+        du_prev = u_prev[..., idx_i, :] - u_prev[..., idx_j, :]
         q = table.dist_sq
         root = np.sqrt(q + params.reg_eps**2)
         phi = np.exp(-q) / root
         dphi = -np.exp(-q) * (1.0 / root + 0.5 / root**3)
-        along = np.einsum("ij,ij->i", table.diff, dxdot)
-        a_dot = phi[:, None] * dxdot + (2.0 * dphi * along)[:, None] * table.diff
-        b = b - params.psi * np.einsum("ij,ij->i", a_dot, du_prev)
+        along = np.einsum("...j,...j->...", table.diff, dxdot)
+        a_dot = phi[..., None] * dxdot + (2.0 * dphi * along)[..., None] * table.diff
+        b = b - params.psi * np.einsum("...j,...j->...", a_dot, du_prev)
     return b
 
 
@@ -211,6 +214,17 @@ def solve_qp(a: np.ndarray, b: np.ndarray):
     return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
 
 
+def needs_solve(b: np.ndarray) -> np.ndarray:
+    """Whether a step needs the solver: some pair's right-hand side is positive.
+
+    Otherwise the joint zero control is optimal, under box bounds too. The
+    last axis is reduced, so a batch of right-hand sides gives one flag per
+    rollout. A NaN right-hand side counts as positive, so that the solver
+    rejects it instead of the step passing as unconstrained.
+    """
+    return ~(np.max(b, axis=-1, initial=0.0) <= TOL_PRIMAL)
+
+
 def fast_control(
     x: np.ndarray,
     u_prev: np.ndarray,
@@ -229,7 +243,7 @@ def fast_control(
     n_agents = x.shape[0]
     m = model.control_dim
     b = _rhs_vector(x, u_prev, params, model, table)
-    if float(np.max(b, initial=0.0)) <= TOL_PRIMAL:
+    if not needs_solve(b):
         return np.zeros((n_agents, m)), STATUS_OPTIMAL, 0.0
     dim = n_agents * m
     a, b = _constraint_rows(params, model, table, b, dim)

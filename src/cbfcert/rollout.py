@@ -2,8 +2,10 @@
 
 Each rollout owns its generator, so records are reproducible from (config,
 seed) alone and groups can be evaluated serially or in parallel with
-identical results. Margins are always evaluated at the controls the QP
-actually produced at that step.
+identical results. The rollouts of a group step in lockstep as R x N x n
+arrays; batching changes no rollout's draws or arithmetic, so a rollout's
+record is the same alone or in any batch. Margins are always evaluated at
+the controls the QP actually produced at that step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import STATUS_OPTIMAL, fast_control
+from .controller import STATUS_OPTIMAL, _rhs_vector, fast_control, needs_solve
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
@@ -108,13 +110,53 @@ class ExperimentConfig:
             raise ConfigError("psi coupling requires control_dim == state_dim")
 
 
-def run_rollout(
-    config: ExperimentConfig, seed: int, record_trajectory: bool = False
-) -> RolloutRecord:
-    """Simulate one seeded trajectory of the closed loop.
+def _spawn(config: ExperimentConfig, model, rng: np.random.Generator):
+    """Draw initial configurations until every pair's weighted margin,
+    evaluated at the QP's own first control, reaches ``h_min``.
 
-    The initial configuration is redrawn until every pair's weighted margin,
-    evaluated at the QP's own first control, reaches ``h_min``. The loop then
+    Returns the accepted state, that first control and its status.
+    """
+    sys_cfg = config.system
+    params = config.safety
+    u_zero = np.zeros((sys_cfg.n_agents, sys_cfg.control_dim))
+    for _ in range(_MAX_INITIAL_DRAWS):
+        x = sample_initial_state(sys_cfg, rng)
+        table = PairTable(x, params, sys_cfg.noise_bound)
+        u, status, _ = fast_control(x, u_zero, params, model, table)
+        h_tilde = table.weighted_margins(u, params.psi)
+        if float(np.min(h_tilde)) >= config.h_min:
+            return x, u, status
+    raise SetupError(
+        f"no initial configuration reached margin {config.h_min} "
+        f"in {_MAX_INITIAL_DRAWS} draws"
+    )
+
+
+def _control(
+    x: np.ndarray, u_prev: np.ndarray, config: ExperimentConfig, model, table: PairTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint controls of a batch of rollouts, and which ones relaxed.
+
+    The right-hand sides are computed for the whole batch; ``fast_control``
+    runs only for the rollouts that ``needs_solve`` flags, its own early-exit
+    test, and every other rollout gets the zero control that test returns.
+    """
+    params = config.safety
+    b = _rhs_vector(x, u_prev, params, model, table)
+    u = np.zeros(u_prev.shape)
+    relaxed = np.zeros(len(x), dtype=bool)
+    for r in np.flatnonzero(needs_solve(b)):
+        u[r], status, _ = fast_control(x[r], u_prev[r], params, model, table[r])
+        relaxed[r] = status != STATUS_OPTIMAL
+    return u, relaxed
+
+
+def run_rollouts(
+    config: ExperimentConfig, seeds, record_trajectory: bool = False
+) -> tuple[RolloutRecord, ...]:
+    """Simulate one seeded trajectory of the closed loop per seed, in lockstep.
+
+    Each rollout spawns on its own (see ``_spawn``). The batch then
     alternates control solve, noise draw and Euler step for
     ``horizon_steps`` steps, recording margins at each of the
     ``horizon_steps + 1`` grid points.
@@ -122,64 +164,63 @@ def run_rollout(
     sys_cfg = config.system
     params = config.safety
     model = dynamics_model(sys_cfg)
-    rng = np.random.default_rng(seed)
-    w_bar = sys_cfg.noise_bound
-    dt = sys_cfg.dt
-    psi = params.psi
-    n_agents = sys_cfg.n_agents
-    u_zero = np.zeros((n_agents, sys_cfg.control_dim))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    spawned = [_spawn(config, model, rng) for rng in rngs]
+    x = np.stack([s[0] for s in spawned])
+    u = np.stack([s[1] for s in spawned])
+    relaxed = np.array([s[2] != STATUS_OPTIMAL for s in spawned])
+    table = PairTable(x, params, sys_cfg.noise_bound)
+    h_tilde = table.weighted_margins(u, params.psi)
 
-    for _ in range(_MAX_INITIAL_DRAWS):
-        x = sample_initial_state(sys_cfg, rng)
-        table = PairTable(x, params, w_bar)
-        u, status, _ = fast_control(x, u_zero, params, model, table)
-        h_tilde = table.weighted_margins(u, psi)
-        if float(np.min(h_tilde)) >= config.h_min:
-            break
-    else:
-        raise SetupError(
-            f"no initial configuration reached margin {config.h_min} "
-            f"in {_MAX_INITIAL_DRAWS} draws"
-        )
-
-    raw_min = np.inf
-    min_dist = np.inf
-    infeasible = 0
-    max_u = 0.0
-    trajectory = [] if record_trajectory else None
+    raw_min = np.full(len(rngs), np.inf)
+    min_dist = np.full(len(rngs), np.inf)
+    infeasible = np.zeros(len(rngs), dtype=int)
+    max_u = np.zeros(len(rngs))
+    frames = [] if record_trajectory else None
     t = 0.0
     for k in range(sys_cfg.horizon_steps + 1):
-        step_min = float(np.min(h_tilde))
-        if step_min < raw_min:
-            raw_min = step_min
-        step_dist = float(np.min(table.dist))
-        if step_dist < min_dist:
-            min_dist = step_dist
-        if status != STATUS_OPTIMAL:
-            infeasible += 1
-        if u.any():
-            norm = float(np.max(np.sqrt(np.einsum("ij,ij->i", u, u))))
-            if norm > max_u:
-                max_u = norm
-        if trajectory is not None:
-            trajectory.append((t, x.copy(), u.copy(), step_min))
+        # np.where(new < old, new, old), not np.minimum: a NaN step value
+        # leaves the running extreme as it is.
+        step_min = np.min(h_tilde, axis=-1)
+        raw_min = np.where(step_min < raw_min, step_min, raw_min)
+        step_dist = np.min(table.dist, axis=-1)
+        min_dist = np.where(step_dist < min_dist, step_dist, min_dist)
+        infeasible += relaxed
+        norm = np.max(np.sqrt(np.einsum("...j,...j->...", u, u)), axis=-1)
+        max_u = np.where(norm > max_u, norm, max_u)
+        if frames is not None:
+            frames.append((t, x, u, step_min))
         if k == sys_cfg.horizon_steps:
             break
-        x = euler_step(x, u, noise_array(sys_cfg, rng), dt, model)
-        t += dt
-        table = PairTable(x, params, w_bar)
-        u, status, _ = fast_control(x, u, params, model, table)
-        h_tilde = table.weighted_margins(u, psi)
+        x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, model)
+        t += sys_cfg.dt
+        table = PairTable(x, params, sys_cfg.noise_bound)
+        u, relaxed = _control(x, u, config, model, table)
+        h_tilde = table.weighted_margins(u, params.psi)
 
-    return RolloutRecord(
-        raw_min_margin=raw_min,
-        violated=raw_min < 0.0,
-        min_distance=min_dist,
-        infeasible_steps=infeasible,
-        seed=seed,
-        max_control_norm=max_u,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
+    return tuple(
+        RolloutRecord(
+            raw_min_margin=float(raw_min[r]),
+            violated=bool(raw_min[r] < 0.0),
+            min_distance=float(min_dist[r]),
+            infeasible_steps=int(infeasible[r]),
+            seed=seed,
+            max_control_norm=float(max_u[r]),
+            trajectory=(
+                tuple((t, xs[r], us[r], float(m[r])) for t, xs, us, m in frames)
+                if frames is not None
+                else None
+            ),
+        )
+        for r, seed in enumerate(seeds)
     )
+
+
+def run_rollout(
+    config: ExperimentConfig, seed: int, record_trajectory: bool = False
+) -> RolloutRecord:
+    """One seeded trajectory of the closed loop: ``run_rollouts`` on one seed."""
+    return run_rollouts(config, [seed], record_trajectory)[0]
 
 
 def margin_scores(
@@ -212,15 +253,13 @@ def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index: int)
 def run_group(
     config: ExperimentConfig, group_index: int, record_trajectory: bool = False
 ) -> GroupRecord:
-    """Run one group of P rollouts and score it.
+    """Run one group of P rollouts as one lockstep batch and score it.
 
     Aggregation always folds rollouts in ascending index order, so the result
     does not depend on any concurrency used to produce them.
     """
-    rollouts = tuple(
-        run_rollout(config, rollout_seed(config, group_index, p), record_trajectory)
-        for p in range(config.rollouts_per_group)
-    )
+    seeds = [rollout_seed(config, group_index, p) for p in range(config.rollouts_per_group)]
+    rollouts = run_rollouts(config, seeds, record_trajectory)
     z, x_flags, h_tilde_max = margin_scores(rollouts, config.theta, config.eps_norm)
     return GroupRecord(
         rollouts=rollouts,

@@ -1,8 +1,9 @@
 """Multi-agent system model: control-affine dynamics, bounded-noise
 sampling, and fixed-step Euler integration.
 
-Joint states are N x n arrays (row i is agent i), joint controls N x m.
-Every sampling routine takes an explicit ``numpy.random.Generator``, so
+Joint states are N x n arrays (row i is agent i), joint controls N x m; the
+dynamics also take stacks of them (..., N, n), one per rollout. Every
+sampling routine takes explicit ``numpy.random.Generator`` objects, so
 identical (config, seed) pairs reproduce trajectories bit for bit.
 """
 
@@ -105,7 +106,7 @@ class DoubleIntegrator:
 
     def drift_all(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
-        out[:, : self.control_dim] = x[:, self.control_dim :]
+        out[..., : self.control_dim] = x[..., self.control_dim :]
         return out
 
 
@@ -118,33 +119,46 @@ def dynamics_model(config: SystemConfig):
 def euler_step(
     x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float, model
 ) -> np.ndarray:
-    """One explicit Euler step of every agent: x_i + dt * (f(x_i) + g u_i + w_i)."""
+    """One explicit Euler step of every agent: x_i + dt * (f(x_i) + g u_i + w_i).
+
+    x, u and w may carry the same leading batch axes.
+    """
     actuated = u if model.identity_actuation else u @ model.actuation.T
     return x + dt * (model.drift_all(x) + actuated + w)
 
 
-def noise_array(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw one bounded disturbance per agent, as an N x n array.
+def noise_array(config: SystemConfig, rngs) -> np.ndarray:
+    """Draw one bounded disturbance per agent for each generator, as an
+    R x N x n array (slice r drawn from ``rngs[r]``).
 
     ``ball`` mode is uniform on the closed Euclidean ball of radius
     ``noise_bound`` (uniform direction, radius = bound * U^(1/n)); ``sphere``
     mode pins the norm at the bound. Either way the per-agent norm never
-    exceeds the bound. The generator consumption pattern is independent of ``noise_bound``, so
-    runs that differ only in the bound see the same underlying draws scaled
-    linearly (common random numbers across noise levels).
+    exceeds the bound. Each generator draws N x n standard normals, then (ball
+    mode) N uniforms, whatever the batch; the scaling runs once over the
+    batch. The generator consumption pattern is independent of
+    ``noise_bound``, so runs that differ only in the bound see the same
+    underlying draws scaled linearly (common random numbers across noise
+    levels).
     """
     n_agents, n = config.n_agents, config.state_dim
-    z = rng.standard_normal((n_agents, n))
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    ball = config.noise_dist == NOISE_BALL
+    z = np.empty((len(rngs), n_agents, n))
+    uniform = np.empty((len(rngs), n_agents))
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=z[r])
+        if ball:
+            rng.random(out=uniform[r])
+    norms = np.sqrt(np.einsum("...j,...j->...", z, z))
     degenerate = norms == 0.0
     if np.any(degenerate):  # probability-zero draw; pick an arbitrary direction
         z[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
-    if config.noise_dist == NOISE_BALL:
-        radii = config.noise_bound * rng.random(n_agents) ** (1.0 / n)
+    if ball:
+        radii = config.noise_bound * uniform ** (1.0 / n)
     else:
-        radii = np.full(n_agents, config.noise_bound)
-    return z * (radii / norms)[:, None]
+        radii = np.full(norms.shape, config.noise_bound)
+    return z * (radii / norms)[..., None]
 
 
 def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -202,6 +202,28 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "noise_bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_bound", float("nan")), ("dt", float("inf")), ("domain_half_width", 10**400)],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        # json.dumps writes NaN / Infinity, which Python's JSON parser reads
+        # back, and an integer too large for a float.
+        data = {**TINY, "system": {**TINY["system"], key: value}}
+        cfg_path = write_config(tmp_path, data)
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert f"system.{key}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_state_exits_4(self, tmp_path, capsys):
+        # A finite config whose noise overflows the state: the NaN right-hand
+        # side must reach the solver and fail there, not later in the bounds.
+        data = {**TINY, "system": {**TINY["system"], "n_agents": 3, "noise_bound": 1e300}}
+        cfg_path = write_config(tmp_path, data)
+        args = ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "1"]
+        assert main(args) == 4
+        assert "internal solver failure" in capsys.readouterr().err
+
     def test_setup_error_exits_3(self, tmp_path):
         cfg_path = write_config(
             tmp_path,

@@ -118,6 +118,16 @@ class TestAssembleConstraints:
             assert np.allclose(b, b_ref, rtol=1e-12, atol=1e-12)
 
 
+    @reference_cases
+    def test_batched_rhs_matches_each_joint_state(self, rng, model, dynamics, params):
+        x = rng.uniform(-2.0, 2.0, size=(6, 4, model.state_dim))
+        u_prev = rng.uniform(-0.5, 0.5, size=(6, 4, model.control_dim))
+        b = _rhs_vector(x, u_prev, params, model, PairTable(x, params, 0.03))
+        for r in range(len(x)):
+            table = PairTable(x[r], params, 0.03)
+            assert np.array_equal(b[r], _rhs_vector(x[r], u_prev[r], params, model, table))
+
+
 class TestSolveQP:
     def test_unconstrained_minimum_when_nothing_binds(self):
         u, _, status, slack = solve([[1.0, 0.0]], [-1.0])

@@ -11,9 +11,13 @@ binding control box (relaxed steps), ``freeze_adot``, and the double
 integrator with psi = 0; their digests must differ, so no case silently
 degenerates into another.
 
+The two sweep commands are pinned the same way: ``reproduce-table1`` and
+``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
+rollouts per cell and theta 0.3), and the body of the CSV they write is hashed.
+
 When a change alters the numerics on purpose, run
 ``pytest tests/test_golden.py``, copy the digests from the failure messages
-into ``GOLDEN`` and say in CHANGES.md why they moved.
+into ``GOLDEN`` (or ``GOLDEN_SWEEPS``) and say in CHANGES.md why they moved.
 """
 
 import hashlib
@@ -52,6 +56,35 @@ GOLDEN = {
     "control_bound": "1a6f7ca6da71daaeef9def71a68bb158f58989fcfe4a34df9c81cc1d5160c703",
     "freeze_adot": "6cb4191e2fba354cc7b1e7d0b72e66a1d9fe22ac51bd7768ff68718af51ba539",
     "double_integrator": "1496e1db4f7a846e3a6319dc29b29499effcd82a7efabfcd5911b966a1bc0d73",
+}
+
+
+SWEEPS = {
+    "reproduce-table1": (
+        "table1.csv",
+        {
+            "groups": 2,
+            "rollouts_per_group": 3,
+            # Above the default 0.1 so that p_hat moves from cell to cell.
+            "theta": 0.3,
+            "base_seed": 2024,
+            "system": {"horizon_steps": 10, "domain_half_width": 3.0},
+        },
+    ),
+    # sweep-psi fixes its own group size (one group of 100 per psi value).
+    "sweep-psi": (
+        "psi_sweep.csv",
+        {
+            "base_seed": 2024,
+            "system": {"n_agents": 3, "domain_half_width": 2.5, "horizon_steps": 10},
+            "safety": {"kappa": 0.1},
+        },
+    ),
+}
+
+GOLDEN_SWEEPS = {
+    "reproduce-table1": "7452e00989b83db73d97cd82a4835b086b124595560ed9d57466566438d057db",
+    "sweep-psi": "422230e4783a8bcdeb9586b65f2ede7614e9fa9f8c0b8abf89f9dacd1268c3fa",
 }
 
 
@@ -94,3 +127,15 @@ def test_golden_digest(digests, case):
 
 def test_cases_are_distinct(digests):
     assert len(set(digests.values())) == len(CASES)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_golden_sweep_digest(tmp_path, command):
+    csv_name, data = SWEEPS[command]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    assert main(args) == 0
+    digest = hashlib.sha256(_body(out / csv_name)).hexdigest()
+    assert digest == GOLDEN_SWEEPS[command], f"{command}: digest {digest}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from cbfcert.rollout import (
 )
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import SystemConfig, sample_initial_state
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _config as golden_config
 
 
 def record(raw, seed=0):
@@ -204,6 +207,27 @@ class TestRunGroup:
             assert np.array_equal(gs.z_scores, gp.z_scores)
             assert np.array_equal(gs.x_flags, gp.x_flags)
             assert gs.h_tilde_max == gp.h_tilde_max
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + ["sphere"])
+    def test_batching_does_not_change_a_rollout(self, case):
+        # Every rollout of a lockstep group equals the same seed run alone,
+        # trajectory included, on the golden parameter sets.
+        if case == "sphere":
+            data = golden_config("single_psi2")
+            data["system"]["noise_dist"] = "sphere"
+        else:
+            data = golden_config(case)
+        cfg = build_config(data)
+        for g in range(cfg.groups):
+            for rec in run_group(cfg, g, record_trajectory=True).rollouts:
+                alone = run_rollout(cfg, rec.seed, record_trajectory=True)
+                assert dataclasses.replace(rec, trajectory=None) == dataclasses.replace(
+                    alone, trajectory=None
+                )
+                assert len(rec.trajectory) == len(alone.trajectory)
+                for (t, x, u, m), (t1, x1, u1, m1) in zip(rec.trajectory, alone.trajectory):
+                    assert (t, m) == (t1, m1)
+                    assert np.array_equal(x, x1) and np.array_equal(u, u1)
 
     def test_crowded_double_integrator_relaxes_instead_of_failing(self):
         # Six double-integrator agents give 15 pair rows whose polyhedron is

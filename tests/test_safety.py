@@ -198,6 +198,23 @@ class TestPairTable:
                 expected = psi_safety(x[i], x[j], u[i], u[j], params)
                 assert h_tilde[k] == pytest.approx(expected, abs=1e-12)
 
+    def test_batch_matches_each_joint_state(self, rng):
+        # Slice r of a table over stacked joint states, and table[r], are bit
+        # for bit the table of joint state r alone (the lockstep rollouts
+        # rely on it).
+        params = SafetyParams(psi=1.7, kappa=0.8)
+        x = rng.uniform(-4, 4, size=(5, 4, 2))
+        u = rng.uniform(-1, 1, size=(5, 4, 2))
+        batch = PairTable(x, params, 0.05)
+        h_tilde = batch.weighted_margins(u, params.psi)
+        for r in range(len(x)):
+            one = PairTable(x[r], params, 0.05)
+            for name in ("diff", "dist_sq", "dist", "h", "grad", "prop", "gamma"):
+                assert np.array_equal(getattr(batch, name)[r], getattr(one, name)), name
+                assert np.array_equal(getattr(batch[r], name), getattr(one, name)), name
+            assert np.array_equal(batch[r].idx_i, one.idx_i)
+            assert np.array_equal(h_tilde[r], one.weighted_margins(u[r], params.psi))
+
     def test_gamma_zero_when_margin_disabled(self, rng):
         params = SafetyParams(robust_margin_enabled=False)
         x = rng.uniform(-4, 4, size=(3, 2))

@@ -69,6 +69,14 @@ class TestStep:
         nxt = euler_step(x, u, w, 0.5, DOUBLE_MODEL)
         assert np.allclose(nxt[0], [0.05, 0.1, 0.65, -0.8])
 
+    def test_batch_matches_each_joint_state(self, rng):
+        x = rng.uniform(-1, 1, size=(3, 2, 4))
+        u = rng.uniform(-1, 1, size=(3, 2, 2))
+        w = rng.uniform(-0.1, 0.1, size=(3, 2, 4))
+        nxt = euler_step(x, u, w, 0.1, DOUBLE_MODEL)
+        for r in range(len(x)):
+            assert np.array_equal(nxt[r], euler_step(x[r], u[r], w[r], 0.1, DOUBLE_MODEL))
+
     def test_dimension_mismatch_raises(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
@@ -87,14 +95,14 @@ class TestStep:
 class TestSampleNoise:
     def test_zero_bound_gives_zero_sample(self, rng):
         cfg = SystemConfig(noise_bound=0.0)
-        w = noise_array(cfg, rng)
-        assert np.array_equal(w, np.zeros((2, 2)))
+        w = noise_array(cfg, [rng])
+        assert np.array_equal(w, np.zeros((1, 2, 2)))
 
     def test_norm_bound_and_mean_norm(self):
         # Uniform-ball radius has mean bound * n/(n+1) = 2/3 * bound for n=2.
         cfg = SystemConfig(noise_bound=0.05)
         rng = np.random.default_rng(7)
-        draws = np.vstack([noise_array(cfg, rng) for _ in range(50_000)])
+        draws = noise_array(cfg, [rng] * 50_000).reshape(-1, 2)
         norms = np.linalg.norm(draws, axis=1)
         assert norms.max() <= 0.05 + 1e-15
         assert norms.mean() == pytest.approx(0.05 * 2.0 / 3.0, abs=1e-3)
@@ -102,7 +110,7 @@ class TestSampleNoise:
     def test_mean_norm_matches_rejection_oracle(self, rng):
         cfg = SystemConfig(noise_bound=0.05)
         gen = np.random.default_rng(11)
-        draws = np.vstack([noise_array(cfg, gen) for _ in range(20_000)])
+        draws = noise_array(cfg, [gen] * 20_000).reshape(-1, 2)
         oracle = ball_samples_rejection(rng, 0.05, 40_000)
         ours = np.linalg.norm(draws, axis=1).mean()
         ref = np.linalg.norm(oracle, axis=1).mean()
@@ -110,21 +118,34 @@ class TestSampleNoise:
 
     def test_sphere_mode_pins_the_norm(self, rng):
         cfg = SystemConfig(noise_bound=0.05, noise_dist="sphere")
-        w = noise_array(cfg, rng)
-        assert np.allclose(np.linalg.norm(w, axis=1), 0.05)
+        w = noise_array(cfg, [rng])
+        assert np.allclose(np.linalg.norm(w, axis=-1), 0.05)
 
     def test_fixed_seed_is_bit_identical(self):
         cfg = SystemConfig(noise_bound=0.03)
         gen1, gen2 = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(10):
-            assert np.array_equal(noise_array(cfg, gen1), noise_array(cfg, gen2))
+            assert np.array_equal(noise_array(cfg, [gen1]), noise_array(cfg, [gen2]))
+
+    @pytest.mark.parametrize("dist", ["ball", "sphere"])
+    def test_batch_keeps_each_generators_draw_order(self, dist):
+        # Generator r draws N x n normals, then (ball) N uniforms, per call.
+        cfg = SystemConfig(n_agents=3, noise_bound=0.03, noise_dist=dist)
+        batch = noise_array(cfg, [np.random.default_rng(s) for s in range(4)])
+        assert batch.shape == (4, 3, 2)
+        for s in range(4):
+            rng = np.random.default_rng(s)
+            z = rng.standard_normal((3, 2))
+            radii = 0.03 * np.sqrt(rng.random(3)) if dist == "ball" else np.full(3, 0.03)
+            expected = z * (radii / np.linalg.norm(z, axis=1))[:, None]
+            assert np.allclose(batch[s], expected, rtol=1e-14, atol=0.0)
 
     @given(bound=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_never_exceeds_bound(self, bound, seed):
         cfg = SystemConfig(noise_bound=bound)
-        w = noise_array(cfg, np.random.default_rng(seed))
-        assert np.all(np.linalg.norm(w, axis=1) <= bound + 1e-12)
+        w = noise_array(cfg, [np.random.default_rng(seed)])
+        assert np.all(np.linalg.norm(w, axis=-1) <= bound + 1e-12)
 
 
 class TestSampleInitialState:
