@@ -60,8 +60,6 @@ class CertificateReport:
     hoeffding_satisfaction: float
     scenario_satisfaction: float
     analytic_delta: float
-    config_hash: str
-    base_seed: int
 
 
 def empirical_mean(x_flags) -> float:
@@ -193,15 +191,13 @@ def satisfaction_stats(
     return b / n, h / n, s_ / n
 
 
-def group_stats(
-    x_flags, z_scores, delta: float, tol_support: float = 1e-9
-) -> GroupStats:
+def group_stats(x_flags, z_scores, delta: float) -> GroupStats:
     """All per-group statistics for one scored group."""
     flags = np.asarray(x_flags)
     p = flags.size
     p_hat = empirical_mean(flags)
     sigma2 = pairwise_variance(flags)
-    d_support = count_support(z_scores, tol_support)
+    d_support = count_support(z_scores)
     return GroupStats(
         p_hat=p_hat,
         sigma2_hat=sigma2,
@@ -221,9 +217,6 @@ def certificate(
     domain_side: float,
     dt: float,
     n_agents: int,
-    config_hash: str,
-    base_seed: int,
-    tol_support: float = 1e-9,
 ) -> CertificateReport:
     """Aggregate scored groups into the experiment-level certificate.
 
@@ -233,9 +226,7 @@ def certificate(
     With zero groups the report is empty: the satisfaction fractions are
     vacuously one and the pooled rate zero.
     """
-    stats = tuple(
-        group_stats(g.x_flags, g.z_scores, delta, tol_support) for g in groups
-    )
+    stats = tuple(group_stats(g.x_flags, g.z_scores, delta) for g in groups)
     if stats:
         all_flags = np.concatenate([np.asarray(g.x_flags) for g in groups])
         pooled = float(all_flags.mean())
@@ -257,6 +248,4 @@ def certificate(
         hoeffding_satisfaction=h_sat,
         scenario_satisfaction=s_sat,
         analytic_delta=analytic_delta(inputs),
-        config_hash=config_hash,
-        base_seed=base_seed,
     )

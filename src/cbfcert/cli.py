@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -31,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .bounds import CertificateReport, bernstein_bound, certificate
+from .bounds import GroupStats, certificate
 from .errors import ConfigError, SetupError, SolverError
 from .rollout import ExperimentConfig, GroupRecord, run_experiment
 
@@ -183,27 +183,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return build_config(data)
 
 
-def resolved_config_dict(config: ExperimentConfig) -> dict:
-    """Plain-dict view of a resolved config; re-parsing it reproduces the config."""
-    return asdict(config)
-
-
 def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(resolved_config_dict(config), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: str
-    config: dict
-    config_hash: str
-    base_seed: int
-    tool_version: str
-    timestamp_utc: str
-    out_dir: str
-    command: str
-    jobs: int
 
 
 def _fmt(value) -> str:
@@ -226,33 +208,8 @@ def _write_csv(path: Path, comments: list[str], columns: list[str], rows) -> Non
             writer.writerow([_fmt(v) for v in row])
 
 
-def _provenance_lines(manifest: RunManifest) -> list[str]:
-    return [
-        f"tool: cbfcert {manifest.tool_version}",
-        f"generated_utc: {manifest.timestamp_utc}",
-        f"config_hash: {manifest.config_hash}",
-        f"base_seed: {manifest.base_seed}",
-    ]
-
-
-def _make_manifest(args, config: ExperimentConfig, command: str) -> RunManifest:
-    return RunManifest(
-        config_path=str(args.config) if args.config else "<defaults>",
-        config=resolved_config_dict(config),
-        config_hash=config_hash(config),
-        base_seed=config.base_seed,
-        tool_version=__version__,
-        timestamp_utc=datetime.now(timezone.utc).isoformat(),
-        out_dir=str(args.out),
-        command=command,
-        jobs=args.jobs,
-    )
-
-
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def _dump_trajectories(out_dir: Path, groups: list[GroupRecord], config: ExperimentConfig) -> None:
@@ -280,56 +237,46 @@ def _dump_trajectories(out_dir: Path, groups: list[GroupRecord], config: Experim
             _write_csv(path, [f"seed: {record.seed}"], columns, rows)
 
 
-def _certificate_json(
-    report: CertificateReport,
-    manifest: RunManifest,
-    config: ExperimentConfig,
-    groups: list[GroupRecord],
-) -> dict:
-    rollouts = [r for g in groups for r in g.rollouts]
-    per_group = []
-    for k, s in enumerate(report.group_stats):
-        per_group.append(
-            {
-                "group_id": k,
-                "p_hat": s.p_hat,
-                "sigma2_hat": s.sigma2_hat,
-                "eps_bernstein": s.eps_bernstein,
-                "eps_hoeffding": s.eps_hoeffding,
-                "eps_scenario": s.eps_scenario,
-                "d_support": s.d_support,
-                "bernstein_full": bernstein_bound(
-                    s.p_hat, s.sigma2_hat, config.rollouts_per_group, config.delta
-                ),
-            }
-        )
-    return {
-        "tool_version": manifest.tool_version,
-        "generated_utc": manifest.timestamp_utc,
-        "config_hash": report.config_hash,
-        "base_seed": report.base_seed,
-        "config": manifest.config,
-        "pooled_violation_rate": report.pooled_violation_rate,
-        "satisfaction": {
-            "bernstein": report.bernstein_satisfaction,
-            "hoeffding": report.hoeffding_satisfaction,
-            "scenario": report.scenario_satisfaction,
-        },
-        "analytic_delta": report.analytic_delta,
-        "groups": per_group,
-        # Steps whose constraint polyhedron was empty and that ran on the
-        # shared-slack relaxation: the barrier condition did not hold there.
-        "diagnostics": {
-            "relaxed_steps": sum(r.infeasible_steps for r in rollouts),
-            "relaxed_rollouts": sum(r.infeasible_steps > 0 for r in rollouts),
-        },
+def _run(args) -> int:
+    """The steps every run subcommand shares around its body.
+
+    Resolves the config (``--seed`` overrides its base seed), makes ``--out``
+    and calls ``args.body(args, config, manifest)``, which runs the cells,
+    writes its own extra files, prints its lines (its closing "wrote" line
+    included) and returns (csv name, columns, rows). That CSV is written
+    under the provenance lines, then ``run_manifest.json``.
+    """
+    config = load_config(args.config) if args.config else build_config({})
+    if args.seed is not None:
+        config = replace(config, base_seed=args.seed)
+    manifest = {
+        "config_path": str(args.config) if args.config else "<defaults>",
+        "config": asdict(config),
+        "config_hash": config_hash(config),
+        "base_seed": config.base_seed,
+        "tool_version": __version__,
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "out_dir": str(args.out),
+        "command": args.command,
+        "jobs": args.jobs,
     }
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_name, columns, rows = args.body(args, config, manifest)
+    provenance = [
+        f"tool: cbfcert {__version__}",
+        f"generated_utc: {manifest['timestamp_utc']}",
+        f"config_hash: {manifest['config_hash']}",
+        f"base_seed: {config.base_seed}",
+    ]
+    _write_csv(args.out / csv_name, provenance, columns, rows)
+    _write_json(args.out / "run_manifest.json", manifest)
+    return 0
 
 
-def _build_certificate(
-    groups: list[GroupRecord], config: ExperimentConfig
-) -> CertificateReport:
-    return certificate(
+def _certified_cell(config: ExperimentConfig, jobs: int, record_trajectory: bool = False):
+    """Run one cell's groups and build their certificate report."""
+    groups = run_experiment(config, jobs=jobs, record_trajectory=record_trajectory)
+    report = certificate(
         groups,
         delta=config.delta,
         h_min=config.h_min,
@@ -338,43 +285,42 @@ def _build_certificate(
         domain_side=config.system.domain_half_width,
         dt=config.system.dt,
         n_agents=config.system.n_agents,
-        config_hash=config_hash(config),
-        base_seed=config.base_seed,
     )
+    return groups, report
 
 
-def cmd_verify(args) -> int:
-    config = _resolve_config(args)
-    manifest = _make_manifest(args, config, "verify")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    groups = run_experiment(config, jobs=args.jobs, record_trajectory=args.dump_trajectories)
-    report = _build_certificate(groups, config)
-    (out_dir / "certificate.json").write_text(
-        json.dumps(_certificate_json(report, manifest, config, groups), indent=2) + "\n",
-        encoding="utf-8",
-    )
-    rows = [
-        (
-            k,
-            s.p_hat,
-            s.sigma2_hat,
-            s.eps_bernstein,
-            s.eps_hoeffding,
-            s.eps_scenario,
-            s.d_support,
-        )
-        for k, s in enumerate(report.group_stats)
-    ]
-    _write_csv(
-        out_dir / "groups.csv",
-        _provenance_lines(manifest),
-        ["group_id", "p_hat", "sigma2_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario", "d_support"],
-        rows,
+def cmd_verify(args, config: ExperimentConfig, manifest: dict):
+    groups, report = _certified_cell(config, args.jobs, args.dump_trajectories)
+    rollouts = [r for g in groups for r in g.rollouts]
+    _write_json(
+        args.out / "certificate.json",
+        {
+            "tool_version": manifest["tool_version"],
+            "generated_utc": manifest["timestamp_utc"],
+            "config_hash": manifest["config_hash"],
+            "base_seed": manifest["base_seed"],
+            "config": manifest["config"],
+            "pooled_violation_rate": report.pooled_violation_rate,
+            "satisfaction": {
+                "bernstein": report.bernstein_satisfaction,
+                "hoeffding": report.hoeffding_satisfaction,
+                "scenario": report.scenario_satisfaction,
+            },
+            "analytic_delta": report.analytic_delta,
+            "groups": [
+                {"group_id": k, **asdict(s), "bernstein_full": s.p_hat + s.eps_bernstein}
+                for k, s in enumerate(report.group_stats)
+            ],
+            # Steps whose constraint polyhedron was empty and that ran on the
+            # shared-slack relaxation: the barrier condition did not hold there.
+            "diagnostics": {
+                "relaxed_steps": sum(r.infeasible_steps for r in rollouts),
+                "relaxed_rollouts": sum(r.infeasible_steps > 0 for r in rollouts),
+            },
+        },
     )
     if args.dump_trajectories:
-        _dump_trajectories(out_dir, groups, config)
-    _write_manifest(out_dir, manifest)
+        _dump_trajectories(args.out, groups, config)
     print(
         f"verify: {config.groups} groups x {config.rollouts_per_group} rollouts | "
         f"pooled violation rate {report.pooled_violation_rate:.6g} | "
@@ -383,15 +329,12 @@ def cmd_verify(args) -> int:
         f"S_sat {report.scenario_satisfaction:.6g} | "
         f"analytic delta {report.analytic_delta:.6g}"
     )
-    print(f"wrote {out_dir / 'certificate.json'} and {out_dir / 'groups.csv'}")
-    return 0
+    print(f"wrote {args.out / 'certificate.json'} and {args.out / 'groups.csv'}")
+    columns = ["group_id", *(f.name for f in fields(GroupStats))]
+    return "groups.csv", columns, [(k, *astuple(s)) for k, s in enumerate(report.group_stats)]
 
 
-def cmd_reproduce_table1(args) -> int:
-    config = _resolve_config(args)
-    manifest = _make_manifest(args, config, "reproduce-table1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
     rows = []
     for n_agents in TABLE1_AGENT_GRID:
         for w_bar in TABLE1_NOISE_GRID:
@@ -399,42 +342,22 @@ def cmd_reproduce_table1(args) -> int:
                 config,
                 system=replace(config.system, n_agents=n_agents, noise_bound=w_bar),
             )
-            groups = run_experiment(cell, jobs=args.jobs)
-            report = _build_certificate(groups, cell)
-            stats = report.group_stats
-            rows.append(
-                (
-                    w_bar,
-                    n_agents,
-                    float(np.mean([s.p_hat for s in stats])),
-                    float(np.mean([s.eps_bernstein for s in stats])),
-                    float(np.mean([s.eps_hoeffding for s in stats])),
-                    float(np.mean([s.eps_scenario for s in stats])),
-                    report.bernstein_satisfaction,
-                    report.hoeffding_satisfaction,
-                    report.scenario_satisfaction,
-                )
+            _, report = _certified_cell(cell, args.jobs)
+            p_hat, eps_b, eps_h, eps_s = (
+                float(np.mean([getattr(s, name) for s in report.group_stats]))
+                for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
             )
-            print(
-                f"cell N={n_agents} w_bar={w_bar}: p_hat {rows[-1][2]:.6g} "
-                f"B_sat {rows[-1][6]:.6g}"
-            )
-    _write_csv(
-        out_dir / "table1.csv",
-        _provenance_lines(manifest),
-        ["w_bar", "N", "p_hat", "eps_B", "eps_H", "eps_S", "B_sat", "H_sat", "S_sat"],
-        rows,
-    )
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {out_dir / 'table1.csv'}")
-    return 0
+            b_sat = report.bernstein_satisfaction
+            h_sat = report.hoeffding_satisfaction
+            s_sat = report.scenario_satisfaction
+            rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
+            print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")
+    print(f"wrote {args.out / 'table1.csv'}")
+    columns = ["w_bar", "N", "p_hat", "eps_B", "eps_H", "eps_S", "B_sat", "H_sat", "S_sat"]
+    return "table1.csv", columns, rows
 
 
-def cmd_sweep_psi(args) -> int:
-    config = _resolve_config(args)
-    manifest = _make_manifest(args, config, "sweep-psi")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
     rows = []
     for psi in PSI_GRID:
         cell = replace(
@@ -444,33 +367,18 @@ def cmd_sweep_psi(args) -> int:
             system=replace(config.system, noise_bound=SWEEP_PSI_NOISE),
             safety=replace(config.safety, psi=psi),
         )
-        groups = run_experiment(cell, jobs=args.jobs)
-        group = groups[0]
+        group = run_experiment(cell, jobs=args.jobs)[0]
         p_hat_v = float(np.asarray(group.x_flags).mean())
         min_dist = float(np.mean([r.min_distance for r in group.rollouts]))
         rows.append((psi, p_hat_v, min_dist))
         print(f"psi={psi:g}: p_hat_v {p_hat_v:.6g} min_dist {min_dist:.6g}")
-    _write_csv(
-        out_dir / "psi_sweep.csv",
-        _provenance_lines(manifest),
-        ["psi", "p_hat_v", "min_dist"],
-        rows,
-    )
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {out_dir / 'psi_sweep.csv'}")
-    return 0
+    print(f"wrote {args.out / 'psi_sweep.csv'}")
+    return "psi_sweep.csv", ["psi", "p_hat_v", "min_dist"], rows
 
 
 def cmd_print_config_schema(args) -> int:
     print(json.dumps(config_schema(), indent=2))
     return 0
-
-
-def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else build_config({})
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, base_seed=args.seed)
-    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -484,24 +392,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def run_command(name, summary, body):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None, help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes (output is identical for any value)")
-        p.add_argument("--dump-trajectories", action="store_true", help="write one CSV per rollout")
+        p.set_defaults(func=_run, body=body)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the experiment and emit the certificate")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_t1 = sub.add_parser("reproduce-table1", help="sweep noise bound x agent count")
-    common(p_t1)
-    p_t1.set_defaults(func=cmd_reproduce_table1)
-
-    p_psi = sub.add_parser("sweep-psi", help="sweep the alignment weight psi")
-    common(p_psi)
-    p_psi.set_defaults(func=cmd_sweep_psi)
+    p_verify = run_command("verify", "run the experiment and emit the certificate", cmd_verify)
+    p_verify.add_argument("--dump-trajectories", action="store_true", help="write one CSV per rollout")
+    run_command("reproduce-table1", "sweep noise bound x agent count", cmd_reproduce_table1)
+    run_command("sweep-psi", "sweep the alignment weight psi", cmd_sweep_psi)
 
     p_schema = sub.add_parser("print-config-schema", help="print the JSON config schema")
     p_schema.set_defaults(func=cmd_print_config_schema)

@@ -111,7 +111,9 @@ def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     back along the segment whenever a free coordinate would turn nonpositive.
     A coordinate whose column is numerically dependent on the free set (the
     solve fails or gives it no positive weight) is skipped for that pass;
-    without that guard, rounding in the gradient re-selects it forever.
+    without that guard, rounding in the gradient re-selects it forever. The
+    same holds when a solve after a step back fails: the pass is undone and
+    the entering coordinate skipped.
     """
     n = c.size
     y = np.zeros(n)
@@ -132,6 +134,10 @@ def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
             passive[j] = False
             w[j] = 0.0
             continue
+        if z.min() <= 0.0:
+            # Saved only when a step back is needed; the common pass copies nothing.
+            y_before, passive_before = y.copy(), passive.copy()
+            passive_before[j] = False
         while z.min() <= 0.0:
             y_p = y[idx]
             neg = np.flatnonzero(z <= 0.0)
@@ -142,7 +148,15 @@ def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
             y[idx] = y_p
             passive[idx[y_p <= tol]] = False
             idx = np.flatnonzero(passive)
-            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+            try:
+                z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+            except np.linalg.LinAlgError:
+                z = None
+                break
+        if z is None:
+            y, passive = y_before, passive_before
+            w[j] = 0.0
+            continue
         y = np.zeros(n)
         y[idx] = z
         w = c - gram @ y

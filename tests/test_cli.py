@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cbfcert.cli import (
     config_schema,
     load_config,
     main,
-    resolved_config_dict,
 )
 from cbfcert.errors import ConfigError
 from cbfcert.rollout import run_experiment
@@ -74,7 +74,7 @@ class TestLoadConfig:
 
     def test_resolved_config_round_trips(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TINY))
-        resolved = resolved_config_dict(cfg)
+        resolved = asdict(cfg)
         again = build_config(json.loads(json.dumps(resolved)))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
@@ -85,7 +85,7 @@ class TestLoadConfig:
         assert props["theta"]["default"] == 0.1
         assert props["system"]["properties"]["domain_half_width"]["default"] == 10.0
         assert props["safety"]["properties"]["psi"]["default"] == 2.0
-        resolved = resolved_config_dict(build_config({}))
+        resolved = asdict(build_config({}))
         for key in resolved:
             assert key in props
         for key in resolved["system"]:
@@ -224,6 +224,22 @@ class TestVerifyCommand:
         assert main(args) == 4
         assert "internal solver failure" in capsys.readouterr().err
 
+    def test_singular_nnls_step_back_exits_0(self, tmp_path):
+        # The golden control_bound parameters at P = 7: one relaxed step meets
+        # a singular free set after an NNLS step back (rollout seed 2033).
+        data = {
+            "groups": 2,
+            "rollouts_per_group": 7,
+            "base_seed": 2024,
+            "system": {"n_agents": 3, "domain_half_width": 2.5, "horizon_steps": 30},
+            "safety": {"psi": 2.0, "kappa": 0.1, "control_bound": 0.01},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["diagnostics"]["relaxed_steps"] > 0
+
     def test_setup_error_exits_3(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -300,6 +316,15 @@ class TestSweepCommands:
         assert list(rows[0]) == ["psi", "p_hat_v", "min_dist"]
         assert [r["psi"] for r in rows] == ["0", "2", "4", "6", "8", "10"]
         assert all(float(r["min_dist"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
+    def test_sweeps_reject_dump_trajectories(self, tmp_path, capsys, command):
+        # Only verify writes trajectories; the sweeps must not accept the flag.
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--dump-trajectories"]
+        assert main(args) == 2
+        assert "--dump-trajectories" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_print_config_schema(self, capsys):
         assert main(["print-config-schema"]) == 0

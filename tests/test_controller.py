@@ -243,6 +243,23 @@ class TestSolveQP:
                 assert max(stat, comp, sign) <= 1e-6
                 assert primal <= 1e-8
 
+    def test_singular_step_back_skips_the_column(self):
+        # Three agents in a 0.01 control box (the golden control_bound
+        # parameters, rollout seed 2033): the polyhedron is empty and a solve
+        # after an NNLS step back meets a singular free set. That column is
+        # skipped, and the relaxed slack is the LP's minimum shared slack.
+        pairs = np.array([
+            [-2.815686196810006, 0.36826132123495764, 2.815686196810006, -0.36826132123495764, 0.0, 0.0],
+            [-4.249540887267746, 3.069091383863176, 0.0, 0.0, 4.249540887267746, -3.069091383863176],
+            [0.0, 0.0, -1.4701132376884636, 2.72088089387684, 1.4701132376884636, -2.72088089387684],
+        ])
+        a = np.vstack([pairs, np.eye(6), -np.eye(6)])
+        b = np.append([0.07103933313866663, -0.272389661122662, 0.04822228003671261], np.full(12, -0.01))
+        u, _, status, slack = solve_qp(a, b)
+        assert status == STATUS_INFEASIBLE_RELAXED
+        assert slack == pytest.approx(min_shared_slack_lp(a, b), abs=1e-10)
+        assert (b - a @ u).max() <= slack + 1e-12
+
     def test_relaxed_matches_slsqp_on_augmented_rows(self, rng):
         # The shared-slack problem min ||u||^2 + rho*s^2 s.t. a u + s >= b,
         # s >= 0 is a plain minimum-norm problem in (u, sqrt(rho)*s) over the

@@ -15,9 +15,15 @@ The two sweep commands are pinned the same way: ``reproduce-table1`` and
 ``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
 rollouts per cell and theta 0.3), and the body of the CSV they write is hashed.
 
+The ``verify`` cases also pin ``certificate.json`` and ``run_manifest.json``:
+each is parsed, the values that change from run to run (timestamps, output
+directory, config path) are masked, and it is re-serialized in its own key
+order before hashing, so a changed value, key or key order shows up.
+
 When a change alters the numerics on purpose, run
 ``pytest tests/test_golden.py``, copy the digests from the failure messages
-into ``GOLDEN`` (or ``GOLDEN_SWEEPS``) and say in CHANGES.md why they moved.
+into ``GOLDEN`` (or ``GOLDEN_JSON``, ``GOLDEN_SWEEPS``) and say in CHANGES.md
+why they moved.
 """
 
 import hashlib
@@ -57,6 +63,29 @@ GOLDEN = {
     "freeze_adot": "6cb4191e2fba354cc7b1e7d0b72e66a1d9fe22ac51bd7768ff68718af51ba539",
     "double_integrator": "1496e1db4f7a846e3a6319dc29b29499effcd82a7efabfcd5911b966a1bc0d73",
 }
+
+# (certificate.json, run_manifest.json) per case, masked as in _json_digest.
+GOLDEN_JSON = {
+    "single_psi2": (
+        "d47232a62f6dcd9a3dd22bbbe414090088e4b5d458ada3c04f48a4304c074bf3",
+        "ac7b8c8239673f98bdc18723c6db75a54e1049790483809220ca4bd8e62b309c",
+    ),
+    "control_bound": (
+        "1ef91937c00c6f97860597052ec419a2494cf4647af073c7240c93f0bfb0add9",
+        "1e76ebc64a7d8c642abba7d656a773227ba203dc2dc4debf1c23c370264feb80",
+    ),
+    "freeze_adot": (
+        "bc3f26ea459291a7ec80be83382f179a1c2385feed658c144f7f131e51d519a2",
+        "81206f7453e40f6fb7e2f219c46e72bbb7c5818053495e7a9ec31cafefadf008",
+    ),
+    "double_integrator": (
+        "207d818bf3c688625db5c1ef3a3caf52af57a17283f98abc0954aee9de853ab6",
+        "248e83866d91f84fd7ebb76a1ff20fb48a104502ab00264a948aecfceb029487",
+    ),
+}
+
+# Values that differ between two runs of the same config.
+MASKED = ("generated_utc", "timestamp_utc", "out_dir", "config_path")
 
 
 SWEEPS = {
@@ -100,7 +129,16 @@ def _body(path) -> bytes:
         return b"".join(line for line in fh if not line.startswith(b"#"))
 
 
-def _digest(tmp_path, case: str) -> str:
+def _json_digest(path) -> str:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for key in MASKED:
+        if key in data:
+            data[key] = "<masked>"
+    return hashlib.sha256(json.dumps(data, indent=2).encode("utf-8")).hexdigest()
+
+
+def _digest(tmp_path, case: str) -> tuple[str, tuple[str, str]]:
+    """Digest of the CSV bodies, and of the two masked JSON outputs."""
     cfg_path = tmp_path / f"{case}.json"
     cfg_path.write_text(json.dumps(_config(case)), encoding="utf-8")
     out = tmp_path / case
@@ -111,7 +149,8 @@ def _digest(tmp_path, case: str) -> str:
     sha = hashlib.sha256()
     for path in files:
         sha.update(path.name.encode("utf-8") + b"\n" + _body(path))
-    return sha.hexdigest()
+    outputs = (_json_digest(out / "certificate.json"), _json_digest(out / "run_manifest.json"))
+    return sha.hexdigest(), outputs
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +161,19 @@ def digests(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(digests, case):
-    assert digests[case] == GOLDEN[case], f"{case}: digest {digests[case]}"
+    digest = digests[case][0]
+    assert digest == GOLDEN[case], f"{case}: digest {digest}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_json_digest(digests, case):
+    outputs = digests[case][1]
+    assert outputs == GOLDEN_JSON[case], f"{case}: digests {outputs}"
 
 
 def test_cases_are_distinct(digests):
-    assert len(set(digests.values())) == len(CASES)
+    assert len({csv for csv, _ in digests.values()}) == len(CASES)
+    assert len({outputs for _, outputs in digests.values()}) == len(CASES)
 
 
 @pytest.mark.parametrize("command", sorted(SWEEPS))
