@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -241,10 +242,18 @@ def _run(args) -> int:
     """The steps every run subcommand shares around its body.
 
     Resolves the config (``--seed`` overrides its base seed), makes ``--out``
-    and calls ``args.body(args, config, manifest)``, which runs the cells,
-    writes its own extra files, prints its lines (its closing "wrote" line
-    included) and returns (csv name, columns, rows). That CSV is written
+    and calls ``args.body(args, config, manifest, pool)``, which runs the
+    cells, writes its own extra files, prints its lines (its closing "wrote"
+    line included) and returns (csv name, columns, rows). That CSV is written
     under the provenance lines, then ``run_manifest.json``.
+
+    ``pool`` is the command's one set of ``--jobs`` worker processes, shared
+    by all its cells (None for ``--jobs 1``); it is shut down once the body
+    returns or raises, with the chunks not yet started cancelled. It uses
+    the platform's default start method: on Linux the workers are forked
+    when the first cell submits, before the pool starts its own thread,
+    while spawned workers would each import numpy again, which costs more
+    than the cells of a small command.
     """
     config = load_config(args.config) if args.config else build_config({})
     if args.seed is not None:
@@ -261,7 +270,12 @@ def _run(args) -> int:
         "jobs": args.jobs,
     }
     args.out.mkdir(parents=True, exist_ok=True)
-    csv_name, columns, rows = args.body(args, config, manifest)
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    try:
+        csv_name, columns, rows = args.body(args, config, manifest, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     provenance = [
         f"tool: cbfcert {__version__}",
         f"generated_utc: {manifest['timestamp_utc']}",
@@ -273,9 +287,11 @@ def _run(args) -> int:
     return 0
 
 
-def _certified_cell(config: ExperimentConfig, jobs: int, record_trajectory: bool = False):
+def _certified_cell(config: ExperimentConfig, jobs: int, pool, record_trajectory: bool = False):
     """Run one cell's groups and build their certificate report."""
-    groups = run_experiment(config, jobs=jobs, record_trajectory=record_trajectory)
+    groups = run_experiment(
+        config, jobs=jobs, record_trajectory=record_trajectory, pool=pool
+    )
     report = certificate(
         groups,
         delta=config.delta,
@@ -289,8 +305,8 @@ def _certified_cell(config: ExperimentConfig, jobs: int, record_trajectory: bool
     return groups, report
 
 
-def cmd_verify(args, config: ExperimentConfig, manifest: dict):
-    groups, report = _certified_cell(config, args.jobs, args.dump_trajectories)
+def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
+    groups, report = _certified_cell(config, args.jobs, pool, args.dump_trajectories)
     rollouts = [r for g in groups for r in g.rollouts]
     _write_json(
         args.out / "certificate.json",
@@ -334,7 +350,7 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict):
     return "groups.csv", columns, [(k, *astuple(s)) for k, s in enumerate(report.group_stats)]
 
 
-def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
+def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
     rows = []
     for n_agents in TABLE1_AGENT_GRID:
         for w_bar in TABLE1_NOISE_GRID:
@@ -342,7 +358,7 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
                 config,
                 system=replace(config.system, n_agents=n_agents, noise_bound=w_bar),
             )
-            _, report = _certified_cell(cell, args.jobs)
+            _, report = _certified_cell(cell, args.jobs, pool)
             p_hat, eps_b, eps_h, eps_s = (
                 float(np.mean([getattr(s, name) for s in report.group_stats]))
                 for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
@@ -357,7 +373,7 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
     return "table1.csv", columns, rows
 
 
-def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
+def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
     rows = []
     for psi in PSI_GRID:
         cell = replace(
@@ -367,7 +383,7 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
             system=replace(config.system, noise_bound=SWEEP_PSI_NOISE),
             safety=replace(config.safety, psi=psi),
         )
-        group = run_experiment(cell, jobs=args.jobs)[0]
+        group = run_experiment(cell, jobs=args.jobs, pool=pool)[0]
         p_hat_v = float(np.asarray(group.x_flags).mean())
         min_dist = float(np.mean([r.min_distance for r in group.rollouts]))
         rows.append((psi, p_hat_v, min_dist))

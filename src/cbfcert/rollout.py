@@ -1,16 +1,16 @@
 """Seeded Monte Carlo rollouts of the closed loop and per-group margin scores.
 
 Each rollout owns its generator, so records are reproducible from (config,
-seed) alone and groups can be evaluated serially or in parallel with
-identical results. The rollouts of a group step in lockstep as R x N x n
-arrays; batching changes no rollout's draws or arithmetic, so a rollout's
-record is the same alone or in any batch. Margins are always evaluated at
-the controls the QP actually produced at that step.
+seed) alone. A batch of rollouts steps in lockstep as R x N x n arrays;
+batching changes no rollout's draws or arithmetic, so a rollout's record is
+the same alone or in any batch, and an experiment's seeds can be cut into
+chunks run serially or on worker processes with identical results. Margins
+are always evaluated at the controls the QP actually produced at that step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,43 +250,59 @@ def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index: int)
     return config.base_seed + group_index * config.rollouts_per_group + rollout_index
 
 
+def _fold_groups(config: ExperimentConfig, rollouts) -> list[GroupRecord]:
+    """Score consecutive blocks of P rollouts, in index order, as groups."""
+    p = config.rollouts_per_group
+    groups = []
+    for start in range(0, len(rollouts), p):
+        group = tuple(rollouts[start : start + p])
+        z, x_flags, h_tilde_max = margin_scores(group, config.theta, config.eps_norm)
+        groups.append(
+            GroupRecord(
+                rollouts=group,
+                z_scores=z,
+                x_flags=x_flags,
+                h_tilde_max=h_tilde_max,
+                theta=config.theta,
+            )
+        )
+    return groups
+
+
 def run_group(
     config: ExperimentConfig, group_index: int, record_trajectory: bool = False
 ) -> GroupRecord:
-    """Run one group of P rollouts as one lockstep batch and score it.
-
-    Aggregation always folds rollouts in ascending index order, so the result
-    does not depend on any concurrency used to produce them.
-    """
+    """Run one group of P rollouts as one lockstep batch and score it."""
     seeds = [rollout_seed(config, group_index, p) for p in range(config.rollouts_per_group)]
-    rollouts = run_rollouts(config, seeds, record_trajectory)
-    z, x_flags, h_tilde_max = margin_scores(rollouts, config.theta, config.eps_norm)
-    return GroupRecord(
-        rollouts=rollouts,
-        z_scores=z,
-        x_flags=x_flags,
-        h_tilde_max=h_tilde_max,
-        theta=config.theta,
-    )
-
-
-def _group_worker(args) -> GroupRecord:
-    config, group_index, record_trajectory = args
-    return run_group(config, group_index, record_trajectory)
+    return _fold_groups(config, run_rollouts(config, seeds, record_trajectory))[0]
 
 
 def run_experiment(
-    config: ExperimentConfig, jobs: int = 1, record_trajectory: bool = False
+    config: ExperimentConfig,
+    jobs: int = 1,
+    record_trajectory: bool = False,
+    pool: Executor | None = None,
 ) -> list[GroupRecord]:
-    """All groups of the experiment, optionally across worker processes.
+    """All groups of the experiment, as ``jobs`` chunks of rollouts.
 
-    Results are identical for any worker count: every group is a pure
-    function of (config, group index) and collection preserves group order.
+    The G x P seeds, in group order, are cut into ``min(jobs, G * P)``
+    near-equal contiguous chunks (a chunk may end inside a group); each chunk
+    is one ``run_rollouts`` batch, mapped over ``pool`` when one is given and
+    run in this process otherwise. The records are joined in seed order and
+    folded into groups of P, so the result is the same for any ``jobs`` and
+    any pool.
     """
-    indices = range(config.groups)
-    if jobs <= 1 or config.groups <= 1:
-        return [run_group(config, g, record_trajectory) for g in indices]
-    tasks = [(config, g, record_trajectory) for g in indices]
-    chunk = max(1, config.groups // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_group_worker, tasks, chunksize=chunk))
+    seeds = [
+        rollout_seed(config, g, p)
+        for g in range(config.groups)
+        for p in range(config.rollouts_per_group)
+    ]
+    n_chunks = max(1, min(jobs, len(seeds)))
+    bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
+    # Every chunk holds a seed; with no groups there is no chunk at all.
+    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    mapper = map if pool is None else pool.map
+    batches = mapper(
+        run_rollouts, [config] * len(chunks), chunks, [record_trajectory] * len(chunks)
+    )
+    return _fold_groups(config, [r for batch in batches for r in batch])

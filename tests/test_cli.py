@@ -1,6 +1,8 @@
 import csv
 import json
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -215,14 +217,18 @@ class TestVerifyCommand:
         assert f"system.{key}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_state_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_state_exits_4(self, tmp_path, capsys, jobs):
         # A finite config whose noise overflows the state: the NaN right-hand
         # side must reach the solver and fail there, not later in the bounds.
+        # At --jobs 2 the error is raised in a worker and the pool must be
+        # gone by the time main returns.
         data = {**TINY, "system": {**TINY["system"], "n_agents": 3, "noise_bound": 1e300}}
         cfg_path = write_config(tmp_path, data)
-        args = ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "1"]
+        args = ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
         assert main(args) == 4
         assert "internal solver failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_singular_nnls_step_back_exits_0(self, tmp_path):
         # The golden control_bound parameters at P = 7: one relaxed step meets
@@ -330,3 +336,23 @@ class TestSweepCommands:
         assert main(["print-config-schema"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["properties"]["system"]["properties"]["dt"]["default"] == 0.1
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+    @pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
+    def test_one_pool_per_command(self, tmp_path, monkeypatch, command, jobs, pools):
+        # Every cell of a command runs on the same pool; --jobs 1 makes none.
+        made = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
+        assert main(args) == 0
+        assert len(made) == pools
+        assert multiprocessing.active_children() == []

@@ -1,7 +1,7 @@
 """Golden outputs: pinned digests of small end-to-end runs.
 
-Each case runs ``verify --jobs 1 --dump-trajectories`` on a tiny config and
-hashes the body (everything below the '#' provenance lines) of
+Each case runs ``verify --dump-trajectories`` on a tiny config and hashes
+the body (everything below the '#' provenance lines) of
 ``groups.csv`` and of every per-rollout trajectory CSV. The trajectories
 carry states, controls and margins to six significant digits, so a drift in
 the controller shows up here even when the group statistics do not move.
@@ -15,10 +15,15 @@ The two sweep commands are pinned the same way: ``reproduce-table1`` and
 ``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
 rollouts per cell and theta 0.3), and the body of the CSV they write is hashed.
 
+The CSV digests hold at ``--jobs 1`` and at ``--jobs 2``, where every cell's
+rollouts are cut into chunks on worker processes (test ids ending in
+``-jobs2``).
+
 The ``verify`` cases also pin ``certificate.json`` and ``run_manifest.json``:
 each is parsed, the values that change from run to run (timestamps, output
 directory, config path) are masked, and it is re-serialized in its own key
-order before hashing, so a changed value, key or key order shows up.
+order before hashing, so a changed value, key or key order shows up. These
+run at ``--jobs 1`` only, since ``run_manifest.json`` records ``--jobs``.
 
 When a change alters the numerics on purpose, run
 ``pytest tests/test_golden.py``, copy the digests from the failure messages
@@ -137,12 +142,19 @@ def _json_digest(path) -> str:
     return hashlib.sha256(json.dumps(data, indent=2).encode("utf-8")).hexdigest()
 
 
-def _digest(tmp_path, case: str) -> tuple[str, tuple[str, str]]:
+def _at_jobs(names) -> list:
+    """Each name at --jobs 1 (id: the name) and at --jobs 2 (id: name-jobs2)."""
+    return [pytest.param(name, 1, id=name) for name in names] + [
+        pytest.param(name, 2, id=f"{name}-jobs2") for name in names
+    ]
+
+
+def _digest(tmp_path, case: str, jobs: int) -> tuple[str, tuple[str, str]]:
     """Digest of the CSV bodies, and of the two masked JSON outputs."""
     cfg_path = tmp_path / f"{case}.json"
     cfg_path.write_text(json.dumps(_config(case)), encoding="utf-8")
-    out = tmp_path / case
-    args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    out = tmp_path / f"{case}-jobs{jobs}"
+    args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)]
     assert main(args + ["--dump-trajectories"]) == 0
     files = [out / "groups.csv"] + sorted((out / "trajectories").glob("*.csv"))
     assert len(files) == 1 + _BASE["groups"] * _BASE["rollouts_per_group"]
@@ -156,33 +168,33 @@ def _digest(tmp_path, case: str) -> tuple[str, tuple[str, str]]:
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    return {case: _digest(tmp, case) for case in CASES}
+    return {(case, jobs): _digest(tmp, case, jobs) for case in CASES for jobs in (1, 2)}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digest(digests, case):
-    digest = digests[case][0]
-    assert digest == GOLDEN[case], f"{case}: digest {digest}"
+@pytest.mark.parametrize("case, jobs", _at_jobs(sorted(CASES)))
+def test_golden_digest(digests, case, jobs):
+    digest = digests[case, jobs][0]
+    assert digest == GOLDEN[case], f"{case} at --jobs {jobs}: digest {digest}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_json_digest(digests, case):
-    outputs = digests[case][1]
+    outputs = digests[case, 1][1]
     assert outputs == GOLDEN_JSON[case], f"{case}: digests {outputs}"
 
 
 def test_cases_are_distinct(digests):
-    assert len({csv for csv, _ in digests.values()}) == len(CASES)
-    assert len({outputs for _, outputs in digests.values()}) == len(CASES)
+    assert len({digests[case, 1][0] for case in CASES}) == len(CASES)
+    assert len({digests[case, 1][1] for case in CASES}) == len(CASES)
 
 
-@pytest.mark.parametrize("command", sorted(SWEEPS))
-def test_golden_sweep_digest(tmp_path, command):
+@pytest.mark.parametrize("command, jobs", _at_jobs(sorted(SWEEPS)))
+def test_golden_sweep_digest(tmp_path, command, jobs):
     csv_name, data = SWEEPS[command]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     out = tmp_path / "out"
-    args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)]
     assert main(args) == 0
     digest = hashlib.sha256(_body(out / csv_name)).hexdigest()
-    assert digest == GOLDEN_SWEEPS[command], f"{command}: digest {digest}"
+    assert digest == GOLDEN_SWEEPS[command], f"{command} at --jobs {jobs}: digest {digest}"

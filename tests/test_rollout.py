@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,28 @@ def record(raw, seed=0):
         infeasible_steps=0,
         seed=seed,
     )
+
+
+def assert_same_rollout(got, want):
+    """Two RolloutRecords equal in every field, trajectories bitwise."""
+    assert dataclasses.replace(got, trajectory=None) == dataclasses.replace(
+        want, trajectory=None
+    )
+    assert (got.trajectory is None) == (want.trajectory is None)
+    assert len(got.trajectory or ()) == len(want.trajectory or ())
+    for (t, x, u, m), (t1, x1, u1, m1) in zip(got.trajectory or (), want.trajectory or ()):
+        assert (t, m) == (t1, m1)
+        assert np.array_equal(x, x1) and np.array_equal(u, u1)
+
+
+def assert_same_group(got, want):
+    """Two GroupRecords equal in every field, trajectories bitwise."""
+    assert len(got.rollouts) == len(want.rollouts)
+    for r, w in zip(got.rollouts, want.rollouts):
+        assert_same_rollout(r, w)
+    assert np.array_equal(got.z_scores, want.z_scores)
+    assert np.array_equal(got.x_flags, want.x_flags)
+    assert (got.h_tilde_max, got.theta) == (want.h_tilde_max, want.theta)
 
 
 SMALL = ExperimentConfig(
@@ -208,6 +231,26 @@ class TestRunGroup:
             assert np.array_equal(gs.x_flags, gp.x_flags)
             assert gs.h_tilde_max == gp.h_tilde_max
 
+    def test_chunks_do_not_change_a_group(self):
+        # 15 seeds cut into 2, 3 or 4 chunks: every cut but jobs 3's falls
+        # inside a group, and jobs 2 and 4 do not divide G * P.
+        data = golden_config("control_bound")
+        data.update(groups=3, rollouts_per_group=5)
+        cfg = build_config(data)
+        expected = [run_group(cfg, g, record_trajectory=True) for g in range(cfg.groups)]
+        runs = {
+            jobs: run_experiment(cfg, jobs=jobs, record_trajectory=True) for jobs in (1, 2, 3, 4)
+        }
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            for jobs in (2, 3):
+                runs[jobs, "pool"] = run_experiment(
+                    cfg, jobs=jobs, record_trajectory=True, pool=pool
+                )
+        for groups in runs.values():
+            assert len(groups) == len(expected)
+            for got, want in zip(groups, expected):
+                assert_same_group(got, want)
+
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + ["sphere"])
     def test_batching_does_not_change_a_rollout(self, case):
         # Every rollout of a lockstep group equals the same seed run alone,
@@ -220,14 +263,7 @@ class TestRunGroup:
         cfg = build_config(data)
         for g in range(cfg.groups):
             for rec in run_group(cfg, g, record_trajectory=True).rollouts:
-                alone = run_rollout(cfg, rec.seed, record_trajectory=True)
-                assert dataclasses.replace(rec, trajectory=None) == dataclasses.replace(
-                    alone, trajectory=None
-                )
-                assert len(rec.trajectory) == len(alone.trajectory)
-                for (t, x, u, m), (t1, x1, u1, m1) in zip(rec.trajectory, alone.trajectory):
-                    assert (t, m) == (t1, m1)
-                    assert np.array_equal(x, x1) and np.array_equal(u, u1)
+                assert_same_rollout(rec, run_rollout(cfg, rec.seed, record_trajectory=True))
 
     def test_crowded_double_integrator_relaxes_instead_of_failing(self):
         # Six double-integrator agents give 15 pair rows whose polyhedron is
