@@ -6,10 +6,10 @@ the body (everything below the '#' provenance lines) of
 carry states, controls and margins to six significant digits, so a drift in
 the controller shows up here even when the group statistics do not move.
 
-The four cases cover the single integrator with psi = 2, the same with a
-binding control box (relaxed steps), ``freeze_adot``, and the double
-integrator with psi = 0; their digests must differ, so no case silently
-degenerates into another.
+The five cases cover the single integrator with psi = 2, the same with a
+binding control box (relaxed steps), ``freeze_adot``, the double integrator
+with psi = 0, and twelve agents crowded into a 6 x 6 square; their digests
+must differ, so no case silently degenerates into another.
 
 The two sweep commands are pinned the same way: ``reproduce-table1`` and
 ``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
@@ -60,6 +60,12 @@ CASES = {
         },
         "safety": {"psi": 0.0},
     },
+    # Twelve agents in a 6 x 6 square: spawns reject hundreds of rounds and
+    # every step solves a 66-row QP, so block spawning and warm-started
+    # NNLS solves are pinned here.
+    "crowded_n12": {
+        "system": {"n_agents": 12, "domain_half_width": 6.0, "horizon_steps": 10},
+    },
 }
 
 GOLDEN = {
@@ -67,6 +73,7 @@ GOLDEN = {
     "control_bound": "1a6f7ca6da71daaeef9def71a68bb158f58989fcfe4a34df9c81cc1d5160c703",
     "freeze_adot": "6cb4191e2fba354cc7b1e7d0b72e66a1d9fe22ac51bd7768ff68718af51ba539",
     "double_integrator": "1496e1db4f7a846e3a6319dc29b29499effcd82a7efabfcd5911b966a1bc0d73",
+    "crowded_n12": "f7d7e39fffa1a358ec1bf5cfc28236daa39f16d54a689117a3945c8024b145c5",
 }
 
 # (certificate.json, run_manifest.json) per case, masked as in _json_digest.
@@ -86,6 +93,10 @@ GOLDEN_JSON = {
     "double_integrator": (
         "207d818bf3c688625db5c1ef3a3caf52af57a17283f98abc0954aee9de853ab6",
         "248e83866d91f84fd7ebb76a1ff20fb48a104502ab00264a948aecfceb029487",
+    ),
+    "crowded_n12": (
+        "dd128b30c1ba942e370d5517738c7bb5ac500cf5e72c254f32f5be22005cf01a",
+        "4b7647119c5a8d95a68dcafe93d24247b66f8ba6adc579ece3bf0369e623a262",
     ),
 }
 
