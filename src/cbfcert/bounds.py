@@ -28,6 +28,11 @@ class GroupStats:
     eps_scenario: float
     d_support: int
 
+    @property
+    def bernstein_full(self) -> float:
+        """Full high-confidence upper bound p_hat + slack on the true violation rate."""
+        return self.p_hat + self.eps_bernstein
+
 
 @dataclass(frozen=True)
 class AnalyticBoundInputs:
@@ -101,11 +106,6 @@ def bernstein_slack(sigma2_hat: float, p: int, delta: float) -> float:
     return math.sqrt(2.0 * sigma2_hat * log_term / p) + 7.0 * log_term / (3.0 * (p - 1))
 
 
-def bernstein_bound(p_hat: float, sigma2_hat: float, p: int, delta: float) -> float:
-    """Full high-confidence upper bound p_hat + slack on the true violation rate."""
-    return p_hat + bernstein_slack(sigma2_hat, p, delta)
-
-
 def hoeffding_bound(p: int, delta: float) -> float:
     """Distribution-free slack sqrt(ln(2/delta) / (2P)); identical across groups."""
     _check_delta(delta)
@@ -124,8 +124,8 @@ def scenario_bound(d_support: int, p: int, delta: float) -> float:
     return (d_support + math.log(1.0 / delta)) / p
 
 
-def count_support(z_scores, tol_support: float = 1e-9) -> int:
-    """Number of rollouts tied at the group's minimal score, minus one.
+def count_support(z_scores) -> int:
+    """Number of rollouts tied (within 1e-9) at the group's minimal score, minus one.
 
     A unique minimizer therefore contributes zero support constraints; with
     continuous noise ties almost surely do not occur.
@@ -133,7 +133,7 @@ def count_support(z_scores, tol_support: float = 1e-9) -> int:
     z = np.asarray(z_scores, dtype=float)
     if z.size == 0:
         raise ValueError("count_support requires a non-empty sequence")
-    return int(np.count_nonzero(z <= z.min() + tol_support) - 1)
+    return int(np.count_nonzero(z <= z.min() + 1e-9) - 1)
 
 
 def analytic_delta(inputs: AnalyticBoundInputs) -> float:

@@ -324,7 +324,7 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
             },
             "analytic_delta": report.analytic_delta,
             "groups": [
-                {"group_id": k, **asdict(s), "bernstein_full": s.p_hat + s.eps_bernstein}
+                {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
                 for k, s in enumerate(report.group_stats)
             ],
             # Steps whose constraint polyhedron was empty and that ran on the
@@ -408,12 +408,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def jobs(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     def run_command(name, summary, body):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None, help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes (output is identical for any value)")
+        p.add_argument("--jobs", type=jobs, default=os.cpu_count() or 1, help="worker processes (output is identical for any value)")
         p.set_defaults(func=_run, body=body)
         return p
 

@@ -102,7 +102,17 @@ def _constraint_rows(
     return np.vstack([a, eye, -eye]), np.concatenate([b_pairs, box_b])
 
 
-def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+def row_count(params: SafetyParams, n_agents: int, control_dim: int) -> int:
+    """Number of rows ``_constraint_rows`` builds: one per pair, plus the box."""
+    rows = n_agents * (n_agents - 1) // 2
+    if params.control_bound is not None:
+        rows += 2 * n_agents * control_dim
+    return rows
+
+
+def _nnls(
+    gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray | None = None
+) -> np.ndarray:
     """Lawson-Hanson active-set NNLS, min ||E y - f|| s.t. y >= 0, given only
     the normal equations gram = E^T E and c = E^T f.
 
@@ -114,15 +124,36 @@ def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     without that guard, rounding in the gradient re-selects it forever. The
     same holds when a solve after a step back fails: the pass is undone and
     the entering coordinate skipped.
+
+    ``passive`` (bool per coordinate; None is empty) is the starting free set
+    and receives the final one. Coordinates whose solve on it is nonpositive
+    leave it first, and a singular solve empties it. The result is the solve
+    on the final free set, so a start that ends where a cold start ends gives
+    the same bytes in fewer passes.
     """
     n = c.size
     y = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = c.copy()
+    start = passive
+    passive = np.zeros(n, dtype=bool) if start is None else start.copy()
+    idx = np.flatnonzero(passive)
+    while idx.size:
+        try:
+            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+        except np.linalg.LinAlgError:
+            passive[:] = False
+            break
+        if z.min() > 0.0:
+            y[idx] = z
+            break
+        passive[idx[z <= 0.0]] = False
+        idx = np.flatnonzero(passive)
+    w = c - gram @ y
     for _ in range(3 * n):
         candidates = np.where(passive, -np.inf, w)
         j = int(np.argmax(candidates))
         if candidates[j] <= tol:
+            if start is not None:
+                start[:] = passive
             return y
         passive[j] = True
         idx = np.flatnonzero(passive)
@@ -163,7 +194,7 @@ def _nnls(gram: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
     raise SolverError(f"NNLS did not converge in {3 * n} passes")
 
 
-def _ldp(a: np.ndarray, b: np.ndarray):
+def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     """Least-distance program min ||v|| s.t. a v >= b, as one NNLS.
 
     With E = [a^T; b^T] and f the last unit vector, the NNLS residual
@@ -171,7 +202,8 @@ def _ldp(a: np.ndarray, b: np.ndarray):
     Hanson, ch. 23). At the optimum -r[dim] = 1 / (1 + ||v||^2), and a zero
     residual certifies that the polyhedron is empty: returns None then.
     Each row (a_k, b_k) is scaled to unit norm first, which leaves the
-    program unchanged and makes the NNLS tolerance scale-free.
+    program unchanged and makes the NNLS tolerance scale-free. ``passive``
+    is the NNLS start and final free set over the rows (see ``_nnls``).
     """
     dim = a.shape[1]
     e = np.empty((len(b), dim + 1))
@@ -180,7 +212,7 @@ def _ldp(a: np.ndarray, b: np.ndarray):
     norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", e, e)), _TINY)
     e /= norms[:, None]
     tol = 10.0 * max(e.shape) * _EPS
-    y = _nnls(e @ e.T, e[:, dim], tol)
+    y = _nnls(e @ e.T, e[:, dim], tol, passive)
     r = e.T @ y
     gap = 1.0 - r[dim]
     if gap <= tol:
@@ -188,7 +220,7 @@ def _ldp(a: np.ndarray, b: np.ndarray):
     return r[:dim] / gap, y / (norms * gap)
 
 
-def solve_qp(a: np.ndarray, b: np.ndarray):
+def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
 
     Returns (u, duals, status, slack_used). The projection is solved exactly
@@ -197,18 +229,26 @@ def solve_qp(a: np.ndarray, b: np.ndarray):
     the feasibility check), the problem is re-solved with a shared slack
     s >= 0 weighted by ``RELAX_RHO``, and the answer is flagged
     ``infeasible_relaxed`` with ``slack_used`` set to the optimal slack.
+
+    ``passive`` (bool per row) warm-starts the exact NNLS and receives the
+    free set of the answer: the NNLS's final one, or none for u = 0 and for
+    the relaxation, which runs cold. The answer does not depend on the start.
     """
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite constraint data")
     n_c, dim = a.shape
     if n_c == 0 or b.max() <= TOL_PRIMAL:
         # The unconstrained optimum u = 0 already satisfies everything.
+        if passive is not None:
+            passive[:] = False
         return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
-    exact = _ldp(a, b)
+    exact = _ldp(a, b, passive)
     if exact is not None:
         u, duals = exact
         if (b - a @ u).max() <= TOL_PRIMAL * (1.0 + np.abs(b).max()):
             return u, duals, STATUS_OPTIMAL, 0.0
+    if passive is not None:
+        passive[:] = False
 
     # Empty polyhedron, or a point the check rejects: min ||u||^2 + rho*s^2
     # s.t. a_k^T u + s >= b_k, s >= 0 is the same program in
@@ -245,6 +285,7 @@ def fast_control(
     params: SafetyParams,
     model,
     table: PairTable,
+    passive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str, float]:
     """The minimum-effort joint control for one step.
 
@@ -252,17 +293,21 @@ def fast_control(
     constraint-matrix assembly entirely whenever every pair constraint has a
     non-positive right-hand side (the joint zero control is then optimal,
     including under box bounds); otherwise builds the rows with
-    ``_constraint_rows`` and solves them with ``solve_qp``.
+    ``_constraint_rows`` and solves them with ``solve_qp``, warm-started
+    from ``passive`` (one bool per row, see ``row_count``), which receives
+    the free set of the answer as in ``solve_qp``.
     """
     n_agents = x.shape[0]
     m = model.control_dim
     b = _rhs_vector(x, u_prev, params, model, table)
     if not needs_solve(b):
+        if passive is not None:
+            passive[:] = False
         return np.zeros((n_agents, m)), STATUS_OPTIMAL, 0.0
     dim = n_agents * m
     a, b = _constraint_rows(params, model, table, b, dim)
     try:
-        u, _, status, slack = solve_qp(a, b)
+        u, _, status, slack = solve_qp(a, b, passive)
     except ValueError as exc:  # non-finite state or config values
         raise SolverError(str(exc)) from exc
     if not np.all(np.isfinite(u)):

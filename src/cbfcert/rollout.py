@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import STATUS_OPTIMAL, _rhs_vector, fast_control, needs_solve
+from .controller import STATUS_OPTIMAL, _rhs_vector, fast_control, needs_solve, row_count
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
@@ -133,20 +133,26 @@ def _spawn(config: ExperimentConfig, model, rng: np.random.Generator):
 
 
 def _control(
-    x: np.ndarray, u_prev: np.ndarray, config: ExperimentConfig, model, table: PairTable
+    x: np.ndarray,
+    u_prev: np.ndarray,
+    config: ExperimentConfig,
+    model,
+    table: PairTable,
+    passive: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint controls of a batch of rollouts, and which ones relaxed.
 
     The right-hand sides are computed for the whole batch; ``fast_control``
     runs only for the rollouts that ``needs_solve`` flags, its own early-exit
     test, and every other rollout gets the zero control that test returns.
+    Row r of ``passive`` is rollout r's warm start, updated in place.
     """
     params = config.safety
     b = _rhs_vector(x, u_prev, params, model, table)
     u = np.zeros(u_prev.shape)
     relaxed = np.zeros(len(x), dtype=bool)
     for r in np.flatnonzero(needs_solve(b)):
-        u[r], status, _ = fast_control(x[r], u_prev[r], params, model, table[r])
+        u[r], status, _ = fast_control(x[r], u_prev[r], params, model, table[r], passive[r])
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 
@@ -159,7 +165,8 @@ def run_rollouts(
     Each rollout spawns on its own (see ``_spawn``). The batch then
     alternates control solve, noise draw and Euler step for
     ``horizon_steps`` steps, recording margins at each of the
-    ``horizon_steps + 1`` grid points.
+    ``horizon_steps + 1`` grid points. Each rollout's QP starts from the
+    rows active at its previous solve (see ``fast_control``).
     """
     sys_cfg = config.system
     params = config.safety
@@ -171,6 +178,9 @@ def run_rollouts(
     relaxed = np.array([s[2] != STATUS_OPTIMAL for s in spawned])
     table = PairTable(x, params, sys_cfg.noise_bound)
     h_tilde = table.weighted_margins(u, params.psi)
+    passive = np.zeros(
+        (len(rngs), row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)), dtype=bool
+    )
 
     raw_min = np.full(len(rngs), np.inf)
     min_dist = np.full(len(rngs), np.inf)
@@ -195,7 +205,7 @@ def run_rollouts(
         x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, model)
         t += sys_cfg.dt
         table = PairTable(x, params, sys_cfg.noise_bound)
-        u, relaxed = _control(x, u, config, model, table)
+        u, relaxed = _control(x, u, config, model, table, passive)
         h_tilde = table.weighted_margins(u, params.psi)
 
     return tuple(

@@ -15,14 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SetupError
+from .safety import pair_indices
 
 SINGLE_INTEGRATOR = "single_integrator"
 DOUBLE_INTEGRATOR = "double_integrator"
 NOISE_BALL = "ball"
 NOISE_SPHERE = "sphere"
 
-# Rejection-sampling budget for initial configurations.
+# Rejection-sampling budget for initial configurations, in rounds, and the
+# largest block of rounds drawn at once.
 _MAX_REJECTION_ROUNDS = 10_000
+_MAX_BLOCK_ROUNDS = 128
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,11 @@ def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.n
     redrawn until every pairwise distance reaches ``min_initial_separation``,
     which keeps the accepted distribution exchangeable across agents.
     Higher state coordinates (velocities) start at zero.
+
+    Rounds are drawn and tested in blocks of 1, 2, 4, ... up to
+    ``_MAX_BLOCK_ROUNDS``; after a hit the generator is rewound and the
+    rounds up to the accepted one are drawn again, so the state and the
+    stream are those of round-by-round sampling.
     """
     n_agents = config.n_agents
     side = config.domain_half_width
@@ -182,18 +190,25 @@ def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.n
             f"spawn domain too crowded: {n_agents} agents at separation {sep} "
             f"in a {side} x {side} square"
         )
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        pos = rng.uniform(0.0, side, size=(n_agents, 2))
-        ok = True
-        for i in range(n_agents - 1):
-            diff = pos[i + 1 :] - pos[i]
-            if np.min(np.einsum("ij,ij->i", diff, diff)) < sep * sep:
-                ok = False
-                break
-        if ok:
+    first, second = pair_indices(n_agents)
+    rounds, block = 0, 1
+    while rounds < _MAX_REJECTION_ROUNDS:
+        k = min(block, _MAX_REJECTION_ROUNDS - rounds)
+        state = rng.bit_generator.state if k > 1 else None
+        pos = rng.uniform(0.0, side, size=(k, n_agents, 2))
+        sq = np.take(pos, first, axis=1) - np.take(pos, second, axis=1)
+        sq *= sq
+        ok = (sq[..., 0] + sq[..., 1] >= sep * sep).all(axis=-1)
+        a = int(ok.argmax())
+        if ok[a]:
+            if a + 1 < k:
+                rng.bit_generator.state = state
+                rng.uniform(0.0, side, size=(a + 1, n_agents, 2))
             x = np.zeros((n_agents, config.state_dim))
-            x[:, :2] = pos
+            x[:, :2] = pos[a]
             return x
+        rounds += k
+        block = min(2 * block, _MAX_BLOCK_ROUNDS)
     raise SetupError(
         f"initial-state sampling did not terminate in {_MAX_REJECTION_ROUNDS} rounds"
     )

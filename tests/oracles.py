@@ -189,6 +189,34 @@ def ball_samples_rejection(rng, radius, n, dim=2):
     return out
 
 
+def spawn_round_by_round(config, rng, max_rounds=10_000):
+    """Spawn positions redrawn one round at a time, pairs checked one by one.
+
+    Each round draws all N positions from ``rng`` as an N x 2 array, uniform
+    on the square of side ``domain_half_width``, and is accepted when every
+    pair's squared distance reaches the squared separation. Returns the N x n
+    joint state (velocities zero), or None when ``max_rounds`` rounds all fail.
+    """
+    n_agents = config.n_agents
+    side = config.domain_half_width
+    sep = config.min_initial_separation
+    sep_sq = sep * sep
+    for _ in range(max_rounds):
+        pos = rng.uniform(0.0, side, size=(n_agents, 2))
+        pts = pos.tolist()
+        if all(
+            (pts[i][0] - pts[j][0]) * (pts[i][0] - pts[j][0])
+            + (pts[i][1] - pts[j][1]) * (pts[i][1] - pts[j][1])
+            >= sep_sq
+            for i in range(n_agents)
+            for j in range(i + 1, n_agents)
+        ):
+            x = np.zeros((n_agents, config.state_dim))
+            x[:, :2] = pos
+            return x
+    return None
+
+
 def sampled_disturbance_sup(grad, w_bar, rng, n=10_000):
     """Monte Carlo under-approximation of sup |grad . (w_i - w_j)| over two balls.
 

@@ -9,7 +9,6 @@ from cbfcert.bounds import (
     AnalyticBoundInputs,
     GroupStats,
     analytic_delta,
-    bernstein_bound,
     bernstein_slack,
     count_support,
     empirical_mean,
@@ -85,9 +84,13 @@ class TestBernstein:
         )
 
     def test_full_bound_is_additive(self):
-        assert bernstein_bound(0.0, 0.0, 50, 0.1) == bernstein_slack(0.0, 50, 0.1)
-        assert bernstein_bound(0.3, 0.1, 50, 0.1) == pytest.approx(
-            0.3 + bernstein_slack(0.1, 50, 0.1)
+        zero = group_stats([0] * 50, np.linspace(0.2, 1.0, 50), 0.1)
+        assert zero.bernstein_full == bernstein_slack(0.0, 50, 0.1)
+        flags = [1] * 15 + [0] * 35
+        stats = group_stats(flags, np.linspace(0.0, 1.0, 50), 0.1)
+        assert stats.bernstein_full == stats.p_hat + stats.eps_bernstein
+        assert stats.bernstein_full == pytest.approx(
+            0.3 + bernstein_slack(pairwise_variance(flags), 50, 0.1)
         )
 
     def test_quarter_variance_slack(self):

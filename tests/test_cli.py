@@ -356,3 +356,12 @@ class TestWorkerPool:
         assert main(args) == 0
         assert len(made) == pools
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, command, jobs):
+        # Rejected while parsing: nothing runs and no output is written.
+        out = tmp_path / "x"
+        assert main([command, "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,13 +8,21 @@ from cbfcert.controller import (
     STATUS_INFEASIBLE_RELAXED,
     STATUS_OPTIMAL,
     _constraint_rows,
+    _nnls,
     _rhs_vector,
     fast_control,
+    row_count,
     solve_qp,
 )
 from cbfcert.errors import SolverError
 from cbfcert.safety import PairTable, SafetyParams
-from cbfcert.sysmodel import SystemConfig, dynamics_model
+from cbfcert.sysmodel import (
+    SystemConfig,
+    dynamics_model,
+    euler_step,
+    noise_array,
+    sample_initial_state,
+)
 from oracles import (
     kkt_residuals,
     make_feasible_qp,
@@ -81,6 +89,7 @@ class TestAssembleConstraints:
         a, b = rows(x, np.zeros((4, 2)), SafetyParams(), 0.03)
         assert a.shape == (6, 8)
         assert b.shape == (6,)
+        assert row_count(SafetyParams(), 4, 2) == 6
 
     def test_control_bound_appends_box_rows(self):
         params = SafetyParams(control_bound=0.5)
@@ -88,6 +97,7 @@ class TestAssembleConstraints:
         assert a.shape == (1 + 2 * 4, 4)
         assert np.array_equal(a[1:], np.vstack([np.eye(4), -np.eye(4)]))
         assert np.array_equal(b[1:], np.full(8, -0.5))
+        assert row_count(params, 2, 2) == len(b)
 
     def test_freeze_adot_folds_frozen_term_into_rhs(self):
         # The rhs shift must equal psi * (dA/dt along the previous flow)
@@ -293,18 +303,20 @@ class TestSolveQP:
         assert worst_slack <= 1e-6
 
 
-def control(x, u_prev, params, w_bar, model=MODEL):
+def control(x, u_prev, params, w_bar, model=MODEL, passive=None):
     x = np.asarray(x, dtype=float)
-    return fast_control(x, u_prev, params, model, PairTable(x, params, w_bar))
+    return fast_control(x, u_prev, params, model, PairTable(x, params, w_bar), passive)
 
 
 class TestControlStep:
     def test_far_separated_agents_get_zero_control(self):
         x = [[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]]
-        u, status, slack = control(x, np.zeros((3, 2)), SafetyParams(), 0.03)
+        passive = np.ones(3, dtype=bool)
+        u, status, slack = control(x, np.zeros((3, 2)), SafetyParams(), 0.03, passive=passive)
         assert np.array_equal(u, np.zeros((3, 2)))
         assert status == STATUS_OPTIMAL
         assert slack == 0.0
+        assert not passive.any()  # u = 0 holds no row
 
     def test_close_pair_pushed_apart(self, rng):
         # Closing agents must receive controls that do not reduce separation.
@@ -355,3 +367,133 @@ class TestControlStep:
             assert status_fast == status_ref
             assert slack_fast == pytest.approx(slack_ref, abs=1e-9)
             assert np.allclose(u_fast.ravel(), u_ref, atol=1e-9)
+
+
+# Twelve agents in a 6 x 6 square: 66 pair rows, about ten of them active at
+# each step's optimum.
+CROWDED = SystemConfig(n_agents=12, domain_half_width=6.0)
+CROWDED_PARAMS = SafetyParams(psi=2.0, kappa=0.1)
+
+
+def crowded_steps(seed, steps=20, params=CROWDED_PARAMS):
+    """The (x, u_prev) inputs of consecutive steps of one crowded rollout,
+    stepped with cold-started controls and seeded noise."""
+    gen = np.random.default_rng(seed)
+    x = sample_initial_state(CROWDED, gen)
+    u = np.zeros((CROWDED.n_agents, 2))
+    out = []
+    for _ in range(steps):
+        out.append((x, u))
+        u = fast_control(x, u, params, MODEL, PairTable(x, params, CROWDED.noise_bound))[0]
+        x = euler_step(x, u, noise_array(CROWDED, [gen])[0], CROWDED.dt, MODEL)
+    return out
+
+
+def cold_free_set(a, b):
+    """The final NNLS free set of a cold solve of a u >= b."""
+    passive = np.zeros(len(b), dtype=bool)
+    solve_qp(a, b, passive)
+    return passive
+
+
+class TestWarmStart:
+    def test_warm_control_is_bitwise_the_cold_control(self):
+        # One start array carried along each rollout, as the engine does: the
+        # controls are the cold ones bit for bit, the array ends each step on
+        # the cold solve's free set, and most steps reuse the previous set.
+        reused = total = 0
+        for seed in range(3):
+            passive = np.zeros(row_count(CROWDED_PARAMS, 12, 2), dtype=bool)
+            for x, u_prev in crowded_steps(seed):
+                table = PairTable(x, CROWDED_PARAMS, CROWDED.noise_bound)
+                u, status, slack = fast_control(x, u_prev, CROWDED_PARAMS, MODEL, table)
+                before = passive.copy()
+                warm = fast_control(x, u_prev, CROWDED_PARAMS, MODEL, table, passive)
+                assert warm[0].tobytes() == u.tobytes()
+                assert warm[1:] == (status, slack)
+                a, b = rows(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound)
+                assert np.array_equal(passive, cold_free_set(a, b))
+                reused += bool(before.any()) and np.array_equal(before, passive)
+                total += 1
+        assert reused >= total // 2
+
+    def test_start_on_the_optimum_solves_once(self, monkeypatch):
+        x, u_prev = crowded_steps(1, steps=5)[-1]
+        a, b = rows(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound)
+        passive = cold_free_set(a, b)
+        assert passive.sum() >= 2
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, v: calls.append(1) or solve(m, v))
+        solve_qp(a, b, passive)
+        assert len(calls) == 1
+
+    def adversarial_instances(self, rng):
+        """(a, b) pairs: crowded steps, random feasible systems, and systems
+        with repeated rows, whose all-rows start is singular."""
+        for x, u_prev in crowded_steps(2, steps=8):
+            yield rows(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            yield make_feasible_qp(rng, dim, int(rng.integers(1, 2 * dim + 2)))[:2]
+        for _ in range(20):
+            a, b, _ = make_feasible_qp(rng, int(rng.integers(2, 6)), 6)
+            pick = rng.integers(0, 6, size=3)
+            yield np.vstack([a, a[pick], 3.0 * a[pick]]), np.concatenate([b, b[pick], 3.0 * b[pick]])
+
+    def test_adversarial_starts_reach_the_cold_optimum(self, rng):
+        # Whatever the start (every row, random rows, duplicated and hence
+        # singular rows, another instance's free set), the answer is the
+        # cold optimum and meets the KKT conditions.
+        other = None
+        for a, b in self.adversarial_instances(rng):
+            u, duals, status, slack = solve_qp(a, b)
+            assert status == STATUS_OPTIMAL
+            n_rows = len(b)
+            starts = [np.ones(n_rows, dtype=bool), rng.random(n_rows) < 0.5]
+            if other is not None and len(other) == n_rows:
+                starts.append(other.copy())
+            for start in starts:
+                passive = start.copy()
+                u_w, duals_w, status_w, slack_w = solve_qp(a, b, passive)
+                assert (status_w, slack_w) == (status, slack)
+                assert np.max(np.abs(u_w - u)) <= 1e-12
+                stat, comp, sign, primal = kkt_residuals(a, b, u_w, duals_w)
+                assert max(stat, comp) <= 1e-9
+                assert sign == 0.0
+                assert primal <= 1e-9
+                assert np.array_equal(passive, duals_w > 0.0)
+            other = cold_free_set(a, b)
+
+    def test_relaxed_steps_ignore_and_clear_the_start(self, rng):
+        # A binding control box empties the crowded polyhedron at some steps:
+        # there the relaxation runs from a cold start whatever the start, and
+        # the array comes back empty.
+        params = SafetyParams(psi=2.0, kappa=0.1, control_bound=0.05)
+        relaxed = 0
+        for x, u_prev in crowded_steps(3, steps=10, params=params):
+            a, b = rows(x, u_prev, params, CROWDED.noise_bound)
+            cold = solve_qp(a, b)
+            for start in (np.ones(len(b), dtype=bool), rng.random(len(b)) < 0.5):
+                passive = start.copy()
+                warm = solve_qp(a, b, passive)
+                if cold[2] == STATUS_INFEASIBLE_RELAXED:
+                    assert warm[0].tobytes() == cold[0].tobytes()
+                    assert warm[2:] == cold[2:]
+                    assert not passive.any()
+            relaxed += cold[2] == STATUS_INFEASIBLE_RELAXED
+        assert relaxed >= 1
+
+    def test_pass_budget_counts_passes_only(self, monkeypatch):
+        # A gradient that never lets a coordinate in, and a tolerance no
+        # gradient meets: every pass fails, so the loop runs out its 3n
+        # passes. The warm start's own solve comes on top of them.
+        n = 5
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, v: calls.append(1) or solve(m, v))
+        for start, extra in ((None, 0), (np.ones(n, dtype=bool), 1)):
+            calls.clear()
+            with pytest.raises(SolverError, match=f"{3 * n} passes"):
+                _nnls(np.eye(n), -np.ones(n), -np.inf, start)
+            assert len(calls) == 3 * n + extra

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbfcert import sysmodel
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.sysmodel import (
     SystemConfig,
@@ -11,7 +12,7 @@ from cbfcert.sysmodel import (
     noise_array,
     sample_initial_state,
 )
-from oracles import ball_samples_rejection
+from oracles import ball_samples_rejection, spawn_round_by_round
 
 DOUBLE = SystemConfig(dynamics="double_integrator", state_dim=4, control_dim=2)
 SINGLE_MODEL = dynamics_model(SystemConfig())
@@ -174,6 +175,56 @@ class TestSampleInitialState:
         ref = ref[ref >= 1.0]
         assert dists.mean() == pytest.approx(5.349, abs=0.1)
         assert dists.mean() == pytest.approx(ref.mean(), abs=0.1)
+
+    # Spawn configurations for the round-by-round oracle: one pair, three
+    # agents in a small square, twelve crowded agents (hundreds of rounds per
+    # spawn, so blocks of many rounds), and the double integrator.
+    ORACLE_CASES = {
+        "n2": SystemConfig(n_agents=2, domain_half_width=3.0),
+        "n3": SystemConfig(n_agents=3, domain_half_width=3.0),
+        "n12": SystemConfig(n_agents=12, domain_half_width=6.0),
+        "double": SystemConfig(
+            n_agents=4,
+            domain_half_width=4.0,
+            dynamics="double_integrator",
+            state_dim=4,
+            control_dim=2,
+        ),
+    }
+
+    @pytest.mark.parametrize("cfg", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+    def test_matches_round_by_round_oracle(self, cfg):
+        # Same state bit for bit, and the generator left exactly where drawing
+        # round by round leaves it, over consecutive spawns from one stream.
+        for seed in range(100):
+            gen = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            for _ in range(3):
+                x = sample_initial_state(cfg, gen)
+                expected = spawn_round_by_round(cfg, ref)
+                assert x.tobytes() == expected.tobytes()
+                assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 100, 300, 500])
+    def test_budget_counts_rounds(self, monkeypatch, budget):
+        # Blocks never draw past the round budget: where the oracle finds no
+        # spawn within it, sampling fails after drawing exactly those rounds.
+        cfg = self.ORACLE_CASES["n12"]
+        monkeypatch.setattr(sysmodel, "_MAX_REJECTION_ROUNDS", budget)
+        outcomes = set()
+        for seed in range(12):
+            gen = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            expected = spawn_round_by_round(cfg, ref, max_rounds=budget)
+            outcomes.add(expected is None)
+            if expected is None:
+                with pytest.raises(SetupError):
+                    sample_initial_state(cfg, gen)
+            else:
+                assert sample_initial_state(cfg, gen).tobytes() == expected.tobytes()
+            assert gen.bit_generator.state == ref.bit_generator.state
+        if budget in (300, 500):
+            assert outcomes == {True, False}
 
     def test_infeasible_packing_raises(self, rng):
         cfg = SystemConfig(n_agents=20, domain_half_width=1.0, min_initial_separation=1.0)
