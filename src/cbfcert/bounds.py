@@ -35,29 +35,6 @@ class GroupStats:
 
 
 @dataclass(frozen=True)
-class AnalyticBoundInputs:
-    """Ingredients of the analytic per-pair violation bound.
-
-    sigma2_step is the per-step conditional variance bound of the margin
-    increment, c_increment the almost-sure per-step increment bound.
-    """
-
-    h_min: float
-    K: int
-    sigma2_step: float
-    c_increment: float
-    n_pairs: int
-
-    def __post_init__(self) -> None:
-        if self.h_min < 0 or self.sigma2_step < 0 or self.c_increment < 0:
-            raise ConfigError("analytic bound inputs must be non-negative")
-        if self.K < 1:
-            raise ConfigError("K must be >= 1")
-        if self.n_pairs < 1:
-            raise ConfigError("n_pairs must be >= 1")
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     group_stats: tuple[GroupStats, ...]
     pooled_violation_rate: float
@@ -136,19 +113,22 @@ def count_support(z_scores) -> int:
     return int(np.count_nonzero(z <= z.min() + 1e-9) - 1)
 
 
-def analytic_delta(inputs: AnalyticBoundInputs) -> float:
+def analytic_delta(
+    *, h_min: float, K: int, sigma2_step: float, c_increment: float, n_pairs: int
+) -> float:
     """Union-bound certificate n_pairs * exp(-h_min^2 / (2 K sigma^2 + (2/3) c h_min)).
 
-    Degenerates to 1 (vacuous) when the initial margin is zero, and to 0 when
-    the margin is positive but both the variance and increment bounds vanish.
+    sigma2_step bounds the per-step conditional variance of the margin
+    increment and c_increment the increment itself. Degenerates to 1
+    (vacuous) when the initial margin is zero, and to 0 when the margin is
+    positive but both the variance and increment bounds vanish.
     """
-    if inputs.h_min == 0.0:
+    if h_min == 0.0:
         return 1.0
-    denom = 2.0 * inputs.K * inputs.sigma2_step + (2.0 / 3.0) * inputs.c_increment * inputs.h_min
+    denom = 2.0 * K * sigma2_step + (2.0 / 3.0) * c_increment * h_min
     if denom == 0.0:
         return 0.0
-    per_pair = math.exp(-inputs.h_min**2 / denom)
-    return min(1.0, inputs.n_pairs * per_pair)
+    return min(1.0, n_pairs * math.exp(-(h_min**2) / denom))
 
 
 def sup_grad_norm(domain_side: float) -> float:
@@ -208,44 +188,29 @@ def group_stats(x_flags, z_scores, delta: float) -> GroupStats:
     )
 
 
-def certificate(
-    groups,
-    delta: float,
-    h_min: float,
-    horizon_steps: int,
-    w_bar: float,
-    domain_side: float,
-    dt: float,
-    n_agents: int,
-) -> CertificateReport:
-    """Aggregate scored groups into the experiment-level certificate.
+def certificate(config, x_flags, z_scores, max_control_norm) -> CertificateReport:
+    """Aggregate an experiment's (G, P) flags and scores into its certificate.
 
     The analytic delta is heuristic: its variance and increment inputs use
     sup||grad h|| over the spawn square and the observed maximum control
     (see :func:`increment_bound`), not bounds over the region visited.
-    With zero groups the report is empty: the satisfaction fractions are
-    vacuously one and the pooled rate zero.
     """
-    stats = tuple(group_stats(g.x_flags, g.z_scores, delta) for g in groups)
-    if stats:
-        all_flags = np.concatenate([np.asarray(g.x_flags) for g in groups])
-        pooled = float(all_flags.mean())
-        b_sat, h_sat, s_sat = satisfaction_stats(stats, pooled)
-        u_max = max(r.max_control_norm for g in groups for r in g.rollouts)
-    else:
-        pooled, b_sat, h_sat, s_sat, u_max = 0.0, 1.0, 1.0, 1.0, 0.0
-    inputs = AnalyticBoundInputs(
-        h_min=h_min,
-        K=horizon_steps,
-        sigma2_step=step_variance(w_bar, domain_side, dt),
-        c_increment=increment_bound(w_bar, domain_side, dt, u_max),
-        n_pairs=n_agents * (n_agents - 1) // 2,
-    )
+    sys_cfg = config.system
+    stats = tuple(group_stats(x, z, config.delta) for x, z in zip(x_flags, z_scores))
+    pooled = float(np.mean(x_flags))
+    b_sat, h_sat, s_sat = satisfaction_stats(stats, pooled)
+    w_bar, side, dt = sys_cfg.noise_bound, sys_cfg.domain_half_width, sys_cfg.dt
     return CertificateReport(
         group_stats=stats,
         pooled_violation_rate=pooled,
         bernstein_satisfaction=b_sat,
         hoeffding_satisfaction=h_sat,
         scenario_satisfaction=s_sat,
-        analytic_delta=analytic_delta(inputs),
+        analytic_delta=analytic_delta(
+            h_min=config.h_min,
+            K=sys_cfg.horizon_steps,
+            sigma2_step=step_variance(w_bar, side, dt),
+            c_increment=increment_bound(w_bar, side, dt, float(np.max(max_control_norm))),
+            n_pairs=sys_cfg.n_agents * (sys_cfg.n_agents - 1) // 2,
+        ),
     )

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .bounds import GroupStats, certificate
 from .errors import ConfigError, SetupError, SolverError
-from .rollout import ExperimentConfig, GroupRecord, run_experiment
+from .rollout import ExperimentConfig, Rollouts, run_experiment
 
 PSI_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 TABLE1_NOISE_GRID = (0.01, 0.03, 0.05)
@@ -213,7 +213,7 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def _dump_trajectories(out_dir: Path, groups: list[GroupRecord], config: ExperimentConfig) -> None:
+def _dump_trajectories(out_dir: Path, rollouts: Rollouts, config: ExperimentConfig) -> None:
     traj_dir = out_dir / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
     n = config.system.state_dim
@@ -224,18 +224,20 @@ def _dump_trajectories(out_dir: Path, groups: list[GroupRecord], config: Experim
         + [f"u{c}" for c in range(m)]
         + ["min_pair_margin"]
     )
-    for g_index, group in enumerate(groups):
-        for p_index, record in enumerate(group.rollouts):
-            if record.trajectory is None:
-                continue
-            rows = []
-            for t, x, u, min_margin in record.trajectory:
-                for agent in range(config.system.n_agents):
-                    rows.append(
-                        [t, agent, *x[agent].tolist(), *u[agent].tolist(), min_margin]
-                    )
-            path = traj_dir / f"group{g_index:04d}_rollout{p_index:03d}.csv"
-            _write_csv(path, [f"seed: {record.seed}"], columns, rows)
+    xs, us, margins = rollouts.trajectory
+    for g_index, p_index in np.ndindex(rollouts.seed.shape):
+        rows = []
+        # dt added once per step, not k * dt: the two differ in the last
+        # bits, and the golden trajectory digests pin this sequence.
+        t = 0.0
+        for x, u, min_margin in zip(
+            xs[g_index, p_index], us[g_index, p_index], margins[g_index, p_index]
+        ):
+            for agent in range(config.system.n_agents):
+                rows.append([t, agent, *x[agent].tolist(), *u[agent].tolist(), min_margin])
+            t += config.system.dt
+        path = traj_dir / f"group{g_index:04d}_rollout{p_index:03d}.csv"
+        _write_csv(path, [f"seed: {rollouts.seed[g_index, p_index]}"], columns, rows)
 
 
 def _run(args) -> int:
@@ -289,25 +291,14 @@ def _run(args) -> int:
 
 def _certified_cell(config: ExperimentConfig, jobs: int, pool, record_trajectory: bool = False):
     """Run one cell's groups and build their certificate report."""
-    groups = run_experiment(
+    rollouts, z, x_flags = run_experiment(
         config, jobs=jobs, record_trajectory=record_trajectory, pool=pool
     )
-    report = certificate(
-        groups,
-        delta=config.delta,
-        h_min=config.h_min,
-        horizon_steps=config.system.horizon_steps,
-        w_bar=config.system.noise_bound,
-        domain_side=config.system.domain_half_width,
-        dt=config.system.dt,
-        n_agents=config.system.n_agents,
-    )
-    return groups, report
+    return rollouts, certificate(config, x_flags, z, rollouts.max_control_norm)
 
 
 def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
-    groups, report = _certified_cell(config, args.jobs, pool, args.dump_trajectories)
-    rollouts = [r for g in groups for r in g.rollouts]
+    rollouts, report = _certified_cell(config, args.jobs, pool, args.dump_trajectories)
     _write_json(
         args.out / "certificate.json",
         {
@@ -330,13 +321,13 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
             # Steps whose constraint polyhedron was empty and that ran on the
             # shared-slack relaxation: the barrier condition did not hold there.
             "diagnostics": {
-                "relaxed_steps": sum(r.infeasible_steps for r in rollouts),
-                "relaxed_rollouts": sum(r.infeasible_steps > 0 for r in rollouts),
+                "relaxed_steps": int(rollouts.relaxed_steps.sum()),
+                "relaxed_rollouts": int(np.count_nonzero(rollouts.relaxed_steps)),
             },
         },
     )
     if args.dump_trajectories:
-        _dump_trajectories(args.out, groups, config)
+        _dump_trajectories(args.out, rollouts, config)
     print(
         f"verify: {config.groups} groups x {config.rollouts_per_group} rollouts | "
         f"pooled violation rate {report.pooled_violation_rate:.6g} | "
@@ -383,9 +374,9 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
             system=replace(config.system, noise_bound=SWEEP_PSI_NOISE),
             safety=replace(config.safety, psi=psi),
         )
-        group = run_experiment(cell, jobs=args.jobs, pool=pool)[0]
-        p_hat_v = float(np.asarray(group.x_flags).mean())
-        min_dist = float(np.mean([r.min_distance for r in group.rollouts]))
+        rollouts, _, x_flags = run_experiment(cell, jobs=args.jobs, pool=pool)
+        p_hat_v = float(x_flags.mean())
+        min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))
         print(f"psi={psi:g}: p_hat_v {p_hat_v:.6g} min_dist {min_dist:.6g}")
     print(f"wrote {args.out / 'psi_sweep.csv'}")

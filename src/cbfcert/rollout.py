@@ -1,11 +1,12 @@
 """Seeded Monte Carlo rollouts of the closed loop and per-group margin scores.
 
-Each rollout owns its generator, so records are reproducible from (config,
-seed) alone. A batch of rollouts steps in lockstep as R x N x n arrays;
-batching changes no rollout's draws or arithmetic, so a rollout's record is
-the same alone or in any batch, and an experiment's seeds can be cut into
-chunks run serially or on worker processes with identical results. Margins
-are always evaluated at the controls the QP actually produced at that step.
+Each rollout owns its generator, so its results are reproducible from
+(config, seed) alone. A batch of rollouts steps in lockstep as R x N x n
+arrays; batching changes no rollout's draws or arithmetic, so a rollout's
+results are the same alone or in any batch, and an experiment's seeds can be
+cut into chunks run serially or on worker processes with identical results.
+Margins are always evaluated at the controls the QP actually produced at that
+step.
 """
 
 from __future__ import annotations
@@ -30,47 +31,26 @@ _MAX_INITIAL_DRAWS = 1_000
 
 
 @dataclass(frozen=True)
-class RolloutRecord:
-    """Verdict of one closed-loop trajectory.
+class Rollouts:
+    """Verdicts of closed-loop trajectories, one entry per seed.
 
-    ``raw_min_margin`` is the minimum weighted margin over all time steps and
-    agent pairs; ``violated`` is equivalent to that minimum being negative.
-    ``max_control_norm`` feeds the per-step increment bound of the analytic
-    certificate. ``trajectory`` is populated only when requested: rows of
-    (time, joint state, joint control, min pair margin).
+    Every array leads with the batch shape: (R,) from ``run_rollouts``,
+    (G, P) from ``run_experiment``. ``raw_min_margin`` is the minimum
+    weighted margin over all time steps and agent pairs (the rollout is
+    violated when it is negative); ``relaxed_steps`` counts the steps that
+    ran on the QP's slack relaxation; ``max_control_norm`` feeds the per-step
+    increment bound of the analytic certificate. ``trajectory`` is populated
+    only when requested: the joint states, joint controls and min pair
+    margins at the K + 1 grid points, shaped (..., K + 1, N, n),
+    (..., K + 1, N, m) and (..., K + 1).
     """
 
-    raw_min_margin: float
-    violated: bool
-    min_distance: float
-    infeasible_steps: int
-    seed: int
-    max_control_norm: float = 0.0
-    trajectory: tuple | None = None
-
-
-@dataclass(frozen=True)
-class GroupRecord:
-    """One group of rollouts plus its normalized scores.
-
-    Scores are zero exactly for violated rollouts, otherwise the raw minimum
-    margin divided by the group-level normalizer (the largest margin among
-    non-violated rollouts), clamped to [0, 1].
-    """
-
-    rollouts: tuple[RolloutRecord, ...]
-    z_scores: np.ndarray
-    x_flags: np.ndarray
-    h_tilde_max: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z_scores, dtype=float)
-        x = np.asarray(self.x_flags, dtype=int)
-        z.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "z_scores", z)
-        object.__setattr__(self, "x_flags", x)
+    seed: np.ndarray
+    raw_min_margin: np.ndarray
+    min_distance: np.ndarray
+    relaxed_steps: np.ndarray
+    max_control_norm: np.ndarray
+    trajectory: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,8 +70,8 @@ class ExperimentConfig:
             raise ConfigError("theta must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
-        if self.groups < 0:
-            raise ConfigError("groups must be >= 0")
+        if self.groups < 1:
+            raise ConfigError("groups must be >= 1")
         if self.rollouts_per_group < 2:
             raise ConfigError("rollouts_per_group must be >= 2")
         if self.base_seed < 0:
@@ -159,7 +139,7 @@ def _control(
 
 def run_rollouts(
     config: ExperimentConfig, seeds, record_trajectory: bool = False
-) -> tuple[RolloutRecord, ...]:
+) -> Rollouts:
     """Simulate one seeded trajectory of the closed loop per seed, in lockstep.
 
     Each rollout spawns on its own (see ``_spawn``). The batch then
@@ -184,10 +164,9 @@ def run_rollouts(
 
     raw_min = np.full(len(rngs), np.inf)
     min_dist = np.full(len(rngs), np.inf)
-    infeasible = np.zeros(len(rngs), dtype=int)
+    relaxed_steps = np.zeros(len(rngs), dtype=int)
     max_u = np.zeros(len(rngs))
     frames = [] if record_trajectory else None
-    t = 0.0
     for k in range(sys_cfg.horizon_steps + 1):
         # np.where(new < old, new, old), not np.minimum: a NaN step value
         # leaves the running extreme as it is.
@@ -195,64 +174,47 @@ def run_rollouts(
         raw_min = np.where(step_min < raw_min, step_min, raw_min)
         step_dist = np.min(table.dist, axis=-1)
         min_dist = np.where(step_dist < min_dist, step_dist, min_dist)
-        infeasible += relaxed
+        relaxed_steps += relaxed
         norm = np.max(np.sqrt(np.einsum("...j,...j->...", u, u)), axis=-1)
         max_u = np.where(norm > max_u, norm, max_u)
         if frames is not None:
-            frames.append((t, x, u, step_min))
+            frames.append((x, u, step_min))
         if k == sys_cfg.horizon_steps:
             break
         x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, model)
-        t += sys_cfg.dt
         table = PairTable(x, params, sys_cfg.noise_bound)
         u, relaxed = _control(x, u, config, model, table, passive)
         h_tilde = table.weighted_margins(u, params.psi)
 
-    return tuple(
-        RolloutRecord(
-            raw_min_margin=float(raw_min[r]),
-            violated=bool(raw_min[r] < 0.0),
-            min_distance=float(min_dist[r]),
-            infeasible_steps=int(infeasible[r]),
-            seed=seed,
-            max_control_norm=float(max_u[r]),
-            trajectory=(
-                tuple((t, xs[r], us[r], float(m[r])) for t, xs, us, m in frames)
-                if frames is not None
-                else None
-            ),
-        )
-        for r, seed in enumerate(seeds)
+    return Rollouts(
+        seed=np.array(seeds),
+        raw_min_margin=raw_min,
+        min_distance=min_dist,
+        relaxed_steps=relaxed_steps,
+        max_control_norm=max_u,
+        trajectory=(
+            None if frames is None else tuple(np.stack(f, axis=1) for f in zip(*frames))
+        ),
     )
 
 
-def run_rollout(
-    config: ExperimentConfig, seed: int, record_trajectory: bool = False
-) -> RolloutRecord:
+def run_rollout(config: ExperimentConfig, seed: int, record_trajectory: bool = False) -> Rollouts:
     """One seeded trajectory of the closed loop: ``run_rollouts`` on one seed."""
-    return run_rollouts(config, [seed], record_trajectory)[0]
+    return run_rollouts(config, [seed], record_trajectory)
 
 
-def margin_scores(
-    rollouts, theta: float, eps_norm: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-pass normalized scores for one group.
+def margin_scores(raw, theta: float, eps_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized scores and flags of groups laid out along the last axis.
 
-    Pass one finds the normalizer (largest raw margin among non-violated
-    rollouts, zero if all violated); pass two maps each rollout to
-    raw / max(normalizer, eps_norm), clamped to [0, 1], with violated rollouts
-    pinned at zero. Flags mark scores below ``theta``.
+    A group's normalizer is its largest non-violated raw margin (zero if all
+    are violated, NaN if any such margin is NaN). Each rollout scores
+    raw / max(normalizer, eps_norm), clamped to [0, 1], with violated
+    rollouts pinned at zero. Flags mark scores below ``theta``.
     """
-    if len(rollouts) == 0:
-        raise ValueError("margin_scores requires a non-empty group")
-    raw = np.array([r.raw_min_margin for r in rollouts])
-    violated = np.array([r.violated for r in rollouts])
-    clean = raw[~violated]
-    h_tilde_max = float(np.max(clean)) if clean.size else 0.0
-    denom = max(h_tilde_max, eps_norm)
-    z = np.where(violated, 0.0, np.clip(raw / denom, 0.0, 1.0))
-    x_flags = (z < theta).astype(int)
-    return z, x_flags, h_tilde_max
+    violated = raw < 0.0
+    h_tilde_max = np.max(np.where(violated, 0.0, raw), axis=-1, keepdims=True)
+    z = np.where(violated, 0.0, np.clip(raw / np.maximum(h_tilde_max, eps_norm), 0.0, 1.0))
+    return z, (z < theta).astype(int)
 
 
 def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index: int) -> int:
@@ -260,31 +222,15 @@ def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index: int)
     return config.base_seed + group_index * config.rollouts_per_group + rollout_index
 
 
-def _fold_groups(config: ExperimentConfig, rollouts) -> list[GroupRecord]:
-    """Score consecutive blocks of P rollouts, in index order, as groups."""
-    p = config.rollouts_per_group
-    groups = []
-    for start in range(0, len(rollouts), p):
-        group = tuple(rollouts[start : start + p])
-        z, x_flags, h_tilde_max = margin_scores(group, config.theta, config.eps_norm)
-        groups.append(
-            GroupRecord(
-                rollouts=group,
-                z_scores=z,
-                x_flags=x_flags,
-                h_tilde_max=h_tilde_max,
-                theta=config.theta,
-            )
-        )
-    return groups
-
-
 def run_group(
     config: ExperimentConfig, group_index: int, record_trajectory: bool = False
-) -> GroupRecord:
-    """Run one group of P rollouts as one lockstep batch and score it."""
-    seeds = [rollout_seed(config, group_index, p) for p in range(config.rollouts_per_group)]
-    return _fold_groups(config, run_rollouts(config, seeds, record_trajectory))[0]
+) -> Rollouts:
+    """The P rollouts of one group, as one lockstep batch."""
+    return run_rollouts(
+        config,
+        [rollout_seed(config, group_index, p) for p in range(config.rollouts_per_group)],
+        record_trajectory,
+    )
 
 
 def run_experiment(
@@ -292,27 +238,39 @@ def run_experiment(
     jobs: int = 1,
     record_trajectory: bool = False,
     pool: Executor | None = None,
-) -> list[GroupRecord]:
-    """All groups of the experiment, as ``jobs`` chunks of rollouts.
+) -> tuple[Rollouts, np.ndarray, np.ndarray]:
+    """All rollouts of the experiment as (G, P) arrays, with their scores and flags.
 
     The G x P seeds, in group order, are cut into ``min(jobs, G * P)``
     near-equal contiguous chunks (a chunk may end inside a group); each chunk
     is one ``run_rollouts`` batch, mapped over ``pool`` when one is given and
-    run in this process otherwise. The records are joined in seed order and
-    folded into groups of P, so the result is the same for any ``jobs`` and
-    any pool.
+    run in this process otherwise. The batches are joined in seed order, so
+    the result is the same for any ``jobs`` and any pool.
     """
-    seeds = [
-        rollout_seed(config, g, p)
-        for g in range(config.groups)
-        for p in range(config.rollouts_per_group)
-    ]
-    n_chunks = max(1, min(jobs, len(seeds)))
+    shape = (config.groups, config.rollouts_per_group)
+    seeds = [rollout_seed(config, g, p) for g in range(shape[0]) for p in range(shape[1])]
+    n_chunks = min(jobs, len(seeds))
     bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
-    # Every chunk holds a seed; with no groups there is no chunk at all.
-    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
     mapper = map if pool is None else pool.map
-    batches = mapper(
-        run_rollouts, [config] * len(chunks), chunks, [record_trajectory] * len(chunks)
+    batches = list(
+        mapper(run_rollouts, [config] * n_chunks, chunks, [record_trajectory] * n_chunks)
     )
-    return _fold_groups(config, [r for batch in batches for r in batch])
+
+    def joined(parts) -> np.ndarray:
+        return np.concatenate(parts).reshape(shape + parts[0].shape[1:])
+
+    rollouts = Rollouts(
+        seed=joined([b.seed for b in batches]),
+        raw_min_margin=joined([b.raw_min_margin for b in batches]),
+        min_distance=joined([b.min_distance for b in batches]),
+        relaxed_steps=joined([b.relaxed_steps for b in batches]),
+        max_control_norm=joined([b.max_control_norm for b in batches]),
+        trajectory=(
+            tuple(map(joined, zip(*(b.trajectory for b in batches))))
+            if record_trajectory
+            else None
+        ),
+    )
+    z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
+    return rollouts, z, x_flags

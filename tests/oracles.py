@@ -241,3 +241,21 @@ def pairwise_variance_definition(x):
         for j in range(i + 1, p):
             total += (x[i] - x[j]) ** 2
     return total / (p * (p - 1))
+
+
+def margin_scores_two_pass(raw, theta, eps_norm):
+    """Scores and flags of one group, in two passes over its raw margins.
+
+    Pass one finds the normalizer: the largest margin among non-violated
+    rollouts (margin not below zero, NaN included), zero if all are
+    violated. Pass two maps each rollout to raw / max(normalizer, eps_norm),
+    clamped to [0, 1], with violated rollouts pinned at zero. Flags mark
+    scores below ``theta``.
+    """
+    raw = np.asarray(raw, dtype=float)
+    violated = raw < 0.0
+    clean = raw[~violated]
+    h_tilde_max = float(np.max(clean)) if clean.size else 0.0
+    denom = max(h_tilde_max, eps_norm)
+    z = np.where(violated, 0.0, np.clip(raw / denom, 0.0, 1.0))
+    return z, (z < theta).astype(int)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbfcert.bounds import (
-    AnalyticBoundInputs,
     GroupStats,
     analytic_delta,
     bernstein_slack,
@@ -171,29 +170,27 @@ class TestCountSupport:
 
 class TestAnalyticDelta:
     def test_zero_margin_is_vacuous(self):
-        inputs = AnalyticBoundInputs(h_min=0.0, K=500, sigma2_step=0.01, c_increment=1.0, n_pairs=3)
-        assert analytic_delta(inputs) == 1.0
+        inputs = dict(h_min=0.0, K=500, sigma2_step=0.01, c_increment=1.0, n_pairs=3)
+        assert analytic_delta(**inputs) == 1.0
 
     def test_worked_example(self):
-        inputs = AnalyticBoundInputs(h_min=1.0, K=500, sigma2_step=0.0288, c_increment=1.0, n_pairs=1)
+        inputs = dict(h_min=1.0, K=500, sigma2_step=0.0288, c_increment=1.0, n_pairs=1)
         with mp.workdps(40):
             expected = float(mp.e ** (-1 / (2 * 500 * mp.mpf("0.0288") + mp.mpf(2) / 3)))
-        assert analytic_delta(inputs) == pytest.approx(expected, abs=1e-12)
-        assert analytic_delta(inputs) == pytest.approx(0.96663, abs=1e-4)
+        assert analytic_delta(**inputs) == pytest.approx(expected, abs=1e-12)
+        assert analytic_delta(**inputs) == pytest.approx(0.96663, abs=1e-4)
 
     def test_step_variance_matches_worked_example(self):
         # w = 0.03, dt = 0.1, side 10: 4 w^2 (2 L sqrt(2))^2 dt^2 = 0.0288.
         assert step_variance(0.03, 10.0, 0.1) == pytest.approx(0.0288, abs=1e-12)
 
     def test_degenerate_denominator_with_positive_margin(self):
-        inputs = AnalyticBoundInputs(h_min=0.5, K=10, sigma2_step=0.0, c_increment=0.0, n_pairs=2)
-        assert analytic_delta(inputs) == 0.0
+        inputs = dict(h_min=0.5, K=10, sigma2_step=0.0, c_increment=0.0, n_pairs=2)
+        assert analytic_delta(**inputs) == 0.0
 
     def test_long_horizons_degrade_to_vacuous(self):
         vals = [
-            analytic_delta(
-                AnalyticBoundInputs(h_min=1.0, K=k, sigma2_step=0.0288, c_increment=1.0, n_pairs=1)
-            )
+            analytic_delta(h_min=1.0, K=k, sigma2_step=0.0288, c_increment=1.0, n_pairs=1)
             for k in (1, 10, 100, 1000, 100000)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -208,9 +205,7 @@ class TestAnalyticDelta:
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_margin_and_variance(self, h1, h2, s1, s2):
         lo_h, hi_h = sorted((h1, h2))
-        make = lambda h, s: analytic_delta(
-            AnalyticBoundInputs(h_min=h, K=50, sigma2_step=s, c_increment=0.5, n_pairs=1)
-        )
+        make = lambda h, s: analytic_delta(h_min=h, K=50, sigma2_step=s, c_increment=0.5, n_pairs=1)
         assert make(hi_h, 0.1) <= make(lo_h, 0.1) + 1e-15
         lo_s, hi_s = sorted((s1, s2))
         assert make(1.0, lo_s) <= make(1.0, hi_s) + 1e-15
@@ -218,17 +213,13 @@ class TestAnalyticDelta:
     def test_monotone_in_horizon_and_increment_on_grids(self):
         ks = [1, 5, 20, 100, 500, 5000]
         vals_k = [
-            analytic_delta(
-                AnalyticBoundInputs(h_min=1.0, K=k, sigma2_step=0.01, c_increment=0.5, n_pairs=2)
-            )
+            analytic_delta(h_min=1.0, K=k, sigma2_step=0.01, c_increment=0.5, n_pairs=2)
             for k in ks
         ]
         assert all(a <= b + 1e-15 for a, b in zip(vals_k, vals_k[1:]))
         cs = [0.0, 0.1, 0.5, 1.0, 5.0, 50.0]
         vals_c = [
-            analytic_delta(
-                AnalyticBoundInputs(h_min=1.0, K=50, sigma2_step=0.01, c_increment=c, n_pairs=2)
-            )
+            analytic_delta(h_min=1.0, K=50, sigma2_step=0.01, c_increment=c, n_pairs=2)
             for c in cs
         ]
         assert all(a <= b + 1e-15 for a, b in zip(vals_c, vals_c[1:]))

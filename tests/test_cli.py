@@ -160,8 +160,7 @@ class TestVerifyCommand:
         cfg_path = write_config(tmp_path, data)
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
-        rollouts = [r for g in run_experiment(build_config(data)) for r in g.rollouts]
-        steps = [r.infeasible_steps for r in rollouts]
+        steps = run_experiment(build_config(data))[0].relaxed_steps.ravel().tolist()
         assert 0 in steps and sum(steps) > 0
         assert cert["diagnostics"] == {
             "relaxed_steps": sum(steps),
@@ -203,6 +202,16 @@ class TestVerifyCommand:
         cfg_path = write_config(tmp_path, {"system": {"noise_bound": -0.5}})
         assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "noise_bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+    def test_zero_groups_exits_2(self, tmp_path, capsys, command):
+        # Zero groups used to run: verify printed an analytic delta from no
+        # rollouts and reproduce-table1 wrote rows of NaN statistics.
+        cfg_path = write_config(tmp_path, {"groups": 0, "rollouts_per_group": 3})
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 2
+        assert "groups must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -5,57 +5,42 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp
 
 from cbfcert.cli import build_config
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
     ExperimentConfig,
-    RolloutRecord,
+    Rollouts,
     margin_scores,
     rollout_seed,
     run_experiment,
     run_group,
     run_rollout,
+    run_rollouts,
 )
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import SystemConfig, sample_initial_state
+from oracles import margin_scores_two_pass
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
 
 
-def record(raw, seed=0):
-    return RolloutRecord(
-        raw_min_margin=raw,
-        violated=raw < 0.0,
-        min_distance=max(0.0, raw) ** 0.5,
-        infeasible_steps=0,
-        seed=seed,
-    )
+def arrays_of(rollouts):
+    """Every array of a Rollouts record in field order, the trajectory's included."""
+    per_seed = [f.name for f in dataclasses.fields(Rollouts) if f.name != "trajectory"]
+    return [getattr(rollouts, name) for name in per_seed] + list(rollouts.trajectory or ())
 
 
-def assert_same_rollout(got, want):
-    """Two RolloutRecords equal in every field, trajectories bitwise."""
-    assert dataclasses.replace(got, trajectory=None) == dataclasses.replace(
-        want, trajectory=None
-    )
-    assert (got.trajectory is None) == (want.trajectory is None)
-    assert len(got.trajectory or ()) == len(want.trajectory or ())
-    for (t, x, u, m), (t1, x1, u1, m1) in zip(got.trajectory or (), want.trajectory or ()):
-        assert (t, m) == (t1, m1)
-        assert np.array_equal(x, x1) and np.array_equal(u, u1)
-
-
-def assert_same_group(got, want):
-    """Two GroupRecords equal in every field, trajectories bitwise."""
-    assert len(got.rollouts) == len(want.rollouts)
-    for r, w in zip(got.rollouts, want.rollouts):
-        assert_same_rollout(r, w)
-    assert np.array_equal(got.z_scores, want.z_scores)
-    assert np.array_equal(got.x_flags, want.x_flags)
-    assert (got.h_tilde_max, got.theta) == (want.h_tilde_max, want.theta)
+def assert_bitwise(got, want):
+    """Two lists of arrays with the same dtypes, shapes and bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
 
 
 SMALL = ExperimentConfig(
@@ -65,29 +50,31 @@ SMALL = ExperimentConfig(
 )
 
 
+margins = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1.0, -1.0, float("nan")]),
+)
+
+
 class TestMarginScores:
     def test_all_violated(self):
-        z, x, h_max = margin_scores([record(-1.0), record(-0.5)], 0.1, 1e-9)
+        z, x = margin_scores(np.array([-1.0, -0.5]), 0.1, 1e-9)
         assert np.array_equal(z, [0.0, 0.0])
         assert np.array_equal(x, [1, 1])
-        assert h_max == 0.0
 
     def test_hand_example(self):
-        z, x, h_max = margin_scores(
-            [record(2.0), record(1.0), record(-0.3)], 0.1, 1e-9
-        )
-        assert h_max == 2.0
+        z, x = margin_scores(np.array([2.0, 1.0, -0.3]), 0.1, 1e-9)
         assert np.allclose(z, [1.0, 0.5, 0.0])
         assert np.array_equal(x, [0, 0, 1])
 
     def test_single_clean_rollout_self_normalizes(self):
-        z, x, h_max = margin_scores([record(0.7), record(-1.0)], 0.1, 1e-9)
+        z, x = margin_scores(np.array([0.7, -1.0]), 0.1, 1e-9)
         assert z[0] == 1.0
         assert x[0] == 0
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            margin_scores([], 0.1, 1e-9)
+            margin_scores(np.empty(0), 0.1, 1e-9)
 
     @given(
         raws=st.lists(
@@ -99,11 +86,10 @@ class TestMarginScores:
     )
     @settings(max_examples=80, deadline=None)
     def test_score_invariants(self, raws, theta):
-        recs = [record(r, seed=i) for i, r in enumerate(raws)]
-        z, x, h_max = margin_scores(recs, theta, 1e-9)
+        raw = np.array(raws)
+        z, x = margin_scores(raw, theta, 1e-9)
         assert np.all((z >= 0.0) & (z <= 1.0))
-        for zi, rec in zip(z, recs):
-            assert (zi == 0.0) == rec.violated
+        assert np.array_equal(z == 0.0, raw < 0.0)
         assert np.array_equal(x, (z < theta).astype(int))
 
     @given(
@@ -113,10 +99,30 @@ class TestMarginScores:
     )
     @settings(max_examples=60, deadline=None)
     def test_threshold_monotonicity(self, raws, t1, t2):
-        recs = [record(r, seed=i) for i, r in enumerate(raws)]
-        _, x1, _ = margin_scores(recs, min(t1, t2), 1e-9)
-        _, x2, _ = margin_scores(recs, max(t1, t2), 1e-9)
+        raw = np.array(raws)
+        _, x1 = margin_scores(raw, min(t1, t2), 1e-9)
+        _, x2 = margin_scores(raw, max(t1, t2), 1e-9)
         assert x1.sum() <= x2.sum()
+
+    @given(
+        raw=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8), elements=margins),
+        theta=st.floats(0.01, 0.99),
+        eps_norm=st.sampled_from([1e-9, 0.5, 20.0]),
+    )
+    @example(raw=np.array([[-1.0, -0.5], [2.0, 1.0]]), theta=0.1, eps_norm=1e-9)
+    @example(raw=np.array([[0.3, 0.3, -0.0], [0.0, 0.0, 0.0]]), theta=0.5, eps_norm=1e-9)
+    @example(raw=np.array([[0.1, 0.2], [-0.1, 0.05]]), theta=0.5, eps_norm=0.5)
+    @example(raw=np.array([[1.0, np.nan, -1.0], [np.nan, -2.0, 3.0]]), theta=0.5, eps_norm=1e-9)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_group_two_pass_oracle(self, raw, theta, eps_norm):
+        # All-violated groups, ties, the eps_norm floor and NaN margins: the
+        # (G, P) scores equal the per-group reference, NaN positions included.
+        z, x = margin_scores(raw, theta, eps_norm)
+        for g, row in enumerate(raw):
+            z_ref, x_ref = margin_scores_two_pass(row, theta, eps_norm)
+            assert np.array_equal(z[g], z_ref, equal_nan=True)
+            assert np.array_equal(np.signbit(z[g]), np.signbit(z_ref))
+            assert np.array_equal(x[g], x_ref) and x.dtype == x_ref.dtype
 
 
 class TestRunRollout:
@@ -128,40 +134,44 @@ class TestRunRollout:
         )
         seed = 424242
         rec = run_rollout(cfg, seed)
-        assert not rec.violated
+        assert rec.raw_min_margin[0] >= 0.0
         # Everything is static, so the recorded margin equals the weighted
         # margin of the accepted spawn state; replay the sampling to check.
         rng = np.random.default_rng(seed)
         x = sample_initial_state(cfg.system, rng)
         table = PairTable(x, cfg.safety, 0.0)
-        assert rec.raw_min_margin == pytest.approx(float(np.min(table.h)), abs=1e-12)
-        assert rec.min_distance == pytest.approx(
+        assert rec.raw_min_margin[0] == pytest.approx(float(np.min(table.h)), abs=1e-12)
+        assert rec.min_distance[0] == pytest.approx(
             float(np.linalg.norm(x[0] - x[1])), abs=1e-12
         )
 
     def test_same_seed_identical_records(self):
         r1 = run_rollout(SMALL, 99)
         r2 = run_rollout(SMALL, 99)
-        assert r1 == r2
+        assert_bitwise(arrays_of(r1), arrays_of(r2))
 
     def test_violated_iff_negative_margin(self):
-        for seed in range(20):
-            rec = run_rollout(SMALL, seed)
-            assert rec.violated == (rec.raw_min_margin < 0.0)
-            assert rec.min_distance >= 0.0
-            assert rec.infeasible_steps >= 0
+        # A violated rollout (negative raw margin) scores exactly zero; a
+        # rollout with a positive margin scores above zero.
+        rollouts = run_rollouts(SMALL, list(range(20)))
+        raw = rollouts.raw_min_margin
+        z, _ = margin_scores(raw, SMALL.theta, SMALL.eps_norm)
+        assert np.array_equal(z == 0.0, raw <= 0.0)
+        assert np.all(rollouts.min_distance >= 0.0)
+        assert np.all(rollouts.relaxed_steps >= 0)
 
     def test_trajectory_capture(self):
         rec = run_rollout(SMALL, 5, record_trajectory=True)
         assert rec.trajectory is not None
-        assert len(rec.trajectory) == SMALL.system.horizon_steps + 1
-        t, x, u, margin = rec.trajectory[0]
-        assert t == 0.0
-        assert x.shape == (2, 2)
-        assert u.shape == (2, 2)
+        x, u, margin = rec.trajectory
+        k1 = SMALL.system.horizon_steps + 1
+        assert x.shape == (1, k1, 2, 2)
+        assert u.shape == (1, k1, 2, 2)
+        assert margin.shape == (1, k1)
+        assert margin.min() == rec.raw_min_margin[0]
         trimmed = run_rollout(SMALL, 5)
         assert trimmed.trajectory is None
-        assert trimmed.raw_min_margin == rec.raw_min_margin
+        assert trimmed.raw_min_margin[0] == rec.raw_min_margin[0]
 
     def test_unreachable_initial_margin_raises(self):
         cfg = ExperimentConfig(
@@ -179,22 +189,24 @@ class TestRunRollout:
         # is scale-free in the spawn-domain size, so the flag rate is set by
         # the spawn geometry (measured 0.24) rather than by the noise level.
         cfg = ExperimentConfig(groups=1, rollouts_per_group=100)
-        g = run_group(cfg, 0)
-        rate = float(np.asarray(g.x_flags).mean())
+        _, _, x_flags = run_experiment(cfg)
+        rate = float(x_flags.mean())
         assert 0.14 <= rate <= 0.34
 
 
 class TestRunGroup:
     def test_flags_rederivable_from_scores(self):
-        g = run_group(SMALL, 0)
-        assert np.array_equal(g.x_flags, (g.z_scores < g.theta).astype(int))
-        assert len(g.rollouts) == SMALL.rollouts_per_group
+        rollouts, z, x_flags = run_experiment(SMALL)
+        assert np.array_equal(x_flags, (z < SMALL.theta).astype(int))
+        assert rollouts.seed.shape == z.shape == (SMALL.groups, SMALL.rollouts_per_group)
 
     def test_seed_layout(self):
         g = run_group(SMALL, 3)
         expected = [rollout_seed(SMALL, 3, p) for p in range(4)]
-        assert [r.seed for r in g.rollouts] == expected
+        assert g.seed.tolist() == expected
         assert expected == [SMALL.base_seed + 12 + p for p in range(4)]
+        rollouts, _, _ = run_experiment(SMALL)
+        assert rollouts.seed.ravel().tolist() == [SMALL.base_seed + k for k in range(8)]
 
     def test_base_seed_changes_records_not_distribution(self):
         # Different seeds give different draws from the same law: compare
@@ -204,32 +216,24 @@ class TestRunGroup:
             rollouts_per_group=40,
             system=SystemConfig(horizon_steps=10),
         )
-        a = np.concatenate([run_group(cfg, g).z_scores for g in range(2)])
+        a = run_experiment(cfg)[1].ravel()
         cfg_b = ExperimentConfig(
             groups=2,
             rollouts_per_group=40,
             base_seed=987654,
             system=SystemConfig(horizon_steps=10),
         )
-        b = np.concatenate([run_group(cfg_b, g).z_scores for g in range(2)])
+        b = run_experiment(cfg_b)[1].ravel()
         assert not np.array_equal(a, b)
         assert ks_2samp(a, b).pvalue > 0.01
 
-    def test_zero_groups_gives_empty_report(self):
-        cfg = ExperimentConfig(
-            groups=0, rollouts_per_group=4, system=SystemConfig(horizon_steps=2)
-        )
-        assert run_experiment(cfg) == []
-
     def test_parallel_serial_equivalence(self):
-        serial = run_experiment(SMALL, jobs=1)
-        parallel = run_experiment(SMALL, jobs=2)
-        assert len(serial) == len(parallel) == SMALL.groups
-        for gs, gp in zip(serial, parallel):
-            assert gs.rollouts == gp.rollouts
-            assert np.array_equal(gs.z_scores, gp.z_scores)
-            assert np.array_equal(gs.x_flags, gp.x_flags)
-            assert gs.h_tilde_max == gp.h_tilde_max
+        rollouts, z, x_flags = run_experiment(SMALL, jobs=1)
+        p_rollouts, p_z, p_x_flags = run_experiment(SMALL, jobs=2)
+        assert z.shape == (SMALL.groups, SMALL.rollouts_per_group)
+        assert_bitwise(
+            arrays_of(p_rollouts) + [p_z, p_x_flags], arrays_of(rollouts) + [z, x_flags]
+        )
 
     def test_chunks_do_not_change_a_group(self):
         # 15 seeds cut into 2, 3 or 4 chunks: every cut but jobs 3's falls
@@ -237,7 +241,9 @@ class TestRunGroup:
         data = golden_config("control_bound")
         data.update(groups=3, rollouts_per_group=5)
         cfg = build_config(data)
-        expected = [run_group(cfg, g, record_trajectory=True) for g in range(cfg.groups)]
+        groups = [run_group(cfg, g, record_trajectory=True) for g in range(cfg.groups)]
+        expected = [np.stack(parts) for parts in zip(*map(arrays_of, groups))]
+        expected += margin_scores(expected[1], cfg.theta, cfg.eps_norm)
         runs = {
             jobs: run_experiment(cfg, jobs=jobs, record_trajectory=True) for jobs in (1, 2, 3, 4)
         }
@@ -246,10 +252,8 @@ class TestRunGroup:
                 runs[jobs, "pool"] = run_experiment(
                     cfg, jobs=jobs, record_trajectory=True, pool=pool
                 )
-        for groups in runs.values():
-            assert len(groups) == len(expected)
-            for got, want in zip(groups, expected):
-                assert_same_group(got, want)
+        for rollouts, z, x_flags in runs.values():
+            assert_bitwise(arrays_of(rollouts) + [z, x_flags], expected)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + ["sphere"])
     def test_batching_does_not_change_a_rollout(self, case):
@@ -262,8 +266,10 @@ class TestRunGroup:
             data = golden_config(case)
         cfg = build_config(data)
         for g in range(cfg.groups):
-            for rec in run_group(cfg, g, record_trajectory=True).rollouts:
-                assert_same_rollout(rec, run_rollout(cfg, rec.seed, record_trajectory=True))
+            batch = arrays_of(run_group(cfg, g, record_trajectory=True))
+            for p, seed in enumerate(batch[0].tolist()):
+                alone = run_rollout(cfg, seed, record_trajectory=True)
+                assert_bitwise([a[p : p + 1] for a in batch], arrays_of(alone))
 
     def test_crowded_double_integrator_relaxes_instead_of_failing(self):
         # Six double-integrator agents give 15 pair rows whose polyhedron is
@@ -272,9 +278,9 @@ class TestRunGroup:
         data = json.loads(path.read_text(encoding="utf-8"))
         data.update(groups=1, rollouts_per_group=3)
         data["system"]["n_agents"] = 6
-        (group,) = run_experiment(build_config(data))
-        assert len(group.rollouts) == 3
-        assert all(r.infeasible_steps >= 1 for r in group.rollouts)
+        rollouts, _, _ = run_experiment(build_config(data))
+        assert rollouts.relaxed_steps.shape == (1, 3)
+        assert np.all(rollouts.relaxed_steps >= 1)
 
 
 class TestExperimentConfigValidation:
@@ -293,6 +299,14 @@ class TestExperimentConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_zero_groups_rejected(self):
+        # With no group there is no rollout to certify; such a run used to
+        # report NaN statistics and exit 0.
+        with pytest.raises(ConfigError, match="groups must be >= 1"):
+            ExperimentConfig(
+                groups=0, rollouts_per_group=4, system=SystemConfig(horizon_steps=2)
+            )
 
     def test_unsafe_spawn_separation_rejected(self):
         with pytest.raises(ConfigError):
