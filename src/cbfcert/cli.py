@@ -175,6 +175,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -289,6 +291,21 @@ def _run(args) -> int:
     return 0
 
 
+def _cell(config: ExperimentConfig, manifest: dict, **overrides) -> ExperimentConfig:
+    """One sweep cell's config: ``config`` with ``overrides`` applied, where a
+    dict overrides fields of that section. The overrides and the cell's config
+    hash are appended to ``manifest["cells"]``.
+    """
+    changes = {
+        key: replace(getattr(config, key), **value) if isinstance(value, dict) else value
+        for key, value in overrides.items()
+    }
+    cell = replace(config, **changes)
+    entry = {"overrides": overrides, "config_hash": config_hash(cell)}
+    manifest.setdefault("cells", []).append(entry)
+    return cell
+
+
 def _certified_cell(config: ExperimentConfig, jobs: int, pool, record_trajectory: bool = False):
     """Run one cell's groups and build their certificate report."""
     rollouts, z, x_flags = run_experiment(
@@ -345,10 +362,7 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
     rows = []
     for n_agents in TABLE1_AGENT_GRID:
         for w_bar in TABLE1_NOISE_GRID:
-            cell = replace(
-                config,
-                system=replace(config.system, n_agents=n_agents, noise_bound=w_bar),
-            )
+            cell = _cell(config, manifest, system={"n_agents": n_agents, "noise_bound": w_bar})
             _, report = _certified_cell(cell, args.jobs, pool)
             p_hat, eps_b, eps_h, eps_s = (
                 float(np.mean([getattr(s, name) for s in report.group_stats]))
@@ -367,12 +381,13 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
 def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
     rows = []
     for psi in PSI_GRID:
-        cell = replace(
+        cell = _cell(
             config,
+            manifest,
             groups=1,
             rollouts_per_group=SWEEP_PSI_ROLLOUTS,
-            system=replace(config.system, noise_bound=SWEEP_PSI_NOISE),
-            safety=replace(config.safety, psi=psi),
+            system={"noise_bound": SWEEP_PSI_NOISE},
+            safety={"psi": psi},
         )
         rollouts, _, x_flags = run_experiment(cell, jobs=args.jobs, pool=pool)
         p_hat_v = float(x_flags.mean())

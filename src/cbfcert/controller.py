@@ -280,32 +280,22 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
 
 
 def fast_control(
-    x: np.ndarray,
-    u_prev: np.ndarray,
+    b: np.ndarray,
     params: SafetyParams,
     model,
     table: PairTable,
     passive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str, float]:
-    """The minimum-effort joint control for one step.
-
-    Returns (u, status, slack_used) with u an N x m array. Skips
-    constraint-matrix assembly entirely whenever every pair constraint has a
-    non-positive right-hand side (the joint zero control is then optimal,
-    including under box bounds); otherwise builds the rows with
-    ``_constraint_rows`` and solves them with ``solve_qp``, warm-started
-    from ``passive`` (one bool per row, see ``row_count``), which receives
-    the free set of the answer as in ``solve_qp``.
+    """The minimum-effort joint control of one rollout-step, as (u, status,
+    slack_used) with u an N x m array, from the step's pair geometry ``table``
+    and its row ``b`` of the batch's ``_rhs_vector``. ``solve_qp`` solves the
+    ``_constraint_rows``, warm-started from ``passive`` (one bool per row, see
+    ``row_count``), which receives the free set of the answer.
     """
-    n_agents = x.shape[0]
+    # Pairs are enumerated i < j, so the last one is (N - 2, N - 1).
+    n_agents = int(table.idx_j[-1]) + 1
     m = model.control_dim
-    b = _rhs_vector(x, u_prev, params, model, table)
-    if not needs_solve(b):
-        if passive is not None:
-            passive[:] = False
-        return np.zeros((n_agents, m)), STATUS_OPTIMAL, 0.0
-    dim = n_agents * m
-    a, b = _constraint_rows(params, model, table, b, dim)
+    a, b = _constraint_rows(params, model, table, b, n_agents * m)
     try:
         u, _, status, slack = solve_qp(a, b, passive)
     except ValueError as exc:  # non-finite state or config values

@@ -90,28 +90,6 @@ class ExperimentConfig:
             raise ConfigError("psi coupling requires control_dim == state_dim")
 
 
-def _spawn(config: ExperimentConfig, model, rng: np.random.Generator):
-    """Draw initial configurations until every pair's weighted margin,
-    evaluated at the QP's own first control, reaches ``h_min``.
-
-    Returns the accepted state, that first control and its status.
-    """
-    sys_cfg = config.system
-    params = config.safety
-    u_zero = np.zeros((sys_cfg.n_agents, sys_cfg.control_dim))
-    for _ in range(_MAX_INITIAL_DRAWS):
-        x = sample_initial_state(sys_cfg, rng)
-        table = PairTable(x, params, sys_cfg.noise_bound)
-        u, status, _ = fast_control(x, u_zero, params, model, table)
-        h_tilde = table.weighted_margins(u, params.psi)
-        if float(np.min(h_tilde)) >= config.h_min:
-            return x, u, status
-    raise SetupError(
-        f"no initial configuration reached margin {config.h_min} "
-        f"in {_MAX_INITIAL_DRAWS} draws"
-    )
-
-
 def _control(
     x: np.ndarray,
     u_prev: np.ndarray,
@@ -122,17 +100,16 @@ def _control(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint controls of a batch of rollouts, and which ones relaxed.
 
-    The right-hand sides are computed for the whole batch; ``fast_control``
-    runs only for the rollouts that ``needs_solve`` flags, its own early-exit
-    test, and every other rollout gets the zero control that test returns.
-    Row r of ``passive`` is rollout r's warm start, updated in place.
+    ``fast_control`` solves row r of the batch's right-hand sides only where
+    ``needs_solve`` flags it; elsewhere the zero control is optimal. Row r of
+    ``passive`` is rollout r's warm start, updated in place.
     """
     params = config.safety
     b = _rhs_vector(x, u_prev, params, model, table)
     u = np.zeros(u_prev.shape)
     relaxed = np.zeros(len(x), dtype=bool)
     for r in np.flatnonzero(needs_solve(b)):
-        u[r], status, _ = fast_control(x[r], u_prev[r], params, model, table[r], passive[r])
+        u[r], status, _ = fast_control(b[r], params, model, table[r], passive[r])
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 
@@ -142,25 +119,42 @@ def run_rollouts(
 ) -> Rollouts:
     """Simulate one seeded trajectory of the closed loop per seed, in lockstep.
 
-    Each rollout spawns on its own (see ``_spawn``). The batch then
-    alternates control solve, noise draw and Euler step for
-    ``horizon_steps`` steps, recording margins at each of the
-    ``horizon_steps + 1`` grid points. Each rollout's QP starts from the
-    rows active at its previous solve (see ``fast_control``).
+    The batch spawns in rounds: each redraws every pending rollout's initial
+    state, takes its first control from ``_control`` (zero previous control,
+    cold start) and keeps the rollouts whose min weighted margin there reaches
+    ``h_min``, within ``_MAX_INITIAL_DRAWS`` draws per rollout. The batch then
+    alternates control solve, noise draw and Euler step for ``horizon_steps``
+    steps, recording margins at each of the ``horizon_steps + 1`` grid points,
+    each QP starting from the rows active at the rollout's previous solve.
     """
     sys_cfg = config.system
     params = config.safety
     model = dynamics_model(sys_cfg)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    spawned = [_spawn(config, model, rng) for rng in rngs]
-    x = np.stack([s[0] for s in spawned])
-    u = np.stack([s[1] for s in spawned])
-    relaxed = np.array([s[2] != STATUS_OPTIMAL for s in spawned])
+    n_rows = row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)
+    x = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.state_dim))
+    u = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.control_dim))
+    relaxed = np.empty(len(rngs), dtype=bool)
+    pending = np.arange(len(rngs))
+    for _ in range(_MAX_INITIAL_DRAWS):
+        x[pending] = [sample_initial_state(sys_cfg, rngs[r]) for r in pending]
+        table = PairTable(x[pending], params, sys_cfg.noise_bound)
+        cold = np.zeros((len(pending), n_rows), dtype=bool)
+        u[pending], relaxed[pending] = _control(
+            x[pending], np.zeros(u[pending].shape), config, model, table, cold
+        )
+        h_tilde = table.weighted_margins(u[pending], params.psi)
+        pending = pending[~(np.min(h_tilde, axis=-1) >= config.h_min)]
+        if not pending.size:
+            break
+    else:
+        raise SetupError(
+            f"no initial configuration reached margin {config.h_min} "
+            f"in {_MAX_INITIAL_DRAWS} draws"
+        )
     table = PairTable(x, params, sys_cfg.noise_bound)
     h_tilde = table.weighted_margins(u, params.psi)
-    passive = np.zeros(
-        (len(rngs), row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)), dtype=bool
-    )
+    passive = np.zeros((len(rngs), n_rows), dtype=bool)
 
     raw_min = np.full(len(rngs), np.inf)
     min_dist = np.full(len(rngs), np.inf)

@@ -3,10 +3,18 @@
 Nothing here shares code with cbfcert internals: the QP oracles go through
 scipy and literal grid enumeration, the constraint rows are built pair by
 pair from the scalar formulas, and the samplers are plain rejection sampling.
+The one exception is ``spawn_one_by_one``: it drives the package's own sampler
+and per-step control one rollout and one candidate at a time, as the reference
+for the engine's batched spawn rounds.
 """
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+
+from cbfcert.controller import _rhs_vector, fast_control
+from cbfcert.errors import SetupError
+from cbfcert.safety import PairTable
+from cbfcert.sysmodel import sample_initial_state
 
 
 def prop_jacobian(d, reg_eps):
@@ -215,6 +223,28 @@ def spawn_round_by_round(config, rng, max_rounds=10_000):
             x[:, :2] = pos
             return x
     return None
+
+
+def spawn_one_by_one(config, model, rng, max_draws=1_000):
+    """Spawn one rollout: draw candidates until one's first control is safe enough.
+
+    Each candidate is a state from ``sample_initial_state``; its first control
+    is ``fast_control`` on its own right-hand side with zero previous control
+    and no warm start. The candidate is accepted when every pair's weighted
+    margin at that control reaches ``config.h_min``. Returns the state, the
+    control, the solver status and the number of candidates drawn; raises
+    SetupError when ``max_draws`` candidates all fail.
+    """
+    sys_cfg, params = config.system, config.safety
+    u_zero = np.zeros((sys_cfg.n_agents, sys_cfg.control_dim))
+    for draws in range(1, max_draws + 1):
+        x = sample_initial_state(sys_cfg, rng)
+        table = PairTable(x, params, sys_cfg.noise_bound)
+        b = _rhs_vector(x, u_zero, params, model, table)
+        u, status, _ = fast_control(b, params, model, table)
+        if float(np.min(table.weighted_margins(u, params.psi))) >= config.h_min:
+            return x, u, status, draws
+    raise SetupError(f"no initial configuration reached margin {config.h_min}")
 
 
 def sampled_disturbance_sup(grad, w_bar, rng, n=10_000):

@@ -8,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from cbfcert import cli
 from cbfcert.cli import (
     build_config,
     config_hash,
@@ -73,6 +74,17 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        # A UTF-16 byte-order mark is not UTF-8; it used to escape as a
+        # UnicodeDecodeError traceback.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="not valid UTF-8"):
+            load_config(path)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "x").exists()
 
     def test_resolved_config_round_trips(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TINY))
@@ -331,6 +343,33 @@ class TestSweepCommands:
         assert list(rows[0]) == ["psi", "p_hat_v", "min_dist"]
         assert [r["psi"] for r in rows] == ["0", "2", "4", "6", "8", "10"]
         assert all(float(r["min_dist"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
+    def test_manifest_records_each_cell_that_ran(self, tmp_path, monkeypatch, command):
+        # Each run_manifest.json cell carries the hash of the config its
+        # run_experiment call received, in order; verify records no cells.
+        ran = []
+        run = cli.run_experiment
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda cfg, **kw: ran.append(config_hash(cfg)) or run(cfg, **kw)
+        )
+        cfg_path = write_config(tmp_path, TINY)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
+        cells = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["cells"]
+        assert [cell["config_hash"] for cell in cells] == ran
+        assert len(set(ran)) == len(ran) == 6
+        if command == "sweep-psi":
+            assert cells[2]["overrides"] == {
+                "groups": 1,
+                "rollouts_per_group": 100,
+                "system": {"noise_bound": 0.03},
+                "safety": {"psi": 4.0},
+            }
+        else:
+            assert cells[4]["overrides"] == {"system": {"n_agents": 3, "noise_bound": 0.03}}
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
+        assert "cells" not in json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
     def test_sweeps_reject_dump_trajectories(self, tmp_path, capsys, command):

@@ -304,8 +304,11 @@ class TestSolveQP:
 
 
 def control(x, u_prev, params, w_bar, model=MODEL, passive=None):
+    """fast_control on the right-hand side of one joint state, as the engine calls it."""
     x = np.asarray(x, dtype=float)
-    return fast_control(x, u_prev, params, model, PairTable(x, params, w_bar), passive)
+    table = PairTable(x, params, w_bar)
+    b = _rhs_vector(x, np.asarray(u_prev, dtype=float), params, model, table)
+    return fast_control(b, params, model, table, passive)
 
 
 class TestControlStep:
@@ -384,7 +387,7 @@ def crowded_steps(seed, steps=20, params=CROWDED_PARAMS):
     out = []
     for _ in range(steps):
         out.append((x, u))
-        u = fast_control(x, u, params, MODEL, PairTable(x, params, CROWDED.noise_bound))[0]
+        u = control(x, u, params, CROWDED.noise_bound)[0]
         x = euler_step(x, u, noise_array(CROWDED, [gen])[0], CROWDED.dt, MODEL)
     return out
 
@@ -405,10 +408,9 @@ class TestWarmStart:
         for seed in range(3):
             passive = np.zeros(row_count(CROWDED_PARAMS, 12, 2), dtype=bool)
             for x, u_prev in crowded_steps(seed):
-                table = PairTable(x, CROWDED_PARAMS, CROWDED.noise_bound)
-                u, status, slack = fast_control(x, u_prev, CROWDED_PARAMS, MODEL, table)
+                u, status, slack = control(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound)
                 before = passive.copy()
-                warm = fast_control(x, u_prev, CROWDED_PARAMS, MODEL, table, passive)
+                warm = control(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound, passive=passive)
                 assert warm[0].tobytes() == u.tobytes()
                 assert warm[1:] == (status, slack)
                 a, b = rows(x, u_prev, CROWDED_PARAMS, CROWDED.noise_bound)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp
 
+from cbfcert import rollout
 from cbfcert.cli import build_config
+from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
     ExperimentConfig,
@@ -23,8 +25,14 @@ from cbfcert.rollout import (
     run_rollouts,
 )
 from cbfcert.safety import PairTable, SafetyParams
-from cbfcert.sysmodel import SystemConfig, sample_initial_state
-from oracles import margin_scores_two_pass
+from cbfcert.sysmodel import (
+    SystemConfig,
+    dynamics_model,
+    euler_step,
+    noise_array,
+    sample_initial_state,
+)
+from oracles import margin_scores_two_pass, spawn_one_by_one
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
 
@@ -281,6 +289,107 @@ class TestRunGroup:
         rollouts, _, _ = run_experiment(build_config(data))
         assert rollouts.relaxed_steps.shape == (1, 3)
         assert np.all(rollouts.relaxed_steps >= 1)
+
+
+def spawn_case(case):
+    """(config, seeds) of a spawn check, run for one step past the spawn.
+
+    ``margin_rejections`` redraws about five candidates per rollout (163
+    draws for 30 seeds) because of its high ``h_min``; the golden
+    double-integrator first controls relax; the golden crowded case solves
+    66-row first QPs. Each has a rollout that needs a second draw.
+    """
+    if case == "margin_rejections":
+        data = {
+            "h_min": 1.5,
+            "system": {"n_agents": 4, "domain_half_width": 4.0},
+            "safety": {"psi": 4.0},
+        }
+        seeds = range(30)
+    else:
+        data = golden_config(case)
+        seeds = range(2024, 2040)
+    data.setdefault("system", {})["horizon_steps"] = 1
+    return build_config(data), list(seeds)
+
+
+SPAWN_CASES = ("crowded_n12", "double_integrator", "margin_rejections")
+
+
+def draws_per_rollout(monkeypatch):
+    """Spy on the engine's spawn draws; the returned list gets each draw's generator."""
+    draws = []
+    sample = rollout.sample_initial_state
+    monkeypatch.setattr(
+        rollout, "sample_initial_state", lambda cfg, rng: draws.append(rng) or sample(cfg, rng)
+    )
+    return draws
+
+
+class TestSpawn:
+    @pytest.mark.parametrize("case", SPAWN_CASES)
+    def test_spawn_rounds_match_one_by_one_spawn(self, case, monkeypatch):
+        # Frames 0 and 1 of every rollout are the one-by-one spawn and one
+        # cold-started step after it, bit for bit, with the same draws.
+        cfg, seeds = spawn_case(case)
+        draws = draws_per_rollout(monkeypatch)
+        xs, us, margins = run_rollouts(cfg, seeds, record_trajectory=True).trajectory
+        model = dynamics_model(cfg.system)
+        params = cfg.safety
+        statuses, ref_draws = [], []
+        for r, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            x0, u0, status, n_draws = spawn_one_by_one(cfg, model, rng)
+            x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0], cfg.system.dt, model)
+            table = PairTable(x1, params, cfg.system.noise_bound)
+            b = rollout._rhs_vector(x1, u0, params, model, table)
+            u1 = rollout.fast_control(b, params, model, table)[0]
+            h0 = PairTable(x0, params, cfg.system.noise_bound).weighted_margins(u0, params.psi)
+            h1 = table.weighted_margins(u1, params.psi)
+            want = [np.stack([x0, x1]), np.stack([u0, u1]), np.array([np.min(h0), np.min(h1)])]
+            assert_bitwise([xs[r, :2], us[r, :2], margins[r, :2]], want)
+            statuses.append(status)
+            ref_draws.append(n_draws)
+        assert [sum(d is rng for d in draws) for rng in dict.fromkeys(draws)] == ref_draws
+        assert max(ref_draws) > 1
+        if case == "double_integrator":
+            assert STATUS_INFEASIBLE_RELAXED in statuses
+
+    def test_draw_budget_is_per_rollout(self, monkeypatch):
+        # The batch draws more candidates in total than the budget allows
+        # one rollout, and spawns; one rollout over the budget fails it.
+        cfg, seeds = spawn_case("margin_rejections")
+        draws = draws_per_rollout(monkeypatch)
+        run_rollouts(cfg, seeds)
+        counts = [sum(d is rng for d in draws) for rng in dict.fromkeys(draws)]
+        most = max(counts)
+        assert counts.count(most) == 1 and len(draws) > most
+        monkeypatch.setattr(rollout, "_MAX_INITIAL_DRAWS", most)
+        run_rollouts(cfg, seeds)
+        monkeypatch.setattr(rollout, "_MAX_INITIAL_DRAWS", most - 1)
+        with pytest.raises(SetupError, match=f"margin 1.5 in {most - 1} draws"):
+            run_rollouts(cfg, seeds)
+
+    def test_fast_control_runs_exactly_for_needs_solve_rows(self, monkeypatch):
+        # Every right-hand side batch, spawn rounds included, hands exactly
+        # its needs_solve rows to fast_control, in order.
+        cfg, seeds = spawn_case("margin_rejections")
+        cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, horizon_steps=5))
+        batches, solved = [], []
+        rhs, solve = rollout._rhs_vector, rollout.fast_control
+        monkeypatch.setattr(
+            rollout, "_rhs_vector", lambda *args: batches.append(rhs(*args)) or batches[-1]
+        )
+        monkeypatch.setattr(
+            rollout, "fast_control", lambda b, *args: solved.append(b) or solve(b, *args)
+        )
+        run_rollouts(cfg, seeds)
+        spawn_rounds = len(batches) - cfg.system.horizon_steps
+        assert spawn_rounds > 1
+        expected = [row for b in batches for row in b[needs_solve(b)]]
+        assert sum(needs_solve(b).sum() for b in batches[:spawn_rounds]) > 0
+        assert len(solved) == len(expected)
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(solved, expected))
 
 
 class TestExperimentConfigValidation:
