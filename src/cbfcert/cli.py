@@ -16,14 +16,26 @@ carry a timestamp) may differ.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per process: the --jobs worker pool is this program's
+# parallelism and its LAPACK calls are small, while numpy's OpenBLAS would
+# otherwise start a thread per CPU as it loads, at tens of ms of CPU per
+# command. A user who sets any of these variables keeps all of them as they
+# are (OpenBLAS reads OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset).
+# This must run before numpy is first imported, so it comes before every
+# import that loads numpy; forked workers share the loaded library and
+# spawned ones inherit the environment.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+
 import argparse
 import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -274,7 +286,13 @@ def _run(args) -> int:
         "jobs": args.jobs,
     }
     args.out.mkdir(parents=True, exist_ok=True)
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    pool = None
+    if args.jobs > 1:
+        # Imported here: the pool module loads multiprocessing and logging,
+        # which a --jobs 1 command never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
     try:
         csv_name, columns, rows = args.body(args, config, manifest, pool)
     finally:
@@ -403,6 +421,14 @@ def cmd_print_config_schema(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbfcert",
@@ -425,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--jobs", type=jobs, default=os.cpu_count() or 1, help="worker processes (output is identical for any value)")
+        p.add_argument("--jobs", type=jobs, default=_usable_cpus(), help="worker processes (output is identical for any value)")
         p.set_defaults(func=_run, body=body)
         return p
 

@@ -11,8 +11,8 @@ step.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .sysmodel import (
     noise_array,
     sample_initial_state,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _MAX_INITIAL_DRAWS = 1_000
 
@@ -135,6 +138,10 @@ def run_rollouts(
     x = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.state_dim))
     u = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.control_dim))
     relaxed = np.empty(len(rngs), dtype=bool)
+    # Each step's min weighted margin and min pair distance per rollout; at
+    # step 0 they come from the spawn round that accepted the rollout.
+    step_min = np.empty(len(rngs))
+    step_dist = np.empty(len(rngs))
     pending = np.arange(len(rngs))
     for _ in range(_MAX_INITIAL_DRAWS):
         x[pending] = [sample_initial_state(sys_cfg, rngs[r]) for r in pending]
@@ -143,8 +150,9 @@ def run_rollouts(
         u[pending], relaxed[pending] = _control(
             x[pending], np.zeros(u[pending].shape), config, model, table, cold
         )
-        h_tilde = table.weighted_margins(u[pending], params.psi)
-        pending = pending[~(np.min(h_tilde, axis=-1) >= config.h_min)]
+        step_min[pending] = np.min(table.weighted_margins(u[pending], params.psi), axis=-1)
+        step_dist[pending] = np.min(table.dist, axis=-1)
+        pending = pending[~(step_min[pending] >= config.h_min)]
         if not pending.size:
             break
     else:
@@ -152,8 +160,6 @@ def run_rollouts(
             f"no initial configuration reached margin {config.h_min} "
             f"in {_MAX_INITIAL_DRAWS} draws"
         )
-    table = PairTable(x, params, sys_cfg.noise_bound)
-    h_tilde = table.weighted_margins(u, params.psi)
     passive = np.zeros((len(rngs), n_rows), dtype=bool)
 
     raw_min = np.full(len(rngs), np.inf)
@@ -164,9 +170,7 @@ def run_rollouts(
     for k in range(sys_cfg.horizon_steps + 1):
         # np.where(new < old, new, old), not np.minimum: a NaN step value
         # leaves the running extreme as it is.
-        step_min = np.min(h_tilde, axis=-1)
         raw_min = np.where(step_min < raw_min, step_min, raw_min)
-        step_dist = np.min(table.dist, axis=-1)
         min_dist = np.where(step_dist < min_dist, step_dist, min_dist)
         relaxed_steps += relaxed
         norm = np.max(np.sqrt(np.einsum("...j,...j->...", u, u)), axis=-1)
@@ -178,7 +182,8 @@ def run_rollouts(
         x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, model)
         table = PairTable(x, params, sys_cfg.noise_bound)
         u, relaxed = _control(x, u, config, model, table, passive)
-        h_tilde = table.weighted_margins(u, params.psi)
+        step_min = np.min(table.weighted_margins(u, params.psi), axis=-1)
+        step_dist = np.min(table.dist, axis=-1)
 
     return Rollouts(
         seed=np.array(seeds),

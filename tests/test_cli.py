@@ -2,6 +2,8 @@ import csv
 import json
 import multiprocessing
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
@@ -18,6 +20,7 @@ from cbfcert.cli import (
 )
 from cbfcert.errors import ConfigError
 from cbfcert.rollout import run_experiment
+import test_golden
 
 TINY = {
     "groups": 2,
@@ -413,3 +416,35 @@ class TestWorkerPool:
         assert main([command, "--out", str(out), "--jobs", jobs]) == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestJobsDefault:
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert cli._build_parser().parse_args(["verify"]).jobs == 1
+
+    @pytest.mark.parametrize("count, jobs", [(3, 3), (None, 1)])
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch, count, jobs):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+        assert cli._build_parser().parse_args(["verify"]).jobs == jobs
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", ["crowded_n12", "double_integrator"])
+def test_golden_verify_in_fresh_interpreter(tmp_path, fresh_env, case, jobs):
+    # The in-process golden tests import numpy before the CLI does; here the
+    # CLI loads it, so the run goes through its one-thread BLAS.
+    cfg_path = write_config(tmp_path, test_golden._config(case))
+    out = tmp_path / "out"
+    code = "import sys; from cbfcert.cli import main; sys.exit(main())"
+    args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args, "--dump-trajectories"],
+        env=fresh_env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert test_golden.csv_digest(out) == test_golden.GOLDEN[case]

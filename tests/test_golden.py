@@ -160,6 +160,16 @@ def _at_jobs(names) -> list:
     ]
 
 
+def csv_digest(out) -> str:
+    """Digest of the CSV bodies that ``verify --dump-trajectories`` wrote to ``out``."""
+    files = [out / "groups.csv"] + sorted((out / "trajectories").glob("*.csv"))
+    assert len(files) == 1 + _BASE["groups"] * _BASE["rollouts_per_group"]
+    sha = hashlib.sha256()
+    for path in files:
+        sha.update(path.name.encode("utf-8") + b"\n" + _body(path))
+    return sha.hexdigest()
+
+
 def _digest(tmp_path, case: str, jobs: int) -> tuple[str, tuple[str, str]]:
     """Digest of the CSV bodies, and of the two masked JSON outputs."""
     cfg_path = tmp_path / f"{case}.json"
@@ -167,13 +177,8 @@ def _digest(tmp_path, case: str, jobs: int) -> tuple[str, tuple[str, str]]:
     out = tmp_path / f"{case}-jobs{jobs}"
     args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)]
     assert main(args + ["--dump-trajectories"]) == 0
-    files = [out / "groups.csv"] + sorted((out / "trajectories").glob("*.csv"))
-    assert len(files) == 1 + _BASE["groups"] * _BASE["rollouts_per_group"]
-    sha = hashlib.sha256()
-    for path in files:
-        sha.update(path.name.encode("utf-8") + b"\n" + _body(path))
     outputs = (_json_digest(out / "certificate.json"), _json_digest(out / "run_manifest.json"))
-    return sha.hexdigest(), outputs
+    return csv_digest(out), outputs
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,16 @@
 Every import in the package's modules must name the standard library,
 numpy, or the package itself; the README and pyproject promise no more.
 The module globals that the benchmark imports or its tracer rebinds must stay
-in place.
+in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
+and no process-pool machinery.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cbfcert.cli
 import cbfcert.rollout
@@ -78,3 +82,33 @@ def test_traced_names_are_module_globals():
 def test_benchmark_entry_points_are_module_globals():
     missing = _missing(ENTRY_POINTS)
     assert not missing, missing
+
+
+def _fresh_import(env, code: str) -> str:
+    """stdout of ``import cbfcert.cli`` followed by ``code`` in a new interpreter."""
+    argv = [sys.executable, "-c", "import cbfcert.cli\n" + code]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_loads_no_process_pool(fresh_env):
+    # The pool module (with multiprocessing and logging) loads only when a
+    # command opens a pool.
+    pool_modules = "{'concurrent.futures.process', 'multiprocessing', 'logging'}"
+    code = f"import sys\nprint(sorted({pool_modules} & set(sys.modules)))"
+    assert _fresh_import(fresh_env, code) == "[]\n"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or cbfcert.cli._usable_cpus() < 2,
+    reason="needs /proc and two CPUs, where OpenBLAS would start a second thread",
+)
+@pytest.mark.parametrize(
+    "preset, threads",
+    [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)],
+    ids=["unset", "openblas2", "omp2"],
+)
+def test_cli_import_runs_one_blas_thread_unless_set(fresh_env, preset, threads):
+    code = "import os\nprint(len(os.listdir('/proc/self/task')))"
+    assert _fresh_import({**fresh_env, **preset}, code) == f"{threads}\n"
