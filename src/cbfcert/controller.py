@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SolverError
 from .safety import PairTable, SafetyParams
+from .sysmodel import Plant
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE_RELAXED = "infeasible_relaxed"
@@ -30,38 +31,21 @@ _TINY = np.finfo(float).tiny
 
 
 def _rhs_vector(
-    x: np.ndarray,
-    u_prev: np.ndarray,
-    params: SafetyParams,
-    model,
-    table: PairTable,
+    u_prev: np.ndarray, params: SafetyParams, plant: Plant, table: PairTable
 ) -> np.ndarray:
-    """Right-hand side b per pair: gamma - grad_h . (f_i - f_j) - kappa * h,
-    minus the frozen propagation-derivative term when ``freeze_adot`` is on.
+    """Right-hand side b per pair: gamma - grad_h . (F d) - kappa * h, minus
+    the frozen propagation-derivative term when ``freeze_adot`` is on.
 
-    x (..., N, n), u_prev (..., N, m) and ``table`` may carry the same leading
-    batch axes; b then has shape (..., pairs).
+    The plant is linear, so the drift difference f(x_i) - f(x_j) is F d for
+    the pair difference d = x_i - x_j. u_prev (..., N, m) and ``table`` may
+    carry the same leading batch axes; b then has shape (..., pairs).
     """
-    idx_i, idx_j = table.idx_i, table.idx_j
-    if model.identity_actuation:
-        # Zero drift: only the margin and decay terms remain.
-        b = table.gamma - params.kappa * table.h
-        drift_all = None
-    else:
-        drift_all = model.drift_all(x)
-        ddrift = drift_all[..., idx_i, :] - drift_all[..., idx_j, :]
-        b = (
-            table.gamma
-            - np.einsum("...j,...j->...", table.grad, ddrift)
-            - params.kappa * table.h
-        )
+    drift, actuation = plant
+    d_drift = table.diff @ drift.T
+    b = table.gamma - np.einsum("...j,...j->...", table.grad, d_drift) - params.kappa * table.h
     if params.freeze_adot and params.psi > 0:
-        if model.identity_actuation:
-            xdot = u_prev
-        else:
-            xdot = drift_all + u_prev @ model.actuation.T
-        dxdot = xdot[..., idx_i, :] - xdot[..., idx_j, :]
-        du_prev = u_prev[..., idx_i, :] - u_prev[..., idx_j, :]
+        du_prev = u_prev[..., table.idx_i, :] - u_prev[..., table.idx_j, :]
+        dxdot = d_drift + du_prev @ actuation.T
         q = table.dist_sq
         root = np.sqrt(q + params.reg_eps**2)
         phi = np.exp(-q) / root
@@ -73,23 +57,18 @@ def _rhs_vector(
 
 
 def _constraint_rows(
-    params: SafetyParams, model, table: PairTable, b_pairs: np.ndarray, dim: int
+    params: SafetyParams, plant: Plant, table: PairTable, b_pairs: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The full system (A, b): one row per pair, then the optional control box.
 
-    Pair (i, j) places +/-(g^T grad_h + psi*kappa*A) in the blocks of agents i
-    and j (exact negation because g is state-independent for the supported
-    models). A box bound c adds the rows u_k >= -c and -u_k >= -c.
+    Pair (i, j) places +/-(G^T grad_h + psi*kappa*A) in the blocks of agents
+    i and j (exact negation because G is state-independent). A box bound c
+    adds the rows u_k >= -c and -u_k >= -c.
     """
-    m = model.control_dim
-    if model.identity_actuation:
-        gT_grad = table.grad
-    else:
-        gT_grad = table.grad @ model.actuation
+    m = plant.control_dim
+    block = table.grad @ plant.actuation
     if params.psi > 0:
-        block = gT_grad + (params.psi * params.kappa) * table.prop
-    else:
-        block = gT_grad
+        block = block + (params.psi * params.kappa) * table.prop
     rows = np.arange(len(b_pairs))[:, None]
     cols = np.arange(m)
     a = np.zeros((len(b_pairs), dim))
@@ -282,7 +261,7 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
 def fast_control(
     b: np.ndarray,
     params: SafetyParams,
-    model,
+    plant: Plant,
     table: PairTable,
     passive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str, float]:
@@ -294,8 +273,8 @@ def fast_control(
     """
     # Pairs are enumerated i < j, so the last one is (N - 2, N - 1).
     n_agents = int(table.idx_j[-1]) + 1
-    m = model.control_dim
-    a, b = _constraint_rows(params, model, table, b, n_agents * m)
+    m = plant.control_dim
+    a, b = _constraint_rows(params, plant, table, b, n_agents * m)
     try:
         u, _, status, slack = solve_qp(a, b, passive)
     except ValueError as exc:  # non-finite state or config values

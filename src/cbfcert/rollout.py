@@ -11,7 +11,7 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +20,7 @@ from .controller import STATUS_OPTIMAL, _rhs_vector, fast_control, needs_solve, 
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
+    Plant,
     SystemConfig,
     dynamics_model,
     euler_step,
@@ -94,10 +95,9 @@ class ExperimentConfig:
 
 
 def _control(
-    x: np.ndarray,
     u_prev: np.ndarray,
     config: ExperimentConfig,
-    model,
+    plant: Plant,
     table: PairTable,
     passive: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +108,11 @@ def _control(
     ``passive`` is rollout r's warm start, updated in place.
     """
     params = config.safety
-    b = _rhs_vector(x, u_prev, params, model, table)
+    b = _rhs_vector(u_prev, params, plant, table)
     u = np.zeros(u_prev.shape)
-    relaxed = np.zeros(len(x), dtype=bool)
+    relaxed = np.zeros(len(u_prev), dtype=bool)
     for r in np.flatnonzero(needs_solve(b)):
-        u[r], status, _ = fast_control(b[r], params, model, table[r], passive[r])
+        u[r], status, _ = fast_control(b[r], params, plant, table[r], passive[r])
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 
@@ -132,7 +132,7 @@ def run_rollouts(
     """
     sys_cfg = config.system
     params = config.safety
-    model = dynamics_model(sys_cfg)
+    plant = dynamics_model(sys_cfg)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n_rows = row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)
     x = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.state_dim))
@@ -148,7 +148,7 @@ def run_rollouts(
         table = PairTable(x[pending], params, sys_cfg.noise_bound)
         cold = np.zeros((len(pending), n_rows), dtype=bool)
         u[pending], relaxed[pending] = _control(
-            x[pending], np.zeros(u[pending].shape), config, model, table, cold
+            np.zeros(u[pending].shape), config, plant, table, cold
         )
         step_min[pending] = np.min(table.weighted_margins(u[pending], params.psi), axis=-1)
         step_dist[pending] = np.min(table.dist, axis=-1)
@@ -179,9 +179,9 @@ def run_rollouts(
             frames.append((x, u, step_min))
         if k == sys_cfg.horizon_steps:
             break
-        x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, model)
+        x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, plant)
         table = PairTable(x, params, sys_cfg.noise_bound)
-        u, relaxed = _control(x, u, config, model, table, passive)
+        u, relaxed = _control(u, config, plant, table, passive)
         step_min = np.min(table.weighted_margins(u, params.psi), axis=-1)
         step_dist = np.min(table.dist, axis=-1)
 
@@ -260,11 +260,11 @@ def run_experiment(
         return np.concatenate(parts).reshape(shape + parts[0].shape[1:])
 
     rollouts = Rollouts(
-        seed=joined([b.seed for b in batches]),
-        raw_min_margin=joined([b.raw_min_margin for b in batches]),
-        min_distance=joined([b.min_distance for b in batches]),
-        relaxed_steps=joined([b.relaxed_steps for b in batches]),
-        max_control_norm=joined([b.max_control_norm for b in batches]),
+        **{
+            f.name: joined([getattr(b, f.name) for b in batches])
+            for f in fields(Rollouts)
+            if f.name != "trajectory"
+        },
         trajectory=(
             tuple(map(joined, zip(*(b.trajectory for b in batches))))
             if record_trajectory

@@ -1,4 +1,4 @@
-"""Multi-agent system model: control-affine dynamics, bounded-noise
+"""Multi-agent system model: linear control-affine dynamics, bounded-noise
 sampling, and fixed-step Euler integration.
 
 Joint states are N x n arrays (row i is agent i), joint controls N x m; the
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,57 +78,43 @@ class SystemConfig:
             raise ConfigError(f"unknown noise distribution {self.noise_dist!r}")
 
 
-class SingleIntegrator:
-    """x_dot = u + w: zero drift, identity actuation."""
+class Plant(NamedTuple):
+    """Linear per-agent dynamics x_dot = F x + G u + w: ``drift`` F (n x n)
+    and ``actuation`` G (n x m).
 
-    identity_actuation = True
-
-    def __init__(self, dim: int):
-        self.state_dim = dim
-        self.control_dim = dim
-        self.actuation = np.eye(dim)
-
-    def drift_all(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
-
-
-class DoubleIntegrator:
-    """Planar kinematic chain: state (p, v), p_dot = v + w_p, v_dot = u + w_v.
-
-    The disturbance is drawn over the full state, so it perturbs positions as
-    well as velocities.
+    The single integrator has F = 0 and G = I. The double integrator has
+    state (p, v), p_dot = v + w_p and v_dot = u + w_v, so F = [[0, I], [0, 0]]
+    and G = [[0], [I]]. The disturbance is drawn over the full state, so it
+    perturbs positions as well as velocities.
     """
 
-    identity_actuation = False
+    drift: np.ndarray
+    actuation: np.ndarray
 
-    def __init__(self, planar_dim: int = 2):
-        self.control_dim = planar_dim
-        self.state_dim = 2 * planar_dim
-        g = np.zeros((self.state_dim, planar_dim))
-        g[planar_dim:, :] = np.eye(planar_dim)
-        self.actuation = g
+    @property
+    def state_dim(self) -> int:
+        return self.actuation.shape[0]
 
-    def drift_all(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        out[..., : self.control_dim] = x[..., self.control_dim :]
-        return out
+    @property
+    def control_dim(self) -> int:
+        return self.actuation.shape[1]
 
 
-def dynamics_model(config: SystemConfig):
-    if config.dynamics == SINGLE_INTEGRATOR:
-        return SingleIntegrator(config.state_dim)
-    return DoubleIntegrator(config.control_dim)
+def dynamics_model(config: SystemConfig) -> Plant:
+    """The plant of ``config``, a chain of integrators: the derivative of each
+    block of m state coordinates is the next block, and u drives the last."""
+    n, m = config.state_dim, config.control_dim
+    return Plant(drift=np.eye(n, k=m), actuation=np.eye(n, m, k=m - n))
 
 
 def euler_step(
-    x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float, model
+    x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float, plant: Plant
 ) -> np.ndarray:
-    """One explicit Euler step of every agent: x_i + dt * (f(x_i) + g u_i + w_i).
+    """One explicit Euler step of every agent: x_i + dt * (F x_i + G u_i + w_i).
 
     x, u and w may carry the same leading batch axes.
     """
-    actuated = u if model.identity_actuation else u @ model.actuation.T
-    return x + dt * (model.drift_all(x) + actuated + w)
+    return x + dt * (x @ plant.drift.T + u @ plant.actuation.T + w)
 
 
 def noise_array(config: SystemConfig, rngs) -> np.ndarray:

@@ -240,7 +240,7 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
     for draws in range(1, max_draws + 1):
         x = sample_initial_state(sys_cfg, rng)
         table = PairTable(x, params, sys_cfg.noise_bound)
-        b = _rhs_vector(x, u_zero, params, model, table)
+        b = _rhs_vector(u_zero, params, model, table)
         u, status, _ = fast_control(b, params, model, table)
         if float(np.min(table.weighted_margins(u, params.psi))) >= config.h_min:
             return x, u, status, draws

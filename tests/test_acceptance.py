@@ -189,7 +189,7 @@ def _braking_invariance_run(seed: int):
     active_steps = 0
     for k in range(cfg.horizon_steps + 1):
         table = PairTable(x, params, 0.0)
-        u, status, _ = fast_control(_rhs_vector(x, u, params, model, table), params, model, table)
+        u, status, _ = fast_control(_rhs_vector(u, params, model, table), params, model, table)
         assert status == STATUS_OPTIMAL
         min_h = min(min_h, float(np.min(table.h)))
         if u.any():

@@ -448,3 +448,15 @@ def test_golden_verify_in_fresh_interpreter(tmp_path, fresh_env, case, jobs):
     )
     assert result.returncode == 0, result.stderr
     assert test_golden.csv_digest(out) == test_golden.GOLDEN[case]
+
+
+def test_python_m_cli_runs_the_command(tmp_path, fresh_env):
+    # `python -m cbfcert.cli` runs the same entry point as the `cbfcert` script.
+    cfg_path = write_config(tmp_path, TINY)
+    out = tmp_path / "out"
+    args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "cbfcert.cli", *args], env=fresh_env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out / "certificate.json").is_file()

@@ -58,7 +58,7 @@ def rows(x, u_prev, params, w_bar, model=MODEL):
     """The (A, b) that fast_control solves for this step."""
     x = np.asarray(x, dtype=float)
     table = PairTable(x, params, w_bar)
-    b = _rhs_vector(x, np.asarray(u_prev, dtype=float), params, model, table)
+    b = _rhs_vector(np.asarray(u_prev, dtype=float), params, model, table)
     return _constraint_rows(params, model, table, b, x.shape[0] * model.control_dim)
 
 
@@ -132,10 +132,10 @@ class TestAssembleConstraints:
     def test_batched_rhs_matches_each_joint_state(self, rng, model, dynamics, params):
         x = rng.uniform(-2.0, 2.0, size=(6, 4, model.state_dim))
         u_prev = rng.uniform(-0.5, 0.5, size=(6, 4, model.control_dim))
-        b = _rhs_vector(x, u_prev, params, model, PairTable(x, params, 0.03))
+        b = _rhs_vector(u_prev, params, model, PairTable(x, params, 0.03))
         for r in range(len(x)):
             table = PairTable(x[r], params, 0.03)
-            assert np.array_equal(b[r], _rhs_vector(x[r], u_prev[r], params, model, table))
+            assert np.array_equal(b[r], _rhs_vector(u_prev[r], params, model, table))
 
 
 class TestSolveQP:
@@ -307,7 +307,7 @@ def control(x, u_prev, params, w_bar, model=MODEL, passive=None):
     """fast_control on the right-hand side of one joint state, as the engine calls it."""
     x = np.asarray(x, dtype=float)
     table = PairTable(x, params, w_bar)
-    b = _rhs_vector(x, np.asarray(u_prev, dtype=float), params, model, table)
+    b = _rhs_vector(np.asarray(u_prev, dtype=float), params, model, table)
     return fast_control(b, params, model, table, passive)
 
 

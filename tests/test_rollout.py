@@ -342,7 +342,7 @@ class TestSpawn:
             x0, u0, status, n_draws = spawn_one_by_one(cfg, model, rng)
             x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0], cfg.system.dt, model)
             table = PairTable(x1, params, cfg.system.noise_bound)
-            b = rollout._rhs_vector(x1, u0, params, model, table)
+            b = rollout._rhs_vector(u0, params, model, table)
             u1 = rollout.fast_control(b, params, model, table)[0]
             h0 = PairTable(x0, params, cfg.system.noise_bound).weighted_margins(u0, params.psi)
             h1 = table.weighted_margins(u1, params.psi)

@@ -22,21 +22,22 @@ DOUBLE_MODEL = dynamics_model(DOUBLE)
 class TestDynamics:
     def test_single_integrator_drift_is_zero(self):
         x = np.array([[3.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(SINGLE_MODEL.drift_all(x), np.zeros((2, 2)))
+        assert np.array_equal(SINGLE_MODEL.drift, np.zeros((2, 2)))
+        assert np.array_equal(x @ SINGLE_MODEL.drift.T, np.zeros((2, 2)))
 
     def test_double_integrator_drift_kinematic_chain(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        assert np.array_equal(DOUBLE_MODEL.drift_all(x)[0], [3.0, 4.0, 0.0, 0.0])
+        assert np.array_equal((x @ DOUBLE_MODEL.drift.T)[0], [3.0, 4.0, 0.0, 0.0])
 
     def test_single_integrator_actuation_is_identity(self):
-        assert SINGLE_MODEL.identity_actuation
         assert np.array_equal(SINGLE_MODEL.actuation, np.eye(2))
+        assert (SINGLE_MODEL.state_dim, SINGLE_MODEL.control_dim) == (2, 2)
 
     def test_double_integrator_actuation_block_form(self):
         expected = np.zeros((4, 2))
         expected[2:, :] = np.eye(2)
-        assert not DOUBLE_MODEL.identity_actuation
         assert np.array_equal(DOUBLE_MODEL.actuation, expected)
+        assert (DOUBLE_MODEL.state_dim, DOUBLE_MODEL.control_dim) == (4, 2)
 
 
 class TestStep:
