@@ -30,19 +30,25 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _rhs_vector(
+def _constraint_rows(
     u_prev: np.ndarray, params: SafetyParams, plant: Plant, table: PairTable
-) -> np.ndarray:
-    """Right-hand side b per pair: gamma - grad_h . (F d) - kappa * h, minus
-    the frozen propagation-derivative term when ``freeze_adot`` is on.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step's system (A, b): one row per pair, then the optional control box.
 
-    The plant is linear, so the drift difference f(x_i) - f(x_j) is F d for
-    the pair difference d = x_i - x_j. u_prev (..., N, m) and ``table`` may
-    carry the same leading batch axes; b then has shape (..., pairs).
+    Pair (i, j) places +/-(G^T grad_h + psi*kappa*A) in the blocks of agents
+    i and j (exact negation because G is state-independent). Its right-hand
+    side is gamma - grad_h . (F d) - kappa * h, minus the frozen
+    propagation-derivative term when ``freeze_adot`` is on; the plant is
+    linear, so F d is the drift difference of the pair d = x_i - x_j. A box
+    bound c adds the rows u_k >= -c and -u_k >= -c. u_prev (..., N, m) and
+    ``table`` may carry the same leading batch axes; A is then
+    (..., rows, N*m) and b (..., rows).
     """
     drift, actuation = plant
+    dim = u_prev.shape[-2] * u_prev.shape[-1]
     d_drift = table.diff @ drift.T
-    b = table.gamma - np.einsum("...j,...j->...", table.grad, d_drift) - params.kappa * table.h
+    with np.errstate(invalid="ignore"):  # overflowed state: NaN, which solve_qp rejects
+        b = table.gamma - np.einsum("...j,...j->...", table.grad, d_drift) - params.kappa * table.h
     if params.freeze_adot and params.psi > 0:
         du_prev = u_prev[..., table.idx_i, :] - u_prev[..., table.idx_j, :]
         dxdot = d_drift + du_prev @ actuation.T
@@ -53,32 +59,20 @@ def _rhs_vector(
         along = np.einsum("...j,...j->...", table.diff, dxdot)
         a_dot = phi[..., None] * dxdot + (2.0 * dphi * along)[..., None] * table.diff
         b = b - params.psi * np.einsum("...j,...j->...", a_dot, du_prev)
-    return b
-
-
-def _constraint_rows(
-    params: SafetyParams, plant: Plant, table: PairTable, b_pairs: np.ndarray, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The full system (A, b): one row per pair, then the optional control box.
-
-    Pair (i, j) places +/-(G^T grad_h + psi*kappa*A) in the blocks of agents
-    i and j (exact negation because G is state-independent). A box bound c
-    adds the rows u_k >= -c and -u_k >= -c.
-    """
-    m = plant.control_dim
-    block = table.grad @ plant.actuation
+    block = table.grad @ actuation
     if params.psi > 0:
         block = block + (params.psi * params.kappa) * table.prop
-    rows = np.arange(len(b_pairs))[:, None]
-    cols = np.arange(m)
-    a = np.zeros((len(b_pairs), dim))
-    a[rows, table.idx_i[:, None] * m + cols] = block
-    a[rows, table.idx_j[:, None] * m + cols] = -block
+    pairs = np.arange(block.shape[-2])
+    a = np.zeros(block.shape[:-1] + u_prev.shape[-2:])
+    a[..., pairs, table.idx_i, :] = block
+    a[..., pairs, table.idx_j, :] = -block
+    a = a.reshape(block.shape[:-1] + (dim,))
     if params.control_bound is None:
-        return a, b_pairs
+        return a, b
     eye = np.eye(dim)
-    box_b = np.full(2 * dim, -params.control_bound)
-    return np.vstack([a, eye, -eye]), np.concatenate([b_pairs, box_b])
+    box_a = np.broadcast_to(np.vstack([eye, -eye]), a.shape[:-2] + (2 * dim, dim))
+    box_b = np.full(b.shape[:-1] + (2 * dim,), -params.control_bound)
+    return np.concatenate([a, box_a], axis=-2), np.concatenate([b, box_b], axis=-1)
 
 
 def row_count(params: SafetyParams, n_agents: int, control_dim: int) -> int:
@@ -104,6 +98,11 @@ def _nnls(
     same holds when a solve after a step back fails: the pass is undone and
     the entering coordinate skipped.
 
+    On a free-set solve ||E y - f||^2 = ||f||^2 - c^T y, which exact passes
+    lower; a pass that replaces y without raising c^T y has met rounding
+    (an empty LDP polyhedron leaves gradients just above ``tol`` at a near-zero
+    residual), and the loop stops converged instead of cycling.
+
     ``passive`` (bool per coordinate; None is empty) is the starting free set
     and receives the final one. Coordinates whose solve on it is nonpositive
     leave it first, and a singular solve empties it. The result is the solve
@@ -127,13 +126,12 @@ def _nnls(
         passive[idx[z <= 0.0]] = False
         idx = np.flatnonzero(passive)
     w = c - gram @ y
+    fit = c @ y
     for _ in range(3 * n):
         candidates = np.where(passive, -np.inf, w)
         j = int(np.argmax(candidates))
         if candidates[j] <= tol:
-            if start is not None:
-                start[:] = passive
-            return y
+            break
         passive[j] = True
         idx = np.flatnonzero(passive)
         try:
@@ -170,7 +168,14 @@ def _nnls(
         y = np.zeros(n)
         y[idx] = z
         w = c - gram @ y
-    raise SolverError(f"NNLS did not converge in {3 * n} passes")
+        fit, last = c @ y, fit
+        if not fit > last:
+            break
+    else:
+        raise SolverError(f"NNLS did not converge in {3 * n} passes")
+    if start is not None:
+        start[:] = passive
+    return y
 
 
 def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
@@ -248,37 +253,29 @@ def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
 
 
 def needs_solve(b: np.ndarray) -> np.ndarray:
-    """Whether a step needs the solver: some pair's right-hand side is positive.
+    """Whether a step needs the solver: some row's right-hand side is positive.
 
-    Otherwise the joint zero control is optimal, under box bounds too. The
-    last axis is reduced, so a batch of right-hand sides gives one flag per
-    rollout. A NaN right-hand side counts as positive, so that the solver
+    Otherwise the joint zero control is optimal; box rows (right-hand side
+    -c < 0) never flag. The last axis is reduced, so a batch of right-hand
+    sides gives one flag per rollout. A NaN right-hand side counts as positive, so that the solver
     rejects it instead of the step passing as unconstrained.
     """
     return ~(np.max(b, axis=-1, initial=0.0) <= TOL_PRIMAL)
 
 
 def fast_control(
-    b: np.ndarray,
-    params: SafetyParams,
-    plant: Plant,
-    table: PairTable,
-    passive: np.ndarray | None = None,
+    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None
 ) -> tuple[np.ndarray, str, float]:
     """The minimum-effort joint control of one rollout-step, as (u, status,
-    slack_used) with u an N x m array, from the step's pair geometry ``table``
-    and its row ``b`` of the batch's ``_rhs_vector``. ``solve_qp`` solves the
-    ``_constraint_rows``, warm-started from ``passive`` (one bool per row, see
-    ``row_count``), which receives the free set of the answer.
+    slack_used) with u flat (N*m,), from the step's rows (a, b) of the
+    batch's ``_constraint_rows``. ``solve_qp`` solves them warm-started from
+    ``passive`` (one bool per row, see ``row_count``), which receives the
+    free set of the answer.
     """
-    # Pairs are enumerated i < j, so the last one is (N - 2, N - 1).
-    n_agents = int(table.idx_j[-1]) + 1
-    m = plant.control_dim
-    a, b = _constraint_rows(params, plant, table, b, n_agents * m)
     try:
         u, _, status, slack = solve_qp(a, b, passive)
     except ValueError as exc:  # non-finite state or config values
         raise SolverError(str(exc)) from exc
     if not np.all(np.isfinite(u)):
         raise SolverError("QP returned a non-finite control")
-    return u.reshape(n_agents, m), status, slack
+    return u, status, slack

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .controller import STATUS_OPTIMAL, _rhs_vector, fast_control, needs_solve, row_count
+from .controller import STATUS_OPTIMAL, _constraint_rows, fast_control, needs_solve, row_count
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
@@ -103,16 +103,17 @@ def _control(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint controls of a batch of rollouts, and which ones relaxed.
 
-    ``fast_control`` solves row r of the batch's right-hand sides only where
-    ``needs_solve`` flags it; elsewhere the zero control is optimal. Row r of
-    ``passive`` is rollout r's warm start, updated in place.
+    The batch's constraint systems are built once; ``fast_control`` solves
+    rollout r's only where ``needs_solve`` flags it, and elsewhere the zero
+    control is optimal. Row r of ``passive`` is rollout r's warm start,
+    updated in place.
     """
-    params = config.safety
-    b = _rhs_vector(u_prev, params, plant, table)
+    a, b = _constraint_rows(u_prev, config.safety, plant, table)
     u = np.zeros(u_prev.shape)
+    flat = u.reshape(len(u), a.shape[-1])
     relaxed = np.zeros(len(u_prev), dtype=bool)
     for r in np.flatnonzero(needs_solve(b)):
-        u[r], status, _ = fast_control(b[r], params, plant, table[r], passive[r])
+        flat[r], status, _ = fast_control(a[r], b[r], passive[r])
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 

@@ -84,15 +84,6 @@ class PairTable:
         else:
             self.gamma = np.zeros_like(self.h)
 
-    def __getitem__(self, r) -> PairTable:
-        """The table of joint state r of a batch, as views (nothing recomputed)."""
-        table = object.__new__(type(self))
-        table.idx_i = self.idx_i
-        table.idx_j = self.idx_j
-        for name in ("diff", "dist_sq", "dist", "h", "grad", "prop", "gamma"):
-            setattr(table, name, getattr(self, name)[r])
-        return table
-
     def weighted_margins(self, u: np.ndarray, psi: float) -> np.ndarray:
         """h_tilde for every pair at the joint control u (..., N, m).
 

@@ -11,7 +11,7 @@ for the engine's batched spawn rounds.
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from cbfcert.controller import _rhs_vector, fast_control
+from cbfcert.controller import _constraint_rows, fast_control
 from cbfcert.errors import SetupError
 from cbfcert.safety import PairTable
 from cbfcert.sysmodel import sample_initial_state
@@ -229,7 +229,7 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
     """Spawn one rollout: draw candidates until one's first control is safe enough.
 
     Each candidate is a state from ``sample_initial_state``; its first control
-    is ``fast_control`` on its own right-hand side with zero previous control
+    is ``fast_control`` on its own constraint rows with zero previous control
     and no warm start. The candidate is accepted when every pair's weighted
     margin at that control reaches ``config.h_min``. Returns the state, the
     control, the solver status and the number of candidates drawn; raises
@@ -240,8 +240,8 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
     for draws in range(1, max_draws + 1):
         x = sample_initial_state(sys_cfg, rng)
         table = PairTable(x, params, sys_cfg.noise_bound)
-        b = _rhs_vector(u_zero, params, model, table)
-        u, status, _ = fast_control(b, params, model, table)
+        u, status, _ = fast_control(*_constraint_rows(u_zero, params, model, table))
+        u = u.reshape(u_zero.shape)
         if float(np.min(table.weighted_margins(u, params.psi))) >= config.h_min:
             return x, u, status, draws
     raise SetupError(f"no initial configuration reached margin {config.h_min}")

@@ -240,7 +240,6 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert f"system.{key}" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_overflowing_state_exits_4(self, tmp_path, capsys, jobs):
         # A finite config whose noise overflows the state: the NaN right-hand

@@ -9,7 +9,6 @@ from cbfcert.controller import (
     STATUS_OPTIMAL,
     _constraint_rows,
     _nnls,
-    _rhs_vector,
     fast_control,
     row_count,
     solve_qp,
@@ -56,10 +55,8 @@ def solve(a, b):
 
 def rows(x, u_prev, params, w_bar, model=MODEL):
     """The (A, b) that fast_control solves for this step."""
-    x = np.asarray(x, dtype=float)
-    table = PairTable(x, params, w_bar)
-    b = _rhs_vector(np.asarray(u_prev, dtype=float), params, model, table)
-    return _constraint_rows(params, model, table, b, x.shape[0] * model.control_dim)
+    table = PairTable(np.asarray(x, dtype=float), params, w_bar)
+    return _constraint_rows(np.asarray(u_prev, dtype=float), params, model, table)
 
 
 class TestAssembleConstraints:
@@ -129,13 +126,17 @@ class TestAssembleConstraints:
 
 
     @reference_cases
-    def test_batched_rhs_matches_each_joint_state(self, rng, model, dynamics, params):
+    def test_batched_rows_match_each_joint_state(self, rng, model, dynamics, params):
+        # Slice r of the system built on a batch's table is bit for bit the
+        # system of joint state r alone (the lockstep rollouts rely on it).
         x = rng.uniform(-2.0, 2.0, size=(6, 4, model.state_dim))
         u_prev = rng.uniform(-0.5, 0.5, size=(6, 4, model.control_dim))
-        b = _rhs_vector(u_prev, params, model, PairTable(x, params, 0.03))
+        a, b = _constraint_rows(u_prev, params, model, PairTable(x, params, 0.03))
+        assert a.shape == (6, row_count(params, 4, model.control_dim), 4 * model.control_dim)
         for r in range(len(x)):
-            table = PairTable(x[r], params, 0.03)
-            assert np.array_equal(b[r], _rhs_vector(u_prev[r], params, model, table))
+            a_r, b_r = _constraint_rows(u_prev[r], params, model, PairTable(x[r], params, 0.03))
+            assert a[r].tobytes() == a_r.tobytes()
+            assert b[r].tobytes() == b_r.tobytes()
 
 
 class TestSolveQP:
@@ -270,6 +271,25 @@ class TestSolveQP:
         assert slack == pytest.approx(min_shared_slack_lp(a, b), abs=1e-10)
         assert (b - a @ u).max() <= slack + 1e-12
 
+    def test_empty_polyhedron_at_rounding_level_residual_relaxes(self):
+        # The same parameters, rollout seed 2180: no control satisfies every
+        # row, and the exact NNLS reaches a residual of about 1e-11 with
+        # entering gradients just above its tolerance. It must stop there and
+        # hand the step to the relaxation instead of cycling between two
+        # free sets until its pass budget runs out.
+        pairs = np.array([
+            [-3.232480675379941, -0.56049194385062, 3.232480675379941, 0.56049194385062, 0.0, 0.0],
+            [-1.424177868594625, 2.2967198591812976, 0.0, 0.0, 1.424177868594625, -2.2967198591812976],
+            [0.0, 0.0, 1.818842195607827, 2.836247034890321, -1.818842195607827, -2.836247034890321],
+        ])
+        a = np.vstack([pairs, np.eye(6), -np.eye(6)])
+        b = np.append([0.029204691550921785, 0.08207046243405312, 0.01964061811006182], np.full(12, -0.01))
+        assert min_shared_slack_lp(a, b) > 1e-7
+        u, _, status, slack = solve_qp(a, b)
+        assert status == STATUS_INFEASIBLE_RELAXED
+        assert slack == pytest.approx(min_shared_slack_lp(a, b), abs=1e-10)
+        assert (b - a @ u).max() <= slack + 1e-12
+
     def test_relaxed_matches_slsqp_on_augmented_rows(self, rng):
         # The shared-slack problem min ||u||^2 + rho*s^2 s.t. a u + s >= b,
         # s >= 0 is a plain minimum-norm problem in (u, sqrt(rho)*s) over the
@@ -304,11 +324,10 @@ class TestSolveQP:
 
 
 def control(x, u_prev, params, w_bar, model=MODEL, passive=None):
-    """fast_control on the right-hand side of one joint state, as the engine calls it."""
-    x = np.asarray(x, dtype=float)
-    table = PairTable(x, params, w_bar)
-    b = _rhs_vector(np.asarray(u_prev, dtype=float), params, model, table)
-    return fast_control(b, params, model, table, passive)
+    """fast_control on the rows of one joint state, as the engine calls it,
+    with the control reshaped to N x m."""
+    u, status, slack = fast_control(*rows(x, u_prev, params, w_bar, model), passive)
+    return u.reshape(np.shape(u_prev)), status, slack
 
 
 class TestControlStep:

@@ -290,6 +290,15 @@ class TestRunGroup:
         assert rollouts.relaxed_steps.shape == (1, 3)
         assert np.all(rollouts.relaxed_steps >= 1)
 
+    def test_empty_control_box_polyhedra_relax_instead_of_failing(self):
+        # The golden control_bound parameters: at these seeds some step's rows
+        # admit no control inside the 0.01 box, and the exact NNLS must give
+        # that step to the relaxation rather than fail to converge.
+        cfg = build_config(golden_config("control_bound"))
+        rollouts = run_rollouts(cfg, range(2024, 2084))
+        empty = np.array([2040, 2059, 2067, 2068, 2072, 2076]) - 2024
+        assert np.all(rollouts.relaxed_steps[empty] >= 1)
+
 
 def spawn_case(case):
     """(config, seeds) of a spawn check, run for one step past the spawn.
@@ -342,8 +351,8 @@ class TestSpawn:
             x0, u0, status, n_draws = spawn_one_by_one(cfg, model, rng)
             x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0], cfg.system.dt, model)
             table = PairTable(x1, params, cfg.system.noise_bound)
-            b = rollout._rhs_vector(u0, params, model, table)
-            u1 = rollout.fast_control(b, params, model, table)[0]
+            u1 = rollout.fast_control(*rollout._constraint_rows(u0, params, model, table))[0]
+            u1 = u1.reshape(u0.shape)
             h0 = PairTable(x0, params, cfg.system.noise_bound).weighted_margins(u0, params.psi)
             h1 = table.weighted_margins(u1, params.psi)
             want = [np.stack([x0, x1]), np.stack([u0, u1]), np.array([np.min(h0), np.min(h1)])]
@@ -371,25 +380,26 @@ class TestSpawn:
             run_rollouts(cfg, seeds)
 
     def test_fast_control_runs_exactly_for_needs_solve_rows(self, monkeypatch):
-        # Every right-hand side batch, spawn rounds included, hands exactly
-        # its needs_solve rows to fast_control, in order.
+        # Every batch's constraint systems, spawn rounds included, hand
+        # exactly their needs_solve rollouts to fast_control, in order.
         cfg, seeds = spawn_case("margin_rejections")
         cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, horizon_steps=5))
         batches, solved = [], []
-        rhs, solve = rollout._rhs_vector, rollout.fast_control
+        build, solve = rollout._constraint_rows, rollout.fast_control
         monkeypatch.setattr(
-            rollout, "_rhs_vector", lambda *args: batches.append(rhs(*args)) or batches[-1]
+            rollout, "_constraint_rows", lambda *args: batches.append(build(*args)) or batches[-1]
         )
         monkeypatch.setattr(
-            rollout, "fast_control", lambda b, *args: solved.append(b) or solve(b, *args)
+            rollout, "fast_control", lambda a, b, p: solved.append((a, b)) or solve(a, b, p)
         )
         run_rollouts(cfg, seeds)
         spawn_rounds = len(batches) - cfg.system.horizon_steps
         assert spawn_rounds > 1
-        expected = [row for b in batches for row in b[needs_solve(b)]]
-        assert sum(needs_solve(b).sum() for b in batches[:spawn_rounds]) > 0
+        expected = [(a[r], b[r]) for a, b in batches for r in np.flatnonzero(needs_solve(b))]
+        assert sum(needs_solve(b).sum() for _, b in batches[:spawn_rounds]) > 0
         assert len(solved) == len(expected)
-        assert all(got.tobytes() == want.tobytes() for got, want in zip(solved, expected))
+        for got, want in zip(solved, expected):
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 class TestExperimentConfigValidation:
