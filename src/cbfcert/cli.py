@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .bounds import GroupStats, certificate
 from .errors import ConfigError, SetupError, SolverError
-from .rollout import ExperimentConfig, Rollouts, run_experiment
+from .rollout import ExperimentConfig, Rollouts, run_experiment, run_experiments
 
 PSI_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 TABLE1_NOISE_GRID = (0.01, 0.03, 0.05)
@@ -263,11 +263,12 @@ def _run(args) -> int:
     line included) and returns (csv name, columns, rows). That CSV is written
     under the provenance lines, then ``run_manifest.json``.
 
-    ``pool`` is the command's one set of ``--jobs`` worker processes, shared
-    by all its cells (None for ``--jobs 1``); it is shut down once the body
+    ``pool`` is the command's one set of ``--jobs`` worker processes (None
+    for ``--jobs 1``); the body submits the chunks of all its cells to it at
+    once (``rollout.run_experiments``). It is shut down once the body
     returns or raises, with the chunks not yet started cancelled. It uses
     the platform's default start method: on Linux the workers are forked
-    when the first cell submits, before the pool starts its own thread,
+    when the chunks are submitted, before the pool starts its own thread,
     while spawned workers would each import numpy again, which costs more
     than the cells of a small command.
     """
@@ -324,16 +325,11 @@ def _cell(config: ExperimentConfig, manifest: dict, **overrides) -> ExperimentCo
     return cell
 
 
-def _certified_cell(config: ExperimentConfig, jobs: int, pool, record_trajectory: bool = False):
-    """Run one cell's groups and build their certificate report."""
-    rollouts, z, x_flags = run_experiment(
-        config, jobs=jobs, record_trajectory=record_trajectory, pool=pool
-    )
-    return rollouts, certificate(config, x_flags, z, rollouts.max_control_norm)
-
-
 def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
-    rollouts, report = _certified_cell(config, args.jobs, pool, args.dump_trajectories)
+    rollouts, z, x_flags = run_experiment(
+        config, jobs=args.jobs, record_trajectory=args.dump_trajectories, pool=pool
+    )
+    report = certificate(config, x_flags, z, rollouts.max_control_norm)
     _write_json(
         args.out / "certificate.json",
         {
@@ -377,29 +373,32 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
 
 
 def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
+    cells = [
+        _cell(config, manifest, system={"n_agents": n_agents, "noise_bound": w_bar})
+        for n_agents in TABLE1_AGENT_GRID
+        for w_bar in TABLE1_NOISE_GRID
+    ]
     rows = []
-    for n_agents in TABLE1_AGENT_GRID:
-        for w_bar in TABLE1_NOISE_GRID:
-            cell = _cell(config, manifest, system={"n_agents": n_agents, "noise_bound": w_bar})
-            _, report = _certified_cell(cell, args.jobs, pool)
-            p_hat, eps_b, eps_h, eps_s = (
-                float(np.mean([getattr(s, name) for s in report.group_stats]))
-                for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
-            )
-            b_sat = report.bernstein_satisfaction
-            h_sat = report.hoeffding_satisfaction
-            s_sat = report.scenario_satisfaction
-            rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
-            print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")
+    for cell, (rollouts, z, x_flags) in zip(cells, run_experiments(cells, args.jobs, pool)):
+        report = certificate(cell, x_flags, z, rollouts.max_control_norm)
+        p_hat, eps_b, eps_h, eps_s = (
+            float(np.mean([getattr(s, name) for s in report.group_stats]))
+            for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
+        )
+        b_sat = report.bernstein_satisfaction
+        h_sat = report.hoeffding_satisfaction
+        s_sat = report.scenario_satisfaction
+        w_bar, n_agents = cell.system.noise_bound, cell.system.n_agents
+        rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
+        print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")
     print(f"wrote {args.out / 'table1.csv'}")
     columns = ["w_bar", "N", "p_hat", "eps_B", "eps_H", "eps_S", "B_sat", "H_sat", "S_sat"]
     return "table1.csv", columns, rows
 
 
 def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
-    rows = []
-    for psi in PSI_GRID:
-        cell = _cell(
+    cells = [
+        _cell(
             config,
             manifest,
             groups=1,
@@ -407,7 +406,10 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
             system={"noise_bound": SWEEP_PSI_NOISE},
             safety={"psi": psi},
         )
-        rollouts, _, x_flags = run_experiment(cell, jobs=args.jobs, pool=pool)
+        for psi in PSI_GRID
+    ]
+    rows = []
+    for psi, (rollouts, _, x_flags) in zip(PSI_GRID, run_experiments(cells, args.jobs, pool)):
         p_hat_v = float(x_flags.mean())
         min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))

@@ -11,6 +11,7 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -233,44 +234,61 @@ def run_group(
     )
 
 
+def run_experiments(
+    configs, jobs: int = 1, pool: Executor | None = None, record_trajectory: bool = False
+) -> list[tuple[Rollouts, np.ndarray, np.ndarray]]:
+    """Every cell's rollouts as (G, P) arrays, with their scores and flags, per cell.
+
+    Each cell's G x P seeds, in group order, are cut into
+    ``min(G * P, ceil(jobs / len(configs)))`` near-equal contiguous chunks (a
+    chunk may end inside a group), so a command with at least ``jobs`` cells
+    runs each cell as one batch. Each chunk is one ``run_rollouts`` batch;
+    all chunks of all cells are mapped over ``pool`` in one call when one is
+    given, and run in this process otherwise. Each cell's batches are joined
+    in seed order, so the result is the same for any ``jobs`` and any pool.
+    """
+    per_cell = math.ceil(jobs / len(configs))
+    cells, unit_configs, chunks = [], [], []
+    for config in configs:
+        shape = (config.groups, config.rollouts_per_group)
+        seeds = [rollout_seed(config, g, p) for g in range(shape[0]) for p in range(shape[1])]
+        n_chunks = min(per_cell, len(seeds))
+        bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
+        unit_configs += [config] * n_chunks
+        chunks += [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+        cells.append((config, shape, n_chunks))
+    mapper = map if pool is None else pool.map
+    batches = mapper(run_rollouts, unit_configs, chunks, [record_trajectory] * len(chunks))
+
+    def joined(arrays, shape) -> np.ndarray:
+        return np.concatenate(arrays).reshape(shape + arrays[0].shape[1:])
+
+    results = []
+    for config, shape, n_chunks in cells:
+        parts = [next(batches) for _ in range(n_chunks)]
+        rollouts = Rollouts(
+            **{
+                f.name: joined([getattr(b, f.name) for b in parts], shape)
+                for f in fields(Rollouts)
+                if f.name != "trajectory"
+            },
+            trajectory=(
+                tuple(joined(t, shape) for t in zip(*(b.trajectory for b in parts)))
+                if record_trajectory
+                else None
+            ),
+        )
+        z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
+        results.append((rollouts, z, x_flags))
+    return results
+
+
 def run_experiment(
     config: ExperimentConfig,
     jobs: int = 1,
     record_trajectory: bool = False,
     pool: Executor | None = None,
 ) -> tuple[Rollouts, np.ndarray, np.ndarray]:
-    """All rollouts of the experiment as (G, P) arrays, with their scores and flags.
-
-    The G x P seeds, in group order, are cut into ``min(jobs, G * P)``
-    near-equal contiguous chunks (a chunk may end inside a group); each chunk
-    is one ``run_rollouts`` batch, mapped over ``pool`` when one is given and
-    run in this process otherwise. The batches are joined in seed order, so
-    the result is the same for any ``jobs`` and any pool.
-    """
-    shape = (config.groups, config.rollouts_per_group)
-    seeds = [rollout_seed(config, g, p) for g in range(shape[0]) for p in range(shape[1])]
-    n_chunks = min(jobs, len(seeds))
-    bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
-    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    mapper = map if pool is None else pool.map
-    batches = list(
-        mapper(run_rollouts, [config] * n_chunks, chunks, [record_trajectory] * n_chunks)
-    )
-
-    def joined(parts) -> np.ndarray:
-        return np.concatenate(parts).reshape(shape + parts[0].shape[1:])
-
-    rollouts = Rollouts(
-        **{
-            f.name: joined([getattr(b, f.name) for b in batches])
-            for f in fields(Rollouts)
-            if f.name != "trajectory"
-        },
-        trajectory=(
-            tuple(map(joined, zip(*(b.trajectory for b in batches))))
-            if record_trajectory
-            else None
-        ),
-    )
-    z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
-    return rollouts, z, x_flags
+    """All rollouts of one experiment: ``run_experiments`` on one cell, whose
+    G x P seeds are cut into ``min(jobs, G * P)`` chunks."""
+    return run_experiments([config], jobs, pool, record_trajectory)[0]

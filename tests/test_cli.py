@@ -1,10 +1,11 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -348,12 +349,14 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
     def test_manifest_records_each_cell_that_ran(self, tmp_path, monkeypatch, command):
-        # Each run_manifest.json cell carries the hash of the config its
-        # run_experiment call received, in order; verify records no cells.
+        # Each run_manifest.json cell carries the hash of the config that
+        # run_experiments received for it, in order; verify records no cells.
         ran = []
-        run = cli.run_experiment
+        run = cli.run_experiments
         monkeypatch.setattr(
-            cli, "run_experiment", lambda cfg, **kw: ran.append(config_hash(cfg)) or run(cfg, **kw)
+            cli,
+            "run_experiments",
+            lambda cfgs, *a: ran.extend(map(config_hash, cfgs)) or run(cfgs, *a),
         )
         cfg_path = write_config(tmp_path, TINY)
         out = tmp_path / "x"
@@ -415,6 +418,73 @@ class TestWorkerPool:
         assert main([command, "--out", str(out), "--jobs", jobs]) == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class SpyExecutor(Executor):
+    """Stands in for the worker pool: runs each submitted call at once in
+    this process, and logs every submit (with the chunk's seed count) and
+    every result the caller joins."""
+
+    events: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        events = self.events
+
+        class LoggedFuture(Future):
+            def result(self, timeout=None):
+                events.append("join")
+                return super().result(timeout)
+
+        future = LoggedFuture()
+        future.set_result(fn(*args, **kwargs))
+        events.append(("submit", len(args[1])))
+        return future
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "command, csv_name", [("reproduce-table1", "table1.csv"), ("sweep-psi", "psi_sweep.csv")]
+    )
+    def test_sweep_bodies_equal_at_any_jobs(self, tmp_path, command, csv_name):
+        cfg_path = write_config(tmp_path, TINY)
+        bodies = set()
+        for jobs in ("1", "2", "3", "7"):
+            out = tmp_path / jobs
+            args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]
+            assert main(args) == 0
+            bodies.add(csv_body(out / csv_name))
+        assert len(bodies) == 1
+
+    @pytest.mark.parametrize(
+        "command, units",
+        [("reproduce-table1", [6] * 6), ("sweep-psi", [100] * 6), ("verify", [3, 3])],
+    )
+    def test_every_unit_is_submitted_before_any_is_joined(
+        self, tmp_path, monkeypatch, command, units
+    ):
+        # At --jobs 2 a six-cell sweep submits one whole cell per work unit
+        # and verify cuts its one cell in two; every unit is submitted
+        # before the first result is joined.
+        monkeypatch.setattr(SpyExecutor, "events", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "2"]
+        assert main(args) == 0
+        assert SpyExecutor.events == [("submit", n) for n in units] + ["join"] * len(units)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crowded_table1_cell_exits_3(self, tmp_path, capsys, jobs):
+        # A 2 x 2 spawn square holds two agents at separation 1 but is too
+        # crowded for three, so the N = 3 cells fail to spawn.
+        data = {**TINY, "system": {"horizon_steps": 5, "domain_half_width": 2.0}}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "x"
+        args = ["reproduce-table1", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]
+        assert main(args) == 3
+        assert "spawn domain too crowded: 3 agents" in capsys.readouterr().err
 
 
 class TestJobsDefault:
