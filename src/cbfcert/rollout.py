@@ -21,6 +21,7 @@ from .controller import STATUS_OPTIMAL, _constraint_rows, fast_control, needs_so
 from .errors import ConfigError, SetupError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
+    NOISE_BLOCK_STEPS,
     Plant,
     SystemConfig,
     dynamics_model,
@@ -128,9 +129,10 @@ def run_rollouts(
     state, takes its first control from ``_control`` (zero previous control,
     cold start) and keeps the rollouts whose min weighted margin there reaches
     ``h_min``, within ``_MAX_INITIAL_DRAWS`` draws per rollout. The batch then
-    alternates control solve, noise draw and Euler step for ``horizon_steps``
-    steps, recording margins at each of the ``horizon_steps + 1`` grid points,
-    each QP starting from the rows active at the rollout's previous solve.
+    alternates control solve and Euler step for ``horizon_steps`` steps,
+    recording margins at each of the ``horizon_steps + 1`` grid points, each
+    QP starting from the rows active at the rollout's previous solve. Noise
+    is drawn ``NOISE_BLOCK_STEPS`` steps at a time, at steps 0, B, 2B, ...
     """
     sys_cfg = config.system
     params = config.safety
@@ -181,7 +183,9 @@ def run_rollouts(
             frames.append((x, u, step_min))
         if k == sys_cfg.horizon_steps:
             break
-        x = euler_step(x, u, noise_array(sys_cfg, rngs), sys_cfg.dt, plant)
+        if k % NOISE_BLOCK_STEPS == 0:
+            noise = noise_array(sys_cfg, rngs)
+        x = euler_step(x, u, noise[:, k % NOISE_BLOCK_STEPS], sys_cfg.dt, plant)
         table = PairTable(x, params, sys_cfg.noise_bound)
         u, relaxed = _control(u, config, plant, table, passive)
         step_min = np.min(table.weighted_margins(u, params.psi), axis=-1)

@@ -23,10 +23,15 @@ DOUBLE_INTEGRATOR = "double_integrator"
 NOISE_BALL = "ball"
 NOISE_SPHERE = "sphere"
 
-# Rejection-sampling budget for initial configurations, in rounds, and the
-# largest block of rounds drawn at once.
+# Rejection-sampling budget for initial configurations, in rounds.
 _MAX_REJECTION_ROUNDS = 10_000
-_MAX_BLOCK_ROUNDS = 128
+
+# Each generator draws its disturbances NOISE_BLOCK_STEPS steps at a time
+# (``noise_array``) and its spawn rounds SPAWN_BLOCK_ROUNDS rounds at a time
+# (``sample_initial_state``). Both are part of the seed -> stream mapping:
+# changing either changes every rollout's draws.
+NOISE_BLOCK_STEPS = 16
+SPAWN_BLOCK_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -118,23 +123,24 @@ def euler_step(
 
 
 def noise_array(config: SystemConfig, rngs) -> np.ndarray:
-    """Draw one bounded disturbance per agent for each generator, as an
-    R x N x n array (slice r drawn from ``rngs[r]``).
+    """Draw the next ``NOISE_BLOCK_STEPS`` steps of bounded disturbance for
+    each generator, as an R x B x N x n array (slice r drawn from ``rngs[r]``,
+    its step k at ``[r, k]``).
 
     ``ball`` mode is uniform on the closed Euclidean ball of radius
     ``noise_bound`` (uniform direction, radius = bound * U^(1/n)); ``sphere``
     mode pins the norm at the bound. Either way the per-agent norm never
-    exceeds the bound. Each generator draws N x n standard normals, then (ball
-    mode) N uniforms, whatever the batch; the scaling runs once over the
-    batch. The generator consumption pattern is independent of
-    ``noise_bound``, so runs that differ only in the bound see the same
-    underlying draws scaled linearly (common random numbers across noise
-    levels).
+    exceeds the bound. Each generator draws B x N x n standard normals in one
+    call, then (ball mode) B x N uniforms in another, whatever the batch; the
+    scaling runs once over the batch. The generator consumption pattern is
+    independent of ``noise_bound``, so runs that differ only in the bound see
+    the same underlying draws scaled linearly (common random numbers across
+    noise levels).
     """
     n_agents, n = config.n_agents, config.state_dim
     ball = config.noise_dist == NOISE_BALL
-    z = np.empty((len(rngs), n_agents, n))
-    uniform = np.empty((len(rngs), n_agents))
+    z = np.empty((len(rngs), NOISE_BLOCK_STEPS, n_agents, n))
+    uniform = np.empty((len(rngs), NOISE_BLOCK_STEPS, n_agents))
     for r, rng in enumerate(rngs):
         rng.standard_normal(out=z[r])
         if ball:
@@ -159,10 +165,10 @@ def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.n
     which keeps the accepted distribution exchangeable across agents.
     Higher state coordinates (velocities) start at zero.
 
-    Rounds are drawn and tested in blocks of 1, 2, 4, ... up to
-    ``_MAX_BLOCK_ROUNDS``; after a hit the generator is rewound and the
-    rounds up to the accepted one are drawn again, so the state and the
-    stream are those of round-by-round sampling.
+    Rounds are drawn and tested ``SPAWN_BLOCK_ROUNDS`` at a time, in one
+    generator call per block (the last block is cut at the round budget); the
+    first valid round of a block is accepted, and the rest of the block stays
+    consumed.
     """
     n_agents = config.n_agents
     side = config.domain_half_width
@@ -178,24 +184,17 @@ def sample_initial_state(config: SystemConfig, rng: np.random.Generator) -> np.n
             f"in a {side} x {side} square"
         )
     first, second = pair_indices(n_agents)
-    rounds, block = 0, 1
-    while rounds < _MAX_REJECTION_ROUNDS:
-        k = min(block, _MAX_REJECTION_ROUNDS - rounds)
-        state = rng.bit_generator.state if k > 1 else None
+    for rounds in range(0, _MAX_REJECTION_ROUNDS, SPAWN_BLOCK_ROUNDS):
+        k = min(SPAWN_BLOCK_ROUNDS, _MAX_REJECTION_ROUNDS - rounds)
         pos = rng.uniform(0.0, side, size=(k, n_agents, 2))
         sq = np.take(pos, first, axis=1) - np.take(pos, second, axis=1)
         sq *= sq
         ok = (sq[..., 0] + sq[..., 1] >= sep * sep).all(axis=-1)
         a = int(ok.argmax())
         if ok[a]:
-            if a + 1 < k:
-                rng.bit_generator.state = state
-                rng.uniform(0.0, side, size=(a + 1, n_agents, 2))
             x = np.zeros((n_agents, config.state_dim))
             x[:, :2] = pos[a]
             return x
-        rounds += k
-        block = min(2 * block, _MAX_BLOCK_ROUNDS)
     raise SetupError(
         f"initial-state sampling did not terminate in {_MAX_REJECTION_ROUNDS} rounds"
     )

@@ -2,11 +2,14 @@
 
 Nothing here shares code with cbfcert internals: the QP oracles go through
 scipy and literal grid enumeration, the constraint rows are built pair by
-pair from the scalar formulas, and the samplers are plain rejection sampling.
-The one exception is ``spawn_one_by_one``: it drives the package's own sampler
-and per-step control one rollout and one candidate at a time, as the reference
-for the engine's batched spawn rounds.
+pair from the scalar formulas, the samplers are plain rejection sampling, and
+noise is scaled one agent at a time. The exceptions are ``spawn_one_by_one``,
+which drives the package's own sampler and per-step control one rollout and
+one candidate at a time, as the reference for the engine's batched spawn
+rounds, and ``rollout_one_by_one``, which steps one rollout on that spawn.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -197,32 +200,68 @@ def ball_samples_rejection(rng, radius, n, dim=2):
     return out
 
 
-def spawn_round_by_round(config, rng, max_rounds=10_000):
-    """Spawn positions redrawn one round at a time, pairs checked one by one.
+def spawn_block_by_block(config, rng, block, max_rounds=10_000):
+    """Spawn positions drawn in blocks of ``block`` rounds, pairs checked one by one.
 
     Each round draws all N positions from ``rng`` as an N x 2 array, uniform
-    on the square of side ``domain_half_width``, and is accepted when every
-    pair's squared distance reaches the squared separation. Returns the N x n
-    joint state (velocities zero), or None when ``max_rounds`` rounds all fail.
+    on the square of side ``domain_half_width``, and is valid when every
+    pair's squared distance reaches the squared separation. Rounds are drawn
+    one at a time, but always a whole block of them (the last block cut at
+    ``max_rounds``); the first valid round of a block is returned, after the
+    rest of the block is drawn. Returns the N x n joint state (velocities
+    zero), or None when ``max_rounds`` rounds all fail.
     """
     n_agents = config.n_agents
     side = config.domain_half_width
     sep = config.min_initial_separation
     sep_sq = sep * sep
-    for _ in range(max_rounds):
-        pos = rng.uniform(0.0, side, size=(n_agents, 2))
-        pts = pos.tolist()
-        if all(
-            (pts[i][0] - pts[j][0]) * (pts[i][0] - pts[j][0])
-            + (pts[i][1] - pts[j][1]) * (pts[i][1] - pts[j][1])
-            >= sep_sq
-            for i in range(n_agents)
-            for j in range(i + 1, n_agents)
-        ):
+    drawn = 0
+    while drawn < max_rounds:
+        accepted = None
+        for _ in range(min(block, max_rounds - drawn)):
+            pos = rng.uniform(0.0, side, size=(n_agents, 2))
+            drawn += 1
+            pts = pos.tolist()
+            if accepted is None and all(
+                (pts[i][0] - pts[j][0]) * (pts[i][0] - pts[j][0])
+                + (pts[i][1] - pts[j][1]) * (pts[i][1] - pts[j][1])
+                >= sep_sq
+                for i in range(n_agents)
+                for j in range(i + 1, n_agents)
+            ):
+                accepted = pos
+        if accepted is not None:
             x = np.zeros((n_agents, config.state_dim))
-            x[:, :2] = pos
+            x[:, :2] = accepted
             return x
     return None
+
+
+def noise_blocks(config, rng, blocks, block):
+    """``blocks`` consecutive noise blocks of one generator, as a
+    (blocks * block) x N x n array of per-step disturbances.
+
+    Each block draws block * N * n standard normals, then (ball mode)
+    block * N uniforms. Agent i's disturbance at a step is its normal vector
+    scaled to norm ``noise_bound`` (sphere) or ``noise_bound * U^(1/n)``
+    (ball), computed one agent at a time.
+    """
+    n_agents, n = config.n_agents, config.state_dim
+    bound = config.noise_bound
+    steps = []
+    for _ in range(blocks):
+        z = rng.standard_normal(block * n_agents * n).reshape(block, n_agents, n)
+        if config.noise_dist == "ball":
+            uniform = rng.random(block * n_agents).reshape(block, n_agents)
+        for k in range(block):
+            w = np.empty((n_agents, n))
+            for i in range(n_agents):
+                radius = bound
+                if config.noise_dist == "ball":
+                    radius *= uniform[k, i] ** (1.0 / n)
+                w[i] = z[k, i] * (radius / math.sqrt(sum(v * v for v in z[k, i].tolist())))
+            steps.append(w)
+    return np.array(steps)
 
 
 def spawn_one_by_one(config, model, rng, max_draws=1_000):
@@ -245,6 +284,30 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
         if float(np.min(table.weighted_margins(u, params.psi))) >= config.h_min:
             return x, u, status, draws
     raise SetupError(f"no initial configuration reached margin {config.h_min}")
+
+
+def rollout_one_by_one(config, model, seed, block):
+    """One rollout stepped on its own: states and controls at its K + 1 grid
+    points, as (K + 1) x N x n and (K + 1) x N x m arrays.
+
+    It spawns through ``spawn_one_by_one``, then draws its noise from the
+    same generator with ``noise_blocks`` (blocks of ``block`` steps, drawn
+    whole) and solves each step's control with ``fast_control`` on its own
+    rows, from a cold start, with plain Euler steps between.
+    """
+    sys_cfg, params = config.system, config.safety
+    rng = np.random.default_rng(seed)
+    x, u, _, _ = spawn_one_by_one(config, model, rng)
+    steps = sys_cfg.horizon_steps
+    noise = noise_blocks(sys_cfg, rng, -(-steps // block), block)
+    xs, us = [x], [u]
+    for k in range(steps):
+        x = x + sys_cfg.dt * (x @ model.drift.T + u @ model.actuation.T + noise[k])
+        table = PairTable(x, params, sys_cfg.noise_bound)
+        u = fast_control(*_constraint_rows(u, params, model, table))[0].reshape(u.shape)
+        xs.append(x)
+        us.append(u)
+    return np.array(xs), np.array(us)
 
 
 def sampled_disturbance_sup(grad, w_bar, rng, n=10_000):

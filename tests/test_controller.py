@@ -16,6 +16,7 @@ from cbfcert.controller import (
 from cbfcert.errors import SolverError
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import (
+    NOISE_BLOCK_STEPS,
     SystemConfig,
     dynamics_model,
     euler_step,
@@ -404,10 +405,12 @@ def crowded_steps(seed, steps=20, params=CROWDED_PARAMS):
     x = sample_initial_state(CROWDED, gen)
     u = np.zeros((CROWDED.n_agents, 2))
     out = []
-    for _ in range(steps):
+    for k in range(steps):
         out.append((x, u))
         u = control(x, u, params, CROWDED.noise_bound)[0]
-        x = euler_step(x, u, noise_array(CROWDED, [gen])[0], CROWDED.dt, MODEL)
+        if k % NOISE_BLOCK_STEPS == 0:
+            noise = noise_array(CROWDED, [gen])[0]
+        x = euler_step(x, u, noise[k % NOISE_BLOCK_STEPS], CROWDED.dt, MODEL)
     return out
 
 

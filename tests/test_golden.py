@@ -69,25 +69,25 @@ CASES = {
 }
 
 GOLDEN = {
-    "single_psi2": "2fc932a1c1aaea64788d76391738c72ff824440a4ccb6ad079c8f37541a73e84",
-    "control_bound": "1a6f7ca6da71daaeef9def71a68bb158f58989fcfe4a34df9c81cc1d5160c703",
-    "freeze_adot": "6cb4191e2fba354cc7b1e7d0b72e66a1d9fe22ac51bd7768ff68718af51ba539",
-    "double_integrator": "1496e1db4f7a846e3a6319dc29b29499effcd82a7efabfcd5911b966a1bc0d73",
-    "crowded_n12": "f7d7e39fffa1a358ec1bf5cfc28236daa39f16d54a689117a3945c8024b145c5",
+    "single_psi2": "b975b018306c81db55f69e641718df09be353dbaa631f05ba8fe016976ad484c",
+    "control_bound": "fd974fc554be2db4e262ac3deaddb9be06f0299d20331712a804a46ca83bad74",
+    "freeze_adot": "06840f3137f3fca828f24faa4486c82fdd3f3eaea153263b7692aa51b6085f30",
+    "double_integrator": "4eca0171dfa9aef937cd06f821713fb0ccfe8b80484e722f420851a392add8a0",
+    "crowded_n12": "ed69a56a141b3a15021f442691d568c46e1a306f35a1a98bbd41b20ff0d34395",
 }
 
 # (certificate.json, run_manifest.json) per case, masked as in _json_digest.
 GOLDEN_JSON = {
     "single_psi2": (
-        "d47232a62f6dcd9a3dd22bbbe414090088e4b5d458ada3c04f48a4304c074bf3",
+        "1ec2682cf1815f16a26f571a678689c8ba4c19014f41ee63892a85f25ae3dee0",
         "ac7b8c8239673f98bdc18723c6db75a54e1049790483809220ca4bd8e62b309c",
     ),
     "control_bound": (
-        "1ef91937c00c6f97860597052ec419a2494cf4647af073c7240c93f0bfb0add9",
+        "7ea8d10914c75944791182340b033aea433c734d3d92ce00f9ea1104fa71b172",
         "1e76ebc64a7d8c642abba7d656a773227ba203dc2dc4debf1c23c370264feb80",
     ),
     "freeze_adot": (
-        "bc3f26ea459291a7ec80be83382f179a1c2385feed658c144f7f131e51d519a2",
+        "0ff686d806d8a4487720933cb3d014638fba835ef7071bd6a0cf6363548f673b",
         "81206f7453e40f6fb7e2f219c46e72bbb7c5818053495e7a9ec31cafefadf008",
     ),
     "double_integrator": (
@@ -128,8 +128,8 @@ SWEEPS = {
 }
 
 GOLDEN_SWEEPS = {
-    "reproduce-table1": "7452e00989b83db73d97cd82a4835b086b124595560ed9d57466566438d057db",
-    "sweep-psi": "422230e4783a8bcdeb9586b65f2ede7614e9fa9f8c0b8abf89f9dacd1268c3fa",
+    "reproduce-table1": "538234ff64e5611f99b5faa24c38bb0ea13b081706ccc0698c9187e3808c2a2f",
+    "sweep-psi": "07fbfdad5e0d46c8ec872189b37e494bc9e59162aff28ef2c43b83d16fbe4d55",
 }
 
 

@@ -32,7 +32,7 @@ from cbfcert.sysmodel import (
     noise_array,
     sample_initial_state,
 )
-from oracles import margin_scores_two_pass, spawn_one_by_one
+from oracles import margin_scores_two_pass, rollout_one_by_one, spawn_one_by_one
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
 
@@ -349,7 +349,7 @@ class TestSpawn:
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             x0, u0, status, n_draws = spawn_one_by_one(cfg, model, rng)
-            x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0], cfg.system.dt, model)
+            x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0, 0], cfg.system.dt, model)
             table = PairTable(x1, params, cfg.system.noise_bound)
             u1 = rollout.fast_control(*rollout._constraint_rows(u0, params, model, table))[0]
             u1 = u1.reshape(u0.shape)
@@ -400,6 +400,59 @@ class TestSpawn:
         assert len(solved) == len(expected)
         for got, want in zip(solved, expected):
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+# Steps of noise each generator draws per call in the seed -> stream mapping.
+NOISE_BLOCK = 16
+
+
+def assert_matches_one_by_one(cfg, rollouts):
+    """Every rollout's states and controls are those of ``rollout_one_by_one``
+    on its seed, to rounding: its spawn, then its noise drawn in blocks."""
+    model = dynamics_model(cfg.system)
+    xs, us, _ = rollouts.trajectory
+    for x, u, seed in zip(xs, us, rollouts.seed.tolist()):
+        x_ref, u_ref = rollout_one_by_one(cfg, model, seed, NOISE_BLOCK)
+        assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(u, u_ref, rtol=1e-9, atol=1e-9)
+
+
+def horizon_config(case, horizon, **top):
+    """A golden case's config with ``horizon_steps`` and top-level fields replaced."""
+    data = {**golden_config(case), **top}
+    data["system"]["horizon_steps"] = horizon
+    return build_config(data)
+
+
+class TestStreams:
+    # Each rollout's generator draws its spawn rounds, then its noise in
+    # whole blocks of NOISE_BLOCK steps.
+
+    @pytest.mark.parametrize("horizon", [1, 15, 16, 17, 50])
+    def test_horizon_only_cuts_the_trajectory(self, horizon):
+        # A rollout's first K + 1 frames are the same at any horizon K, bit
+        # for bit, because noise blocks are drawn whole.
+        seeds = list(range(2024, 2030))
+        short = run_rollouts(horizon_config("single_psi2", horizon), seeds, True)
+        full = run_rollouts(horizon_config("single_psi2", 64), seeds, True)
+        assert_bitwise(list(short.trajectory), [a[:, : horizon + 1] for a in full.trajectory])
+        assert np.array_equal(short.raw_min_margin, short.trajectory[2].min(axis=1))
+        assert_matches_one_by_one(horizon_config("single_psi2", horizon), short)
+
+    @pytest.mark.parametrize("case", ["control_bound", "crowded_n12", "double_integrator"])
+    def test_rollout_is_the_same_alone_batched_and_chunked(self, case):
+        # Six seeds over 40 steps (three noise blocks): alone, as one batch
+        # and in 1 to 4 chunks, every array agrees bit for bit.
+        cfg = horizon_config(case, 40, groups=2, rollouts_per_group=3)
+        seeds = [rollout_seed(cfg, g, p) for g in range(2) for p in range(3)]
+        batch = run_rollouts(cfg, seeds, True)
+        alone = [arrays_of(run_rollout(cfg, seed, True)) for seed in seeds]
+        assert_bitwise(arrays_of(batch), [np.concatenate(parts) for parts in zip(*alone)])
+        for jobs in (1, 2, 3, 4):
+            rollouts, _, _ = run_experiment(cfg, jobs=jobs, record_trajectory=True)
+            flat = [a.reshape((len(seeds),) + a.shape[2:]) for a in arrays_of(rollouts)]
+            assert_bitwise(flat, arrays_of(batch))
+        assert_matches_one_by_one(cfg, batch)
 
 
 class TestExperimentConfigValidation:

@@ -12,7 +12,12 @@ from cbfcert.sysmodel import (
     noise_array,
     sample_initial_state,
 )
-from oracles import ball_samples_rejection, spawn_round_by_round
+from oracles import ball_samples_rejection, noise_blocks, spawn_block_by_block
+
+# Block sizes of the seed -> stream mapping: each generator draws its noise
+# 16 steps at a time and its spawn rounds 64 at a time.
+NOISE_BLOCK = 16
+SPAWN_BLOCK = 64
 
 DOUBLE = SystemConfig(dynamics="double_integrator", state_dim=4, control_dim=2)
 SINGLE_MODEL = dynamics_model(SystemConfig())
@@ -98,13 +103,14 @@ class TestSampleNoise:
     def test_zero_bound_gives_zero_sample(self, rng):
         cfg = SystemConfig(noise_bound=0.0)
         w = noise_array(cfg, [rng])
-        assert np.array_equal(w, np.zeros((1, 2, 2)))
+        assert np.array_equal(w, np.zeros((1, NOISE_BLOCK, 2, 2)))
 
     def test_norm_bound_and_mean_norm(self):
         # Uniform-ball radius has mean bound * n/(n+1) = 2/3 * bound for n=2.
+        # 50,000 steps of two agents, drawn in blocks.
         cfg = SystemConfig(noise_bound=0.05)
         rng = np.random.default_rng(7)
-        draws = noise_array(cfg, [rng] * 50_000).reshape(-1, 2)
+        draws = noise_array(cfg, [rng] * (50_000 // NOISE_BLOCK)).reshape(-1, 2)
         norms = np.linalg.norm(draws, axis=1)
         assert norms.max() <= 0.05 + 1e-15
         assert norms.mean() == pytest.approx(0.05 * 2.0 / 3.0, abs=1e-3)
@@ -112,7 +118,7 @@ class TestSampleNoise:
     def test_mean_norm_matches_rejection_oracle(self, rng):
         cfg = SystemConfig(noise_bound=0.05)
         gen = np.random.default_rng(11)
-        draws = noise_array(cfg, [gen] * 20_000).reshape(-1, 2)
+        draws = noise_array(cfg, [gen] * (20_000 // NOISE_BLOCK)).reshape(-1, 2)
         oracle = ball_samples_rejection(rng, 0.05, 40_000)
         ours = np.linalg.norm(draws, axis=1).mean()
         ref = np.linalg.norm(oracle, axis=1).mean()
@@ -131,16 +137,29 @@ class TestSampleNoise:
 
     @pytest.mark.parametrize("dist", ["ball", "sphere"])
     def test_batch_keeps_each_generators_draw_order(self, dist):
-        # Generator r draws N x n normals, then (ball) N uniforms, per call.
+        # Generator r draws B x N x n normals, then (ball) B x N uniforms,
+        # per call; consecutive calls continue its stream block by block.
         cfg = SystemConfig(n_agents=3, noise_bound=0.03, noise_dist=dist)
-        batch = noise_array(cfg, [np.random.default_rng(s) for s in range(4)])
-        assert batch.shape == (4, 3, 2)
+        gens = [np.random.default_rng(s) for s in range(4)]
+        batch = np.concatenate([noise_array(cfg, gens) for _ in range(3)], axis=1)
+        assert batch.shape == (4, 3 * NOISE_BLOCK, 3, 2)
         for s in range(4):
-            rng = np.random.default_rng(s)
-            z = rng.standard_normal((3, 2))
-            radii = 0.03 * np.sqrt(rng.random(3)) if dist == "ball" else np.full(3, 0.03)
-            expected = z * (radii / np.linalg.norm(z, axis=1))[:, None]
+            expected = noise_blocks(cfg, np.random.default_rng(s), 3, NOISE_BLOCK)
             assert np.allclose(batch[s], expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("dist", ["ball", "sphere"])
+    def test_noise_bound_scales_the_same_draws(self, dist):
+        # Common random numbers: configs that differ only in the bound draw
+        # the same stream, so their disturbances are scaled copies, block
+        # after block.
+        low, high = (SystemConfig(n_agents=3, noise_bound=b, noise_dist=dist) for b in (0.01, 0.05))
+        gens_low = [np.random.default_rng(s) for s in range(3)]
+        gens_high = [np.random.default_rng(s) for s in range(3)]
+        for _ in range(3):
+            w_low, w_high = noise_array(low, gens_low), noise_array(high, gens_high)
+            assert w_low.shape == (3, NOISE_BLOCK, 3, 2)
+            assert np.allclose(w_high, 5.0 * w_low, rtol=1e-13, atol=0.0)
+        assert [g.random() for g in gens_low] == [g.random() for g in gens_high]
 
     @given(bound=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -177,9 +196,9 @@ class TestSampleInitialState:
         assert dists.mean() == pytest.approx(5.349, abs=0.1)
         assert dists.mean() == pytest.approx(ref.mean(), abs=0.1)
 
-    # Spawn configurations for the round-by-round oracle: one pair, three
+    # Spawn configurations for the block-by-block oracle: one pair, three
     # agents in a small square, twelve crowded agents (hundreds of rounds per
-    # spawn, so blocks of many rounds), and the double integrator.
+    # spawn, so several blocks), and the double integrator.
     ORACLE_CASES = {
         "n2": SystemConfig(n_agents=2, domain_half_width=3.0),
         "n3": SystemConfig(n_agents=3, domain_half_width=3.0),
@@ -194,29 +213,31 @@ class TestSampleInitialState:
     }
 
     @pytest.mark.parametrize("cfg", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
-    def test_matches_round_by_round_oracle(self, cfg):
+    def test_matches_block_by_block_oracle(self, cfg):
         # Same state bit for bit, and the generator left exactly where drawing
-        # round by round leaves it, over consecutive spawns from one stream.
+        # whole blocks of rounds leaves it, over consecutive spawns from one
+        # stream.
         for seed in range(100):
             gen = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
             for _ in range(3):
                 x = sample_initial_state(cfg, gen)
-                expected = spawn_round_by_round(cfg, ref)
+                expected = spawn_block_by_block(cfg, ref, SPAWN_BLOCK)
                 assert x.tobytes() == expected.tobytes()
                 assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 100, 300, 500])
     def test_budget_counts_rounds(self, monkeypatch, budget):
-        # Blocks never draw past the round budget: where the oracle finds no
-        # spawn within it, sampling fails after drawing exactly those rounds.
+        # Blocks never draw past the round budget: the last block is cut at
+        # it, and where the oracle finds no spawn within it, sampling fails
+        # after drawing exactly those rounds.
         cfg = self.ORACLE_CASES["n12"]
         monkeypatch.setattr(sysmodel, "_MAX_REJECTION_ROUNDS", budget)
         outcomes = set()
         for seed in range(12):
             gen = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
-            expected = spawn_round_by_round(cfg, ref, max_rounds=budget)
+            expected = spawn_block_by_block(cfg, ref, SPAWN_BLOCK, max_rounds=budget)
             outcomes.add(expected is None)
             if expected is None:
                 with pytest.raises(SetupError):
