@@ -35,6 +35,7 @@ from cbfcert.sysmodel import (
 from oracles import margin_scores_two_pass, rollout_one_by_one, spawn_one_by_one
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
+from test_sysmodel import NOISE_BLOCK
 
 
 def arrays_of(rollouts):
@@ -400,10 +401,6 @@ class TestSpawn:
         assert len(solved) == len(expected)
         for got, want in zip(solved, expected):
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-
-
-# Steps of noise each generator draws per call in the seed -> stream mapping.
-NOISE_BLOCK = 16
 
 
 def assert_matches_one_by_one(cfg, rollouts):

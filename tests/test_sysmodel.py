@@ -152,7 +152,9 @@ class TestSampleNoise:
         # Common random numbers: configs that differ only in the bound draw
         # the same stream, so their disturbances are scaled copies, block
         # after block.
-        low, high = (SystemConfig(n_agents=3, noise_bound=b, noise_dist=dist) for b in (0.01, 0.05))
+        low, high = (
+            SystemConfig(n_agents=3, noise_bound=bound, noise_dist=dist) for bound in (0.01, 0.05)
+        )
         gens_low = [np.random.default_rng(s) for s in range(3)]
         gens_high = [np.random.default_rng(s) for s in range(3)]
         for _ in range(3):
