@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread per process: the --jobs worker pool is this program's
+# One BLAS thread per process: the --jobs workers are this program's
 # parallelism and its LAPACK calls are small, while numpy's OpenBLAS would
 # otherwise start a thread per CPU as it loads, at tens of ms of CPU per
 # command. A user who sets any of these variables keeps all of them as they
 # are (OpenBLAS reads OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset).
 # This must run before numpy is first imported, so it comes before every
-# import that loads numpy; forked workers share the loaded library and
-# spawned ones inherit the environment.
+# import that loads numpy; the forked workers share the loaded library.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
@@ -258,19 +257,17 @@ def _run(args) -> int:
     """The steps every run subcommand shares around its body.
 
     Resolves the config (``--seed`` overrides its base seed), makes ``--out``
-    and calls ``args.body(args, config, manifest, pool)``, which runs the
-    cells, writes its own extra files, prints its lines (its closing "wrote"
-    line included) and returns (csv name, columns, rows). That CSV is written
+    and calls ``args.body(args, config, manifest)``, which runs the cells,
+    writes its own extra files, prints its lines (its closing "wrote" line
+    included) and returns (csv name, columns, rows). That CSV is written
     under the provenance lines, then ``run_manifest.json``.
 
-    ``pool`` is the command's one set of ``--jobs`` worker processes (None
-    for ``--jobs 1``); the body submits the chunks of all its cells to it at
-    once (``rollout.run_experiments``). It is shut down once the body
-    returns or raises, with the chunks not yet started cancelled. It uses
-    the platform's default start method: on Linux the workers are forked
-    when the chunks are submitted, before the pool starts its own thread,
-    while spawned workers would each import numpy again, which costs more
-    than the cells of a small command.
+    The body hands the chunks of all its cells to one
+    ``rollout.run_experiments`` call, which forks the ``--jobs`` workers
+    (none at ``--jobs 1``) and reaps them before it returns or raises.
+    Forked workers share the numpy this process loaded, while spawned ones
+    would each import it again, which costs more than the cells of a small
+    command.
     """
     config = load_config(args.config) if args.config else build_config({})
     if args.seed is not None:
@@ -287,18 +284,7 @@ def _run(args) -> int:
         "jobs": args.jobs,
     }
     args.out.mkdir(parents=True, exist_ok=True)
-    pool = None
-    if args.jobs > 1:
-        # Imported here: the pool module loads multiprocessing and logging,
-        # which a --jobs 1 command never needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
-    try:
-        csv_name, columns, rows = args.body(args, config, manifest, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    csv_name, columns, rows = args.body(args, config, manifest)
     provenance = [
         f"tool: cbfcert {__version__}",
         f"generated_utc: {manifest['timestamp_utc']}",
@@ -325,9 +311,9 @@ def _cell(config: ExperimentConfig, manifest: dict, **overrides) -> ExperimentCo
     return cell
 
 
-def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
+def cmd_verify(args, config: ExperimentConfig, manifest: dict):
     rollouts, z, x_flags = run_experiment(
-        config, jobs=args.jobs, record_trajectory=args.dump_trajectories, pool=pool
+        config, jobs=args.jobs, record_trajectory=args.dump_trajectories
     )
     report = certificate(config, x_flags, z, rollouts.max_control_norm)
     _write_json(
@@ -372,14 +358,14 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, pool):
     return "groups.csv", columns, [(k, *astuple(s)) for k, s in enumerate(report.group_stats)]
 
 
-def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
+def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
     cells = [
         _cell(config, manifest, system={"n_agents": n_agents, "noise_bound": w_bar})
         for n_agents in TABLE1_AGENT_GRID
         for w_bar in TABLE1_NOISE_GRID
     ]
     rows = []
-    for cell, (rollouts, z, x_flags) in zip(cells, run_experiments(cells, args.jobs, pool)):
+    for cell, (rollouts, z, x_flags) in zip(cells, run_experiments(cells, args.jobs)):
         report = certificate(cell, x_flags, z, rollouts.max_control_norm)
         p_hat, eps_b, eps_h, eps_s = (
             float(np.mean([getattr(s, name) for s in report.group_stats]))
@@ -396,7 +382,7 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, pool):
     return "table1.csv", columns, rows
 
 
-def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
+def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
     cells = [
         _cell(
             config,
@@ -409,7 +395,7 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, pool):
         for psi in PSI_GRID
     ]
     rows = []
-    for psi, (rollouts, _, x_flags) in zip(PSI_GRID, run_experiments(cells, args.jobs, pool)):
+    for psi, (rollouts, _, x_flags) in zip(PSI_GRID, run_experiments(cells, args.jobs)):
         p_hat_v = float(x_flags.mean())
         min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))

@@ -4,16 +4,19 @@ Each rollout owns its generator, so its results are reproducible from
 (config, seed) alone. A batch of rollouts steps in lockstep as R x N x n
 arrays; batching changes no rollout's draws or arithmetic, so a rollout's
 results are the same alone or in any batch, and an experiment's seeds can be
-cut into chunks run serially or on worker processes with identical results.
-Margins are always evaluated at the controls the QP actually produced at that
-step.
+cut into chunks run serially or on forked worker processes with identical
+results. Margins are always evaluated at the controls the QP actually
+produced at that step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +32,6 @@ from .sysmodel import (
     noise_array,
     sample_initial_state,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 _MAX_INITIAL_DRAWS = 1_000
 
@@ -238,31 +238,126 @@ def run_group(
     )
 
 
+def _work(units: list, tasks, queue, out: int) -> None:
+    """A forked worker's whole life: run the units whose indices it pulls from
+    ``tasks`` until the pipe closes, write the pickled list of (index, result
+    or exception) to the pipe ``out``, and leave through ``os._exit``, so
+    nothing the parent had buffered is written twice. It first closes its
+    copy of ``queue``, the task pipe's write end, without which that pipe
+    would never close. After its first failing unit it only drains the
+    queue: every earlier unit was pulled before that one, so the parent
+    still learns the earliest failing unit.
+    """
+    code = 1
+    try:
+        queue.close()
+        done, failed = [], False
+        # One read takes one whole 4-byte index: the queue is written in one
+        # piece to an empty pipe, so the pipe's pages only hold whole indices.
+        while index := tasks.read(4):
+            i = int.from_bytes(index, "little")
+            if not failed:
+                try:
+                    done.append((i, run_rollouts(*units[i])))
+                except Exception as exc:
+                    done.append((i, exc))
+                    failed = True
+        with open(out, "wb") as fh:
+            pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_units(units: list, jobs: int) -> list:
+    """``run_rollouts(*unit)`` for every unit, in unit order.
+
+    At ``jobs > 1`` with more than one unit it forks ``min(jobs, units)``
+    workers (``_work``), which pull unit indices from one task pipe, so a
+    worker that draws cheap units takes more of them; the indices are written
+    after the fork, so a queue longer than the pipe buffer cannot block. Each
+    worker returns its results on its own pipe. The exception of the earliest
+    failing unit is raised, as a serial run would raise it. Every worker is
+    reaped on every path; on an error, an interrupt or a dead worker the
+    remaining ones are killed first. Where ``os.fork`` does not exist the
+    units run in this process.
+    """
+    n_workers = min(jobs, len(units))
+    if n_workers < 2 or not hasattr(os, "fork"):
+        return [run_rollouts(*unit) for unit in units]
+    task_r, task_w = os.pipe()
+    tasks = open(task_r, "rb", buffering=0)
+    queue = open(task_w, "wb", buffering=0)
+    workers = {}  # pid -> read end of its result pipe, until it is reaped
+    try:
+        for _ in range(n_workers):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result_r)
+                os.close(result_w)
+                raise
+            if pid == 0:
+                _work(units, tasks, queue, result_w)
+            os.close(result_w)
+            workers[pid] = open(result_r, "rb")
+        tasks.close()
+        pending = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(units))))
+        # Every worker has died if the queue has no reader left; the results
+        # below say so.
+        with contextlib.suppress(BrokenPipeError):
+            while pending:
+                pending = pending[queue.write(pending) :]
+        queue.close()
+        results = {}
+        for pid in list(workers):
+            data = workers[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(pid).close()
+            if status != 0:
+                raise RuntimeError(
+                    f"worker process {pid} died before returning its results "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            results.update(pickle.loads(data))
+    finally:
+        tasks.close()
+        queue.close()
+        for pid, fh in workers.items():
+            fh.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in sorted(results):
+        if isinstance(results[i], Exception):
+            raise results[i]
+    return [results[i] for i in range(len(units))]
+
+
 def run_experiments(
-    configs, jobs: int = 1, pool: Executor | None = None, record_trajectory: bool = False
+    configs, jobs: int = 1, record_trajectory: bool = False
 ) -> list[tuple[Rollouts, np.ndarray, np.ndarray]]:
     """Every cell's rollouts as (G, P) arrays, with their scores and flags, per cell.
 
     Each cell's G x P seeds, in group order, are cut into
     ``min(G * P, ceil(jobs / len(configs)))`` near-equal contiguous chunks (a
     chunk may end inside a group), so a command with at least ``jobs`` cells
-    runs each cell as one batch. Each chunk is one ``run_rollouts`` batch;
-    all chunks of all cells are mapped over ``pool`` in one call when one is
-    given, and run in this process otherwise. Each cell's batches are joined
-    in seed order, so the result is the same for any ``jobs`` and any pool.
+    runs each cell as one batch. Each chunk is one ``run_rollouts`` batch, a
+    work unit of ``_run_units``, which runs all units of all cells at once.
+    Each cell's batches are joined in seed order, so the result is the same
+    for any ``jobs``.
     """
     per_cell = math.ceil(jobs / len(configs))
-    cells, unit_configs, chunks = [], [], []
+    cells, units = [], []
     for config in configs:
         shape = (config.groups, config.rollouts_per_group)
         seeds = [rollout_seed(config, g, p) for g in range(shape[0]) for p in range(shape[1])]
         n_chunks = min(per_cell, len(seeds))
         bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
-        unit_configs += [config] * n_chunks
-        chunks += [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+        units += [(config, seeds[a:b], record_trajectory) for a, b in zip(bounds, bounds[1:])]
         cells.append((config, shape, n_chunks))
-    mapper = map if pool is None else pool.map
-    batches = mapper(run_rollouts, unit_configs, chunks, [record_trajectory] * len(chunks))
+    batches = iter(_run_units(units, jobs))
 
     def joined(arrays, shape) -> np.ndarray:
         return np.concatenate(arrays).reshape(shape + arrays[0].shape[1:])
@@ -288,11 +383,8 @@ def run_experiments(
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    record_trajectory: bool = False,
-    pool: Executor | None = None,
+    config: ExperimentConfig, jobs: int = 1, record_trajectory: bool = False
 ) -> tuple[Rollouts, np.ndarray, np.ndarray]:
     """All rollouts of one experiment: ``run_experiments`` on one cell, whose
     G x P seeds are cut into ``min(jobs, G * P)`` chunks."""
-    return run_experiments([config], jobs, pool, record_trajectory)[0]
+    return run_experiments([config], jobs, record_trajectory)[0]

@@ -1,17 +1,15 @@
-import concurrent.futures
 import csv
 import json
-import multiprocessing
+import os
 import re
 import subprocess
 import sys
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cbfcert import cli
+from cbfcert import cli, rollout
 from cbfcert.cli import (
     build_config,
     config_hash,
@@ -35,6 +33,12 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def assert_no_child_left():
+    # waitpid(-1) raises once this process has no child, running or unreaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def csv_body(path):
@@ -245,14 +249,14 @@ class TestVerifyCommand:
     def test_overflowing_state_exits_4(self, tmp_path, capsys, jobs):
         # A finite config whose noise overflows the state: the NaN right-hand
         # side must reach the solver and fail there, not later in the bounds.
-        # At --jobs 2 the error is raised in a worker and the pool must be
-        # gone by the time main returns.
+        # At --jobs 2 the error is raised in a worker, which must be reaped by
+        # the time main returns.
         data = {**TINY, "system": {**TINY["system"], "n_agents": 3, "noise_bound": 1e300}}
         cfg_path = write_config(tmp_path, data)
         args = ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
         assert main(args) == 4
         assert "internal solver failure" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_singular_nnls_step_back_exits_0(self, tmp_path):
         # The golden control_bound parameters at P = 7: one relaxed step meets
@@ -395,20 +399,52 @@ class TestWorkerPool:
     @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
     @pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
     def test_one_pool_per_command(self, tmp_path, monkeypatch, command, jobs, pools):
-        # Every cell of a command runs on the same pool; --jobs 1 makes none.
-        made = []
-        init = ProcessPoolExecutor.__init__
+        # Every cell of a command runs on one set of min(jobs, units) forked
+        # workers; --jobs 1 forks none. On TINY every command has at least
+        # two work units at --jobs 2.
+        forks = []
+        fork = os.fork
 
-        def counting_init(self, *args, **kwargs):
-            made.append(self)
-            init(self, *args, **kwargs)
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        monkeypatch.setattr(os, "fork", counting_fork)
         cfg_path = write_config(tmp_path, TINY)
         args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
         assert main(args) == 0
-        assert len(made) == pools
-        assert multiprocessing.active_children() == []
+        assert len(forks) == pools * int(jobs)
+        assert_no_child_left()
+
+    def test_dead_worker_fails_the_command(self, tmp_path, fresh_env):
+        # A worker that exits without writing its results makes the command
+        # fail promptly, naming the worker, with no child left behind.
+        cfg_path = write_config(tmp_path, TINY)
+        code = (
+            "import os, sys\n"
+            "from cbfcert import cli, rollout\n"
+            "rollout.run_rollouts = lambda *args: os._exit(9)\n"
+            "try:\n"
+            "    cli.main()\n"
+            "finally:\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+        )
+        args = ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "2"]
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=fresh_env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        assert re.search(r"worker process \d+ died .*exit status 9", result.stderr), result.stderr
+        assert result.stdout == "no child left\n"
 
     @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
     @pytest.mark.parametrize("jobs", ["-3", "0"])
@@ -418,30 +454,6 @@ class TestWorkerPool:
         assert main([command, "--out", str(out), "--jobs", jobs]) == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
-
-
-class SpyExecutor(Executor):
-    """Stands in for the worker pool: runs each submitted call at once in
-    this process, and logs every submit (with the chunk's seed count) and
-    every result the caller joins."""
-
-    events: list = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        events = self.events
-
-        class LoggedFuture(Future):
-            def result(self, timeout=None):
-                events.append("join")
-                return super().result(timeout)
-
-        future = LoggedFuture()
-        future.set_result(fn(*args, **kwargs))
-        events.append(("submit", len(args[1])))
-        return future
 
 
 class TestSchedule:
@@ -465,26 +477,77 @@ class TestSchedule:
     def test_every_unit_is_submitted_before_any_is_joined(
         self, tmp_path, monkeypatch, command, units
     ):
-        # At --jobs 2 a six-cell sweep submits one whole cell per work unit
-        # and verify cuts its one cell in two; every unit is submitted
-        # before the first result is joined.
-        monkeypatch.setattr(SpyExecutor, "events", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+        # At --jobs 2 a six-cell sweep runs one whole cell per work unit and
+        # verify cuts its one cell in two; every unit reaches the runner in
+        # one call, before any result is joined.
+        calls = []
+        run_units = rollout._run_units
+
+        def spy(work, jobs):
+            calls.append([len(seeds) for _, seeds, _ in work])
+            return run_units(work, 1)
+
+        monkeypatch.setattr(rollout, "_run_units", spy)
         cfg_path = write_config(tmp_path, TINY)
         args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "2"]
         assert main(args) == 0
-        assert SpyExecutor.events == [("submit", n) for n in units] + ["join"] * len(units)
+        assert calls == [units]
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1", "2", "3", "7"])
     def test_crowded_table1_cell_exits_3(self, tmp_path, capsys, jobs):
         # A 2 x 2 spawn square holds two agents at separation 1 but is too
-        # crowded for three, so the N = 3 cells fail to spawn.
+        # crowded for three, so the N = 3 cells fail to spawn; every --jobs
+        # reports the first failing cell, as --jobs 1 does.
         data = {**TINY, "system": {"horizon_steps": 5, "domain_half_width": 2.0}}
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "x"
         args = ["reproduce-table1", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]
         assert main(args) == 3
-        assert "spawn domain too crowded: 3 agents" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "setup error: spawn domain too crowded: 3 agents at separation 1.0 "
+            "in a 2.0 x 2.0 square\n"
+        )
+        assert_no_child_left()
+
+
+class TestForkedOutput:
+    def test_each_cell_line_is_printed_once(self, tmp_path, fresh_env):
+        # stdout to a pipe is block-buffered; a forked worker must never
+        # write the parent's buffer a second time.
+        cfg_path = write_config(tmp_path, TINY)
+        code = "import sys; from cbfcert.cli import main; sys.exit(main())"
+        args = ["reproduce-table1", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args, "--jobs", "2"],
+            env=fresh_env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        cells = [line for line in lines if line.startswith("cell N=")]
+        assert len(cells) == len(set(cells)) == 6
+        assert len(lines) == 7
+
+    def test_results_larger_than_a_pipe_buffer(self, tmp_path):
+        # Each worker returns 10 rollouts of 101 frames of 3 agents: about
+        # 100 KiB of trajectories, more than a 64 KiB pipe buffer holds.
+        data = {**TINY, "rollouts_per_group": 10}
+        data["system"] = {**TINY["system"], "horizon_steps": 100}
+        cfg_path = write_config(tmp_path, data)
+        files = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]
+            assert main([*args, "--dump-trajectories"]) == 0
+            traj = sorted((out / "trajectories").iterdir())
+            files[jobs] = [(p.name, p.read_bytes()) for p in traj] + [
+                ("groups.csv", csv_body(out / "groups.csv"))
+            ]
+        assert len(files["1"]) == 21
+        assert files["1"] == files["2"]
+        assert_no_child_left()
 
 
 class TestJobsDefault:

@@ -4,10 +4,12 @@ Every import in the package's modules must name the standard library,
 numpy, or the package itself; the README and pyproject promise no more.
 The module globals that the benchmark imports or its tracer rebinds must stay
 in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
-and no process-pool machinery.
+and no process-pool machinery, and a command at --jobs 2, whose workers are
+forked directly, loads none either.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -92,12 +94,29 @@ def _fresh_import(env, code: str) -> str:
     return result.stdout
 
 
+POOL_MODULES = "{'concurrent.futures.process', 'multiprocessing', 'logging'}"
+
+
 def test_cli_import_loads_no_process_pool(fresh_env):
-    # The pool module (with multiprocessing and logging) loads only when a
-    # command opens a pool.
-    pool_modules = "{'concurrent.futures.process', 'multiprocessing', 'logging'}"
-    code = f"import sys\nprint(sorted({pool_modules} & set(sys.modules)))"
+    # The pool module loads multiprocessing and logging, which no command needs.
+    code = f"import sys\nprint(sorted({POOL_MODULES} & set(sys.modules)))"
     assert _fresh_import(fresh_env, code) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce-table1"])
+def test_forked_command_loads_no_process_pool(fresh_env, tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"groups": 2, "rollouts_per_group": 2, "system": {"horizon_steps": 2}}),
+        encoding="utf-8",
+    )
+    args = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "2"]
+    code = (
+        "import sys\n"
+        f"assert cbfcert.cli.main({args!r}) == 0\n"
+        f"print(sorted({POOL_MODULES} & set(sys.modules)))"
+    )
+    assert _fresh_import(fresh_env, code).splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from cbfcert.sysmodel import (
     sample_initial_state,
 )
 from oracles import margin_scores_two_pass, rollout_one_by_one, spawn_one_by_one
+from test_cli import assert_no_child_left
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
 from test_sysmodel import NOISE_BLOCK
@@ -245,23 +247,17 @@ class TestRunGroup:
         )
 
     def test_chunks_do_not_change_a_group(self):
-        # 15 seeds cut into 2, 3 or 4 chunks: every cut but jobs 3's falls
-        # inside a group, and jobs 2 and 4 do not divide G * P.
+        # 15 seeds cut into 2, 3 or 4 chunks, each on its own forked worker:
+        # every cut but jobs 3's falls inside a group, and jobs 2 and 4 do
+        # not divide G * P.
         data = golden_config("control_bound")
         data.update(groups=3, rollouts_per_group=5)
         cfg = build_config(data)
         groups = [run_group(cfg, g, record_trajectory=True) for g in range(cfg.groups)]
         expected = [np.stack(parts) for parts in zip(*map(arrays_of, groups))]
         expected += margin_scores(expected[1], cfg.theta, cfg.eps_norm)
-        runs = {
-            jobs: run_experiment(cfg, jobs=jobs, record_trajectory=True) for jobs in (1, 2, 3, 4)
-        }
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for jobs in (2, 3):
-                runs[jobs, "pool"] = run_experiment(
-                    cfg, jobs=jobs, record_trajectory=True, pool=pool
-                )
-        for rollouts, z, x_flags in runs.values():
+        runs = [run_experiment(cfg, jobs=jobs, record_trajectory=True) for jobs in (1, 2, 3, 4)]
+        for rollouts, z, x_flags in runs:
             assert_bitwise(arrays_of(rollouts) + [z, x_flags], expected)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + ["sphere"])
@@ -334,6 +330,46 @@ def draws_per_rollout(monkeypatch):
         rollout, "sample_initial_state", lambda cfg, rng: draws.append(rng) or sample(cfg, rng)
     )
     return draws
+
+
+class TestRunUnits:
+    """The forked runner on stand-in units: unit i is the one seed [i], and
+    the stand-in ``run_rollouts`` returns what ``unit_result`` gives."""
+
+    @staticmethod
+    def units(monkeypatch, unit_result):
+        monkeypatch.setattr(
+            rollout, "run_rollouts", lambda config, seeds, record: unit_result(*seeds)
+        )
+        return [(None, [i], False) for i in range(6)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    def test_earliest_failing_unit_is_raised(self, monkeypatch, jobs):
+        # Unit 1 fails last in time but first in unit order, as at jobs 1.
+        def unit_result(i):
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 4):
+                raise SetupError(f"unit {i}")
+            return i
+
+        with pytest.raises(SetupError, match="^unit 1$"):
+            rollout._run_units(self.units(monkeypatch, unit_result), jobs)
+        assert_no_child_left()
+
+    def test_workers_pull_units(self, monkeypatch):
+        # While one worker sleeps on unit 0, the other pulls all the rest;
+        # a fixed round-robin split would hand unit 2 and 4 to the sleeper.
+        def unit_result(i):
+            if i == 0:
+                time.sleep(0.5)
+            return os.getpid()
+
+        pids = rollout._run_units(self.units(monkeypatch, unit_result), 2)
+        assert pids[0] not in pids[1:]
+        assert len(set(pids[1:])) == 1
+        assert os.getpid() not in pids
+        assert_no_child_left()
 
 
 class TestSpawn:
