@@ -7,7 +7,7 @@ Subcommands:
   print-config-schema  dump the JSON config schema with defaults
 
 Exit codes: 0 success, 2 config error, 3 runtime setup error, 4 internal
-solver failure.
+solver failure, 5 a --jobs worker process died.
 
 Two runs with the same config file and seed produce byte-identical CSV bodies
 regardless of --jobs; only the '#'-prefixed provenance header lines (which
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import GroupStats, certificate
-from .errors import ConfigError, SetupError, SolverError
+from .errors import ConfigError, SetupError, SolverError, WorkerError
 from .rollout import ExperimentConfig, Rollouts, run_experiment, run_experiments
 
 PSI_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -470,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"internal solver failure: {exc}; please file a bug report", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 5
 
 
 def entrypoint() -> None:

@@ -221,7 +221,7 @@ def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite constraint data")
     n_c, dim = a.shape
-    if n_c == 0 or b.max() <= TOL_PRIMAL:
+    if not needs_solve(b):
         # The unconstrained optimum u = 0 already satisfies everything.
         if passive is not None:
             passive[:] = False

@@ -15,3 +15,7 @@ class SetupError(RuntimeError):
 
 class SolverError(RuntimeError):
     """The QP met non-finite data, gave a non-finite control or hit its NNLS pass cap. Exit code 4."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker process died before returning its results. Exit code 5."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .controller import STATUS_OPTIMAL, _constraint_rows, fast_control, needs_solve, row_count
-from .errors import ConfigError, SetupError
+from .errors import ConfigError, SetupError, WorkerError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
     NOISE_BLOCK_STEPS,
@@ -238,59 +238,26 @@ def run_group(
     )
 
 
-def _work(units: list, tasks, queue, out: int) -> None:
-    """A forked worker's whole life: run the units whose indices it pulls from
-    ``tasks`` until the pipe closes, write the pickled list of (index, result
-    or exception) to the pipe ``out``, and leave through ``os._exit``, so
-    nothing the parent had buffered is written twice. It first closes its
-    copy of ``queue``, the task pipe's write end, without which that pipe
-    would never close. After its first failing unit it only drains the
-    queue: every earlier unit was pulled before that one, so the parent
-    still learns the earliest failing unit.
-    """
-    code = 1
-    try:
-        queue.close()
-        done, failed = [], False
-        # One read takes one whole 4-byte index: the queue is written in one
-        # piece to an empty pipe, so the pipe's pages only hold whole indices.
-        while index := tasks.read(4):
-            i = int.from_bytes(index, "little")
-            if not failed:
-                try:
-                    done.append((i, run_rollouts(*units[i])))
-                except Exception as exc:
-                    done.append((i, exc))
-                    failed = True
-        with open(out, "wb") as fh:
-            pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _run_units(units: list, jobs: int) -> list:
     """``run_rollouts(*unit)`` for every unit, in unit order.
 
-    At ``jobs > 1`` with more than one unit it forks ``min(jobs, units)``
-    workers (``_work``), which pull unit indices from one task pipe, so a
-    worker that draws cheap units takes more of them; the indices are written
-    after the fork, so a queue longer than the pipe buffer cannot block. Each
-    worker returns its results on its own pipe. The exception of the earliest
-    failing unit is raised, as a serial run would raise it. Every worker is
-    reaped on every path; on an error, an interrupt or a dead worker the
-    remaining ones are killed first. Where ``os.fork`` does not exist the
-    units run in this process.
+    At ``jobs > 1`` with more than one unit it forks n = ``min(jobs, units)``
+    workers. Worker w runs units w, w + n, w + 2n, ... in order until its
+    first failing unit, writes the pickled list of (index, result or
+    exception) to its own pipe and leaves through ``os._exit``, so nothing
+    the parent had buffered is written twice. A worker runs all of its units
+    below the one that failed, so the smallest failing index over all
+    workers is the unit whose exception a serial run raises, and it is
+    raised. Every worker is reaped on every path; on an error, an interrupt
+    or a dead worker the remaining ones are killed first. Where ``os.fork``
+    does not exist the units run in this process.
     """
     n_workers = min(jobs, len(units))
     if n_workers < 2 or not hasattr(os, "fork"):
         return [run_rollouts(*unit) for unit in units]
-    task_r, task_w = os.pipe()
-    tasks = open(task_r, "rb", buffering=0)
-    queue = open(task_w, "wb", buffering=0)
     workers = {}  # pid -> read end of its result pipe, until it is reaped
     try:
-        for _ in range(n_workers):
+        for w in range(n_workers):
             result_r, result_w = os.pipe()
             try:
                 pid = os.fork()
@@ -299,31 +266,34 @@ def _run_units(units: list, jobs: int) -> list:
                 os.close(result_w)
                 raise
             if pid == 0:
-                _work(units, tasks, queue, result_w)
+                code = 1
+                try:
+                    done = []
+                    for i in range(w, len(units), n_workers):
+                        try:
+                            done.append((i, run_rollouts(*units[i])))
+                        except Exception as exc:
+                            done.append((i, exc))
+                            break
+                    with open(result_w, "wb") as fh:
+                        pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(result_w)
             workers[pid] = open(result_r, "rb")
-        tasks.close()
-        pending = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(units))))
-        # Every worker has died if the queue has no reader left; the results
-        # below say so.
-        with contextlib.suppress(BrokenPipeError):
-            while pending:
-                pending = pending[queue.write(pending) :]
-        queue.close()
         results = {}
         for pid in list(workers):
             data = workers[pid].read()
             status = os.waitpid(pid, 0)[1]
             workers.pop(pid).close()
             if status != 0:
-                raise RuntimeError(
+                raise WorkerError(
                     f"worker process {pid} died before returning its results "
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 )
             results.update(pickle.loads(data))
     finally:
-        tasks.close()
-        queue.close()
         for pid, fh in workers.items():
             fh.close()
             with contextlib.suppress(ProcessLookupError):

@@ -420,14 +420,14 @@ class TestWorkerPool:
 
     def test_dead_worker_fails_the_command(self, tmp_path, fresh_env):
         # A worker that exits without writing its results makes the command
-        # fail promptly, naming the worker, with no child left behind.
+        # exit 5 promptly, naming the worker, with no child left behind.
         cfg_path = write_config(tmp_path, TINY)
         code = (
             "import os, sys\n"
             "from cbfcert import cli, rollout\n"
             "rollout.run_rollouts = lambda *args: os._exit(9)\n"
             "try:\n"
-            "    cli.main()\n"
+            "    sys.exit(cli.main())\n"
             "finally:\n"
             "    try:\n"
             "        os.waitpid(-1, os.WNOHANG)\n"
@@ -442,8 +442,8 @@ class TestWorkerPool:
             text=True,
             timeout=60,
         )
-        assert result.returncode != 0
-        assert re.search(r"worker process \d+ died .*exit status 9", result.stderr), result.stderr
+        assert result.returncode == 5
+        assert re.search(r"^worker failure: worker process \d+ died .*exit status 9", result.stderr), result.stderr
         assert result.stdout == "no child left\n"
 
     @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])

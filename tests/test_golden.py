@@ -19,6 +19,11 @@ The CSV digests hold at ``--jobs 1`` and at ``--jobs 2``, where every cell's
 rollouts are cut into chunks on worker processes (test ids ending in
 ``-jobs2``).
 
+The CSVs round to six significant digits, so the engine's numbers are also
+pinned at full precision: ``GOLDEN_ROLLOUTS`` holds a digest of the bytes of
+each case's per-seed ``Rollouts`` arrays from ``run_experiment``, at
+``jobs`` 1 and 2.
+
 The ``verify`` cases also pin ``certificate.json`` and ``run_manifest.json``:
 each is parsed, the values that change from run to run (timestamps, output
 directory, config path) are masked, and it is re-serialized in its own key
@@ -36,7 +41,8 @@ import json
 
 import pytest
 
-from cbfcert.cli import main
+from cbfcert.cli import build_config, main
+from cbfcert.rollout import run_experiment
 
 _BASE = {
     "groups": 2,
@@ -98,6 +104,15 @@ GOLDEN_JSON = {
         "dd128b30c1ba942e370d5517738c7bb5ac500cf5e72c254f32f5be22005cf01a",
         "4b7647119c5a8d95a68dcafe93d24247b66f8ba6adc579ece3bf0369e623a262",
     ),
+}
+
+# Per case, over the per-seed Rollouts arrays, as in _rollouts_digest.
+GOLDEN_ROLLOUTS = {
+    "single_psi2": "8456ad722ef4b36a243471f0fdff47f820717f2e076b56d84c781dd0f42af7b1",
+    "control_bound": "bdddc52bbfa76040beb2b984208a27e8f24344dd9edaa401498175c424a4495d",
+    "freeze_adot": "88c30fe37f1da4d4907acdb1ed35a7713c118cf5cdf98300311a2fdd808d7f9b",
+    "double_integrator": "ab22d0e1a9677a7900aa9b79afad2d988f932dbd6f5f20cff566428f0c0a44b8",
+    "crowded_n12": "87ba89046300b7b47676e237f0daa49f81dc89b10867f43ae53ac9763513a5aa",
 }
 
 # Values that differ between two runs of the same config.
@@ -202,6 +217,26 @@ def test_golden_json_digest(digests, case):
 def test_cases_are_distinct(digests):
     assert len({digests[case, 1][0] for case in CASES}) == len(CASES)
     assert len({digests[case, 1][1] for case in CASES}) == len(CASES)
+
+
+ROLLOUT_ARRAYS = ("seed", "raw_min_margin", "min_distance", "relaxed_steps", "max_control_norm")
+
+
+def _rollouts_digest(case: str, jobs: int) -> str:
+    """sha256 of each per-seed array's name, dtype, shape and bytes."""
+    rollouts = run_experiment(build_config(_config(case)), jobs)[0]
+    sha = hashlib.sha256()
+    for name in ROLLOUT_ARRAYS:
+        array = getattr(rollouts, name)
+        sha.update(f"{name} {array.dtype.str} {array.shape}\n".encode("utf-8"))
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("case, jobs", _at_jobs(sorted(CASES)))
+def test_golden_rollouts_digest(case, jobs):
+    digest = _rollouts_digest(case, jobs)
+    assert digest == GOLDEN_ROLLOUTS[case], f"{case} at jobs {jobs}: digest {digest}"
 
 
 @pytest.mark.parametrize("command, jobs", _at_jobs(sorted(SWEEPS)))

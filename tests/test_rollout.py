@@ -357,19 +357,15 @@ class TestRunUnits:
             rollout._run_units(self.units(monkeypatch, unit_result), jobs)
         assert_no_child_left()
 
-    def test_workers_pull_units(self, monkeypatch):
-        # While one worker sleeps on unit 0, the other pulls all the rest;
-        # a fixed round-robin split would hand unit 2 and 4 to the sleeper.
-        def unit_result(i):
-            if i == 0:
-                time.sleep(0.5)
-            return os.getpid()
-
-        pids = rollout._run_units(self.units(monkeypatch, unit_result), 2)
-        assert pids[0] not in pids[1:]
-        assert len(set(pids[1:])) == 1
-        assert os.getpid() not in pids
-        assert_no_child_left()
+    def test_workers_run_a_fixed_stride(self, monkeypatch):
+        # Worker w of n runs units w, w + n, w + 2n, ...
+        units = self.units(monkeypatch, lambda i: os.getpid())
+        for jobs in (2, 3):
+            pids = rollout._run_units(units, jobs)
+            assert pids == [pids[i % jobs] for i in range(len(units))]
+            assert len(set(pids[:jobs])) == jobs
+            assert os.getpid() not in pids
+            assert_no_child_left()
 
 
 class TestSpawn:
