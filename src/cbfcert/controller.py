@@ -6,9 +6,10 @@ propagation vector is held fixed within the step, so the admissible set is a
 polyhedron and the minimum-effort input is the projection of the origin onto
 it. That projection is a least-distance program, min ||u|| s.t. A u >= b,
 which Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) reduce to
-one nonnegative least-squares problem; its residual also decides feasibility.
-When the polyhedron is empty the same solver handles the shared-slack
-relaxation, and the step reports how much relaxation was needed.
+one nonnegative least-squares problem (``nnls``); its residual also decides
+feasibility. When the polyhedron is empty the same solver handles the
+shared-slack relaxation, and the step reports how much relaxation was needed.
+``solve_batch`` solves the flagged problems of a lockstep step together.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverError
+from .nnls import _nnls, _nnls_batch
 from .safety import PairTable, SafetyParams
 from .sysmodel import Plant
 
@@ -83,99 +85,18 @@ def row_count(params: SafetyParams, n_agents: int, control_dim: int) -> int:
     return rows
 
 
-def _nnls(
-    gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray | None = None
-) -> np.ndarray:
-    """Lawson-Hanson active-set NNLS, min ||E y - f|| s.t. y >= 0, given only
-    the normal equations gram = E^T E and c = E^T f.
+def _unit_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = [a, b] with every row scaled to unit norm, and the row norms.
 
-    Each pass frees the coordinate with the largest positive gradient
-    component, then solves the unconstrained problem on the free set, stepping
-    back along the segment whenever a free coordinate would turn nonpositive.
-    A coordinate whose column is numerically dependent on the free set (the
-    solve fails or gives it no positive weight) is skipped for that pass;
-    without that guard, rounding in the gradient re-selects it forever. The
-    same holds when a solve after a step back fails: the pass is undone and
-    the entering coordinate skipped.
-
-    On a free-set solve ||E y - f||^2 = ||f||^2 - c^T y, which exact passes
-    lower; a pass that replaces y without raising c^T y has met rounding
-    (an empty LDP polyhedron leaves gradients just above ``tol`` at a near-zero
-    residual), and the loop stops converged instead of cycling.
-
-    ``passive`` (bool per coordinate; None is empty) is the starting free set
-    and receives the final one. Coordinates whose solve on it is nonpositive
-    leave it first, and a singular solve empties it. The result is the solve
-    on the final free set, so a start that ends where a cold start ends gives
-    the same bytes in fewer passes.
+    a (..., rows, dim) and b (..., rows) may carry the same leading axes.
     """
-    n = c.size
-    y = np.zeros(n)
-    start = passive
-    passive = np.zeros(n, dtype=bool) if start is None else start.copy()
-    idx = np.flatnonzero(passive)
-    while idx.size:
-        try:
-            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-        except np.linalg.LinAlgError:
-            passive[:] = False
-            break
-        if z.min() > 0.0:
-            y[idx] = z
-            break
-        passive[idx[z <= 0.0]] = False
-        idx = np.flatnonzero(passive)
-    w = c - gram @ y
-    fit = c @ y
-    for _ in range(3 * n):
-        candidates = np.where(passive, -np.inf, w)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= tol:
-            break
-        passive[j] = True
-        idx = np.flatnonzero(passive)
-        try:
-            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-        except np.linalg.LinAlgError:
-            z = None
-        if z is None or not z[np.searchsorted(idx, j)] > 0.0:
-            passive[j] = False
-            w[j] = 0.0
-            continue
-        if z.min() <= 0.0:
-            # Saved only when a step back is needed; the common pass copies nothing.
-            y_before, passive_before = y.copy(), passive.copy()
-            passive_before[j] = False
-        while z.min() <= 0.0:
-            y_p = y[idx]
-            neg = np.flatnonzero(z <= 0.0)
-            ratio = y_p[neg] / np.maximum(y_p[neg] - z[neg], _TINY)
-            k = int(np.argmin(ratio))
-            y_p += ratio[k] * (z - y_p)
-            y_p[neg[k]] = 0.0  # exact zero, so the blocking coordinate leaves
-            y[idx] = y_p
-            passive[idx[y_p <= tol]] = False
-            idx = np.flatnonzero(passive)
-            try:
-                z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-            except np.linalg.LinAlgError:
-                z = None
-                break
-        if z is None:
-            y, passive = y_before, passive_before
-            w[j] = 0.0
-            continue
-        y = np.zeros(n)
-        y[idx] = z
-        w = c - gram @ y
-        fit, last = c @ y, fit
-        if not fit > last:
-            break
-    else:
-        raise SolverError(f"NNLS did not converge in {3 * n} passes")
-    if start is not None:
-        start[:] = passive
-    return y
+    dim = a.shape[-1]
+    e = np.empty(b.shape + (dim + 1,))
+    e[..., :dim] = a
+    e[..., dim] = b
+    norms = np.maximum(np.sqrt(np.einsum("...ij,...ij->...i", e, e)), _TINY)
+    e /= norms[..., None]
+    return e, norms
 
 
 def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
@@ -190,11 +111,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     is the NNLS start and final free set over the rows (see ``_nnls``).
     """
     dim = a.shape[1]
-    e = np.empty((len(b), dim + 1))
-    e[:, :dim] = a
-    e[:, dim] = b
-    norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", e, e)), _TINY)
-    e /= norms[:, None]
+    e, norms = _unit_rows(a, b)
     tol = 10.0 * max(e.shape) * _EPS
     y = _nnls(e @ e.T, e[:, dim], tol, passive)
     r = e.T @ y
@@ -202,6 +119,36 @@ def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     if gap <= tol:
         return None
     return r[:dim] / gap, y / (norms * gap)
+
+
+def _feasible(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether a u >= b holds to ``TOL_PRIMAL``, relative to the largest |b|;
+    leading batch axes give one verdict per problem."""
+    shortfall = b - (a @ u[..., None])[..., 0]
+    return shortfall.max(axis=-1) <= TOL_PRIMAL * (1.0 + np.abs(b).max(axis=-1))
+
+
+def _relaxed(a: np.ndarray, b: np.ndarray):
+    """The shared-slack relaxation of a u >= b, as ``solve_qp`` returns it.
+
+    min ||u||^2 + rho*s^2 s.t. a_k^T u + s >= b_k, s >= 0 is the
+    least-distance program in (u, sqrt(rho)*s) over the rows
+    [a_k, 1/sqrt(rho)] and [0, 1], and it is always feasible. It runs cold.
+    """
+    n_c, dim = a.shape
+    root_rho = np.sqrt(RELAX_RHO)
+    rows = np.zeros((n_c + 1, dim + 1))
+    rows[:n_c, :dim] = a
+    rows[:n_c, dim] = 1.0 / root_rho
+    rows[n_c, dim] = 1.0
+    relaxed = _ldp(rows, np.append(b, 0.0))
+    if relaxed is None:
+        raise SolverError("relaxed QP produced no finite control")
+    v, duals = relaxed
+    slack = max(float(v[dim]) / root_rho, 0.0)
+    if slack <= 1e-9:
+        return v[:dim], duals[:n_c], STATUS_OPTIMAL, 0.0
+    return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
 
 
 def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
@@ -229,27 +176,12 @@ def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     exact = _ldp(a, b, passive)
     if exact is not None:
         u, duals = exact
-        if (b - a @ u).max() <= TOL_PRIMAL * (1.0 + np.abs(b).max()):
+        if _feasible(a, b, u):
             return u, duals, STATUS_OPTIMAL, 0.0
     if passive is not None:
         passive[:] = False
-
-    # Empty polyhedron, or a point the check rejects: min ||u||^2 + rho*s^2
-    # s.t. a_k^T u + s >= b_k, s >= 0 is the same program in
-    # (u, sqrt(rho)*s), and it is always feasible.
-    root_rho = np.sqrt(RELAX_RHO)
-    rows = np.zeros((n_c + 1, dim + 1))
-    rows[:n_c, :dim] = a
-    rows[:n_c, dim] = 1.0 / root_rho
-    rows[n_c, dim] = 1.0
-    relaxed = _ldp(rows, np.append(b, 0.0))
-    if relaxed is None:
-        raise SolverError("relaxed QP produced no finite control")
-    v, duals = relaxed
-    slack = max(float(v[dim]) / root_rho, 0.0)
-    if slack <= 1e-9:
-        return v[:dim], duals[:n_c], STATUS_OPTIMAL, 0.0
-    return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
+    # Empty polyhedron, or a point the check rejects.
+    return _relaxed(a, b)
 
 
 def needs_solve(b: np.ndarray) -> np.ndarray:
@@ -264,18 +196,83 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
 
 
 def fast_control(
-    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None, exact: bool = True
 ) -> tuple[np.ndarray, str, float]:
     """The minimum-effort joint control of one rollout-step, as (u, status,
     slack_used) with u flat (N*m,), from the step's rows (a, b) of the
     batch's ``_constraint_rows``. ``solve_qp`` solves them warm-started from
     ``passive`` (one bool per row, see ``row_count``), which receives the
-    free set of the answer.
+    free set of the answer. With ``exact`` false the step goes straight to
+    the relaxation, as ``solve_qp`` does once it rejects the exact answer.
     """
     try:
-        u, _, status, slack = solve_qp(a, b, passive)
+        u, _, status, slack = solve_qp(a, b, passive) if exact else _relaxed(a, b)
     except ValueError as exc:  # non-finite state or config values
         raise SolverError(str(exc)) from exc
     if not np.all(np.isfinite(u)):
         raise SolverError("QP returned a non-finite control")
     return u, status, slack
+
+
+# The Gram matrices that one lockstep slice of ``solve_batch`` stacks stay
+# within this many bytes (a slice holds one problem when its Gram is larger),
+# so the solver's memory does not grow with the batch.
+_GRAM_BYTES = 1 << 21
+
+
+def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray, rows: np.ndarray):
+    """The exact controls of the problems (a[r], b[r]), r in ``rows``, of a
+    batch's ``_constraint_rows``, which ``needs_solve`` all flags.
+
+    Returns (u, left, rejected) in the order of ``rows``: the flat controls,
+    which problems are left for ``fast_control`` (their u rows are zero), and
+    which of those had their exact answer rejected, so that ``fast_control``
+    goes straight to the relaxation. passive[r] is r's warm start and
+    receives its free set, or none where the answer was rejected; where r is
+    left otherwise, it stays as it was. The problems are solved in slices
+    whose Gram matrices take at most ``_GRAM_BYTES`` (one problem when a
+    single Gram is larger).
+    """
+    n_c, dim = a.shape[-2:]
+    u = np.zeros((len(rows), dim))
+    out = u, np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    step = max(1, _GRAM_BYTES // (8 * n_c * n_c))
+    for first in range(0, len(rows), step):
+        _solve_slice(a, b, passive, rows, slice(first, first + step), out)
+    if not np.all(np.isfinite(u)):
+        raise SolverError("QP returned a non-finite control")
+    return out
+
+
+def _solve_slice(a, b, passive, rows, part, out) -> None:
+    """``solve_batch`` on rows[part], written into ``out`` = (u, left, rejected).
+
+    The exact NNLS runs through ``_nnls_batch``. A problem that it leaves,
+    or whose data is not finite, stays left, and so does one whose exact
+    answer ``solve_qp`` would reject, flagged as rejected. Every answer
+    solved here is bitwise the one ``fast_control`` gives.
+    """
+    u, left, rejected = out
+    dim = a.shape[-1]
+    part = np.arange(len(rows))[part]
+    sel = rows[part]
+    if sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows: views, not copies
+        sel = slice(sel[0], sel[-1] + 1)
+    a_p, b_p = a[sel], b[sel]
+    finite = np.isfinite(a_p).all(axis=(1, 2)) & np.isfinite(b_p).all(axis=1)
+    if not finite.all():
+        part, a_p, b_p = part[finite], a_p[finite], b_p[finite]
+    e, _ = _unit_rows(a_p, b_p)
+    tol = 10.0 * max(e.shape[1:]) * _EPS
+    free = passive[rows[part]]
+    y, unsolved = _nnls_batch(e @ np.swapaxes(e, 1, 2), e[..., dim], tol, free)
+    r = (np.swapaxes(e, 1, 2) @ y[..., None])[..., 0]
+    gap = 1.0 - r[:, dim]
+    exact = ~unsolved & (gap > tol)
+    u_p = r[:, :dim] / np.where(exact, gap, 1.0)[:, None]
+    exact &= _feasible(a_p, b_p, u_p)
+    u[part[exact]] = u_p[exact]
+    left[part[exact]] = False
+    rejected[part] = dropped = ~(unsolved | exact)
+    free[dropped] = False
+    passive[rows[part[~unsolved]]] = free[~unsolved]

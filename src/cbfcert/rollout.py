@@ -16,11 +16,18 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .controller import STATUS_OPTIMAL, _constraint_rows, fast_control, needs_solve, row_count
+from .controller import (
+    STATUS_OPTIMAL,
+    _constraint_rows,
+    fast_control,
+    needs_solve,
+    row_count,
+    solve_batch,
+)
 from .errors import ConfigError, SetupError, WorkerError
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
@@ -105,25 +112,31 @@ def _control(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint controls of a batch of rollouts, and which ones relaxed.
 
-    The batch's constraint systems are built once; ``fast_control`` solves
-    rollout r's only where ``needs_solve`` flags it, and elsewhere the zero
-    control is optimal. Row r of ``passive`` is rollout r's warm start,
-    updated in place.
+    The batch's constraint systems are built once, and ``solve_batch``
+    solves every rollout that ``needs_solve`` flags, together; elsewhere the
+    zero control is optimal. ``fast_control`` finishes the few that the
+    batch leaves, the relaxations among them. Row r of ``passive`` is
+    rollout r's warm start, updated in place.
     """
     a, b = _constraint_rows(u_prev, config.safety, plant, table)
+    rows = np.flatnonzero(needs_solve(b))
     u = np.zeros(u_prev.shape)
     flat = u.reshape(len(u), a.shape[-1])
+    flat[rows], left, rejected = solve_batch(a, b, passive, rows)
     relaxed = np.zeros(len(u_prev), dtype=bool)
-    for r in np.flatnonzero(needs_solve(b)):
-        flat[r], status, _ = fast_control(a[r], b[r], passive[r])
+    for r, exact in zip(rows[left], ~rejected[left]):
+        flat[r], status, _ = fast_control(a[r], b[r], passive[r], exact)
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 
 
 def run_rollouts(
-    config: ExperimentConfig, seeds, record_trajectory: bool = False
+    config: ExperimentConfig, seeds, record_trajectory: bool = False, noise_bound=None
 ) -> Rollouts:
     """Simulate one seeded trajectory of the closed loop per seed, in lockstep.
+
+    ``noise_bound`` holds one noise bound per seed, which then stands in for
+    the config's ``system.noise_bound``; None gives every rollout the config's.
 
     The batch spawns in rounds: each redraws every pending rollout's initial
     state, takes its first control from ``_control`` (zero previous control,
@@ -138,6 +151,7 @@ def run_rollouts(
     params = config.safety
     plant = dynamics_model(sys_cfg)
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    w_bar = np.full(len(rngs), sys_cfg.noise_bound) if noise_bound is None else noise_bound
     n_rows = row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)
     x = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.state_dim))
     u = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.control_dim))
@@ -149,7 +163,7 @@ def run_rollouts(
     pending = np.arange(len(rngs))
     for _ in range(_MAX_INITIAL_DRAWS):
         x[pending] = [sample_initial_state(sys_cfg, rngs[r]) for r in pending]
-        table = PairTable(x[pending], params, sys_cfg.noise_bound)
+        table = PairTable(x[pending], params, w_bar[pending])
         cold = np.zeros((len(pending), n_rows), dtype=bool)
         u[pending], relaxed[pending] = _control(
             np.zeros(u[pending].shape), config, plant, table, cold
@@ -184,9 +198,9 @@ def run_rollouts(
         if k == sys_cfg.horizon_steps:
             break
         if k % NOISE_BLOCK_STEPS == 0:
-            noise = noise_array(sys_cfg, rngs)
+            noise = noise_array(sys_cfg, rngs, w_bar)
         x = euler_step(x, u, noise[:, k % NOISE_BLOCK_STEPS], sys_cfg.dt, plant)
-        table = PairTable(x, params, sys_cfg.noise_bound)
+        table = PairTable(x, params, w_bar)
         u, relaxed = _control(u, config, plant, table, passive)
         step_min = np.min(table.weighted_margins(u, params.psi), axis=-1)
         step_dist = np.min(table.dist, axis=-1)
@@ -305,50 +319,68 @@ def _run_units(units: list, jobs: int) -> list:
     return [results[i] for i in range(len(units))]
 
 
+# No lockstep batch of ``run_experiments`` holds more rollouts than this or
+# the command's largest cell, whichever is more, so stacking cells does not
+# raise a command's peak memory above that of its largest cell.
+_BATCH_ROLLOUTS = 1024
+
+
 def run_experiments(
     configs, jobs: int = 1, record_trajectory: bool = False
 ) -> list[tuple[Rollouts, np.ndarray, np.ndarray]]:
     """Every cell's rollouts as (G, P) arrays, with their scores and flags, per cell.
 
-    Each cell's G x P seeds, in group order, are cut into
-    ``min(G * P, ceil(jobs / len(configs)))`` near-equal contiguous chunks (a
-    chunk may end inside a group), so a command with at least ``jobs`` cells
-    runs each cell as one batch. Each chunk is one ``run_rollouts`` batch, a
-    work unit of ``_run_units``, which runs all units of all cells at once.
-    Each cell's batches are joined in seed order, so the result is the same
-    for any ``jobs``.
+    Cells whose configs differ only in ``system.noise_bound`` form one
+    stack: their G x P seeds, cell after cell and each in group order, run
+    as one sequence of rollouts, each with its own cell's bound. Each stack
+    is cut into ``max(ceil(jobs / stacks), ceil(size / cap))`` near-equal
+    contiguous chunks (at most one per rollout; a chunk may end inside a
+    group or a cell), where cap is the larger of ``_BATCH_ROLLOUTS`` and the
+    largest cell. Each chunk is one ``run_rollouts`` batch, a work unit of
+    ``_run_units``, which runs all units of all stacks at once. Each stack's
+    batches are joined in seed order and split back into its cells, so the
+    result is the same for any ``jobs``.
     """
-    per_cell = math.ceil(jobs / len(configs))
-    cells, units = [], []
-    for config in configs:
-        shape = (config.groups, config.rollouts_per_group)
-        seeds = [rollout_seed(config, g, p) for g in range(shape[0]) for p in range(shape[1])]
-        n_chunks = min(per_cell, len(seeds))
+    stacks = {}
+    for i, config in enumerate(configs):
+        shared = replace(config, system=replace(config.system, noise_bound=0.0))
+        stacks.setdefault(shared, []).append(i)
+    sizes = [config.groups * config.rollouts_per_group for config in configs]
+    cap = max(_BATCH_ROLLOUTS, *sizes)
+    per_stack = math.ceil(jobs / len(stacks))
+    plan, units = [], []
+    for cells in stacks.values():
+        seeds = [
+            rollout_seed(configs[i], g, p)
+            for i in cells
+            for g in range(configs[i].groups)
+            for p in range(configs[i].rollouts_per_group)
+        ]
+        w_bar = np.repeat([configs[i].system.noise_bound for i in cells], [sizes[i] for i in cells])
+        n_chunks = min(len(seeds), max(per_stack, math.ceil(len(seeds) / cap)))
         bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
-        units += [(config, seeds[a:b], record_trajectory) for a, b in zip(bounds, bounds[1:])]
-        cells.append((config, shape, n_chunks))
+        units += [
+            (configs[cells[0]], seeds[a:b], record_trajectory, w_bar[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        plan.append((cells, n_chunks))
     batches = iter(_run_units(units, jobs))
 
-    def joined(arrays, shape) -> np.ndarray:
-        return np.concatenate(arrays).reshape(shape + arrays[0].shape[1:])
-
-    results = []
-    for config, shape, n_chunks in cells:
+    names = [f.name for f in fields(Rollouts) if f.name != "trajectory"]
+    results = [None] * len(configs)
+    for cells, n_chunks in plan:
         parts = [next(batches) for _ in range(n_chunks)]
-        rollouts = Rollouts(
-            **{
-                f.name: joined([getattr(b, f.name) for b in parts], shape)
-                for f in fields(Rollouts)
-                if f.name != "trajectory"
-            },
-            trajectory=(
-                tuple(joined(t, shape) for t in zip(*(b.trajectory for b in parts)))
-                if record_trajectory
-                else None
-            ),
-        )
-        z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
-        results.append((rollouts, z, x_flags))
+        arrays = [np.concatenate([getattr(b, name) for b in parts]) for name in names]
+        if record_trajectory:
+            arrays += [np.concatenate(t) for t in zip(*(b.trajectory for b in parts))]
+        stop = 0
+        for i in cells:
+            config, start, stop = configs[i], stop, stop + sizes[i]
+            shape = (config.groups, config.rollouts_per_group)
+            cut = [v[start:stop].reshape(shape + v.shape[1:]) for v in arrays]
+            rollouts = Rollouts(*cut[: len(names)], trajectory=tuple(cut[len(names) :]) or None)
+            z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
+            results[i] = (rollouts, z, x_flags)
     return results
 
 
@@ -356,5 +388,6 @@ def run_experiment(
     config: ExperimentConfig, jobs: int = 1, record_trajectory: bool = False
 ) -> tuple[Rollouts, np.ndarray, np.ndarray]:
     """All rollouts of one experiment: ``run_experiments`` on one cell, whose
-    G x P seeds are cut into ``min(jobs, G * P)`` chunks."""
+    G x P seeds are cut into ``min(G * P, max(jobs, ceil(G * P / cap)))``
+    chunks."""
     return run_experiments([config], jobs, record_trajectory)[0]

@@ -61,12 +61,13 @@ class PairTable:
     phi(q) = exp(-q) / sqrt(q + eps^2), whose norm never exceeds
     exp(-||d||^2) <= 1, and the worst-case noise effect
     gamma = 2 w_bar ||grad h|| attained by two disturbances (anti-)aligned
-    with the gradient (zero when the robust margin is off).
+    with the gradient (zero when the robust margin is off). The noise bound
+    ``w_bar`` is a float, or one bound per joint state of the stack.
     """
 
     __slots__ = ("idx_i", "idx_j", "diff", "dist_sq", "dist", "h", "grad", "prop", "gamma")
 
-    def __init__(self, x: np.ndarray, params: SafetyParams, w_bar: float):
+    def __init__(self, x: np.ndarray, params: SafetyParams, w_bar):
         idx_i, idx_j = pair_indices(x.shape[-2])
         self.idx_i = idx_i
         self.idx_j = idx_j
@@ -79,10 +80,10 @@ class PairTable:
         self.grad = 2.0 * diff
         damp = np.exp(-dist_sq) / np.sqrt(dist_sq + params.reg_eps**2)
         self.prop = diff * damp[..., None]
-        if params.robust_margin_enabled and w_bar > 0:
-            self.gamma = 4.0 * w_bar * self.dist
-        else:
-            self.gamma = np.zeros_like(self.h)
+        self.gamma = np.zeros_like(self.h)
+        if params.robust_margin_enabled:
+            w_bar = np.asarray(w_bar, dtype=float)[..., None]
+            np.multiply(4.0 * w_bar, self.dist, out=self.gamma, where=w_bar > 0)
 
     def weighted_margins(self, u: np.ndarray, psi: float) -> np.ndarray:
         """h_tilde for every pair at the joint control u (..., N, m).

@@ -122,12 +122,13 @@ def euler_step(
     return x + dt * (x @ plant.drift.T + u @ plant.actuation.T + w)
 
 
-def noise_array(config: SystemConfig, rngs) -> np.ndarray:
+def noise_array(config: SystemConfig, rngs, noise_bound=None) -> np.ndarray:
     """Draw the next ``NOISE_BLOCK_STEPS`` steps of bounded disturbance for
     each generator, as an R x B x N x n array (slice r drawn from ``rngs[r]``,
     its step k at ``[r, k]``).
 
-    ``ball`` mode is uniform on the closed Euclidean ball of radius
+    ``noise_bound`` holds one bound per generator (R,); None gives each the
+    config's. ``ball`` mode is uniform on the closed Euclidean ball of radius
     ``noise_bound`` (uniform direction, radius = bound * U^(1/n)); ``sphere``
     mode pins the norm at the bound. Either way the per-agent norm never
     exceeds the bound. Each generator draws B x N x n standard normals in one
@@ -150,10 +151,11 @@ def noise_array(config: SystemConfig, rngs) -> np.ndarray:
     if np.any(degenerate):  # probability-zero draw; pick an arbitrary direction
         z[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
+    bound = config.noise_bound if noise_bound is None else noise_bound[:, None, None]
     if ball:
-        radii = config.noise_bound * uniform ** (1.0 / n)
+        radii = bound * uniform ** (1.0 / n)
     else:
-        radii = np.full(norms.shape, config.noise_bound)
+        radii = np.broadcast_to(bound, norms.shape)
     return z * (radii / norms)[..., None]
 
 

@@ -472,19 +472,20 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "command, units",
-        [("reproduce-table1", [6] * 6), ("sweep-psi", [100] * 6), ("verify", [3, 3])],
+        [("reproduce-table1", [18] * 2), ("sweep-psi", [100] * 6), ("verify", [3, 3])],
     )
     def test_every_unit_is_submitted_before_any_is_joined(
         self, tmp_path, monkeypatch, command, units
     ):
-        # At --jobs 2 a six-cell sweep runs one whole cell per work unit and
-        # verify cuts its one cell in two; every unit reaches the runner in
-        # one call, before any result is joined.
+        # At --jobs 2 table1 runs each stack of its three same-N cells as one
+        # work unit, sweep-psi one whole cell per unit, and verify cuts its
+        # one cell in two; every unit reaches the runner in one call, before
+        # any result is joined.
         calls = []
         run_units = rollout._run_units
 
         def spy(work, jobs):
-            calls.append([len(seeds) for _, seeds, _ in work])
+            calls.append([len(unit[1]) for unit in work])
             return run_units(work, 1)
 
         monkeypatch.setattr(rollout, "_run_units", spy)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbfcert import controller
 from cbfcert.controller import (
     RELAX_RHO,
     STATUS_INFEASIBLE_RELAXED,
@@ -10,7 +11,9 @@ from cbfcert.controller import (
     _constraint_rows,
     _nnls,
     fast_control,
+    needs_solve,
     row_count,
+    solve_batch,
     solve_qp,
 )
 from cbfcert.errors import SolverError
@@ -521,3 +524,124 @@ class TestWarmStart:
             with pytest.raises(SolverError, match=f"{3 * n} passes"):
                 _nnls(np.eye(n), -np.ones(n), -np.inf, start)
             assert len(calls) == 3 * n + extra
+
+
+def batch_controls(a, b, passive):
+    """solve_batch on every problem of a stack, with the problems it leaves
+    finished by fast_control, as the engine does: (u, relaxed, left)."""
+    rows = np.arange(len(b))
+    u, left, rejected = solve_batch(a, b, passive, rows)
+    relaxed = np.zeros(len(b), dtype=bool)
+    for r in rows[left]:
+        u[r], status, _ = fast_control(a[r], b[r], passive[r], not rejected[r])
+        relaxed[r] = status != STATUS_OPTIMAL
+    return u, relaxed, left
+
+
+def assert_batch_is_per_problem(a, b, start):
+    """Every batched control, relaxation flag and final free set is bit for
+    bit that of the problem's own solve_qp from its own start. Returns
+    (relaxed, left)."""
+    passive = start.copy()
+    u, relaxed, left = batch_controls(a, b, passive)
+    for p in range(len(b)):
+        own = start[p].copy()
+        u_p, _, status, _ = solve_qp(a[p], b[p], own)
+        assert u[p].tobytes() == u_p.tobytes()
+        assert relaxed[p] == (status != STATUS_OPTIMAL)
+        assert np.array_equal(passive[p], own)
+    return relaxed, left
+
+
+def random_stack(rng, size, n_rows, dim):
+    """A stack of problems, each with a positive right-hand side: random
+    systems, systems with repeated rows (singular free sets), and systems
+    with a row and its negation both demanding progress (empty polyhedra)."""
+    a = np.empty((size, n_rows, dim))
+    b = np.empty((size, n_rows))
+    for p in range(size):
+        a[p], b[p], _ = make_feasible_qp(rng, dim, n_rows)
+        if p % 3 == 1 and n_rows >= 2:
+            pick = rng.integers(0, n_rows // 2, size=n_rows - n_rows // 2)
+            a[p, n_rows // 2 :] = 3.0 * a[p, pick]
+            b[p, n_rows // 2 :] = 3.0 * b[p, pick]
+        if p % 3 == 2 and n_rows >= 2:
+            a[p, 1] = -a[p, 0]
+            b[p, :2] = rng.uniform(0.1, 1.0, size=2)
+        b[p, 0] = max(b[p, 0], 0.5)
+    return a, b
+
+
+class TestSolveBatch:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 8),
+        n_rows=st.integers(1, 16),
+        dim=st.integers(1, 6),
+        gram_bytes=st.sampled_from([8, controller._GRAM_BYTES]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_stacks_match_solve_qp(self, seed, size, n_rows, dim, gram_bytes):
+        # Cold, partial and all-rows starts; with a one-byte Gram budget
+        # every problem is its own slice.
+        rng = np.random.default_rng(seed)
+        a, b = random_stack(rng, size, n_rows, dim)
+        start = rng.random((size, n_rows)) < rng.uniform()
+        start[::4] = True
+        saved = controller._GRAM_BYTES
+        controller._GRAM_BYTES = gram_bytes
+        try:
+            assert_batch_is_per_problem(a, b, start)
+        finally:
+            controller._GRAM_BYTES = saved
+
+    def test_crowded_steps_take_every_path(self, rng):
+        # 114-row, 24-column steps of crowded rollouts in a 0.1 and a 0.05
+        # control box (the smaller box empties every polyhedron), from warm,
+        # all-rows and random starts: some problems finish in lockstep, some
+        # are left to fast_control, and some relax.
+        problems, starts = [], []
+        for bound in (0.1, 0.05):
+            params = SafetyParams(psi=2.0, kappa=0.1, control_bound=bound)
+            steps = [
+                rows(x, u_prev, params, CROWDED.noise_bound)
+                for x, u_prev in crowded_steps(3, 10, params)
+            ]
+            cold = np.zeros(len(steps[0][1]), dtype=bool)
+            warm = np.stack([cold] + [cold_free_set(*step) for step in steps[:-1]])
+            problems += steps * 3
+            starts += [warm, np.ones_like(warm), rng.random(warm.shape) < 0.5]
+        a, b = (np.stack(parts) for parts in zip(*problems))
+        start = np.concatenate(starts)
+        flagged = needs_solve(b)
+        relaxed, left = assert_batch_is_per_problem(a[flagged], b[flagged], start[flagged])
+        assert (left & ~relaxed).any() and not left.all()
+        assert relaxed.any()
+
+    def test_singular_and_empty_hand_cases(self):
+        # The singular step-back and the rounding-level residual cases above
+        # (both empty polyhedra), stacked with a feasible system of the same
+        # rows, from cold and all-rows starts.
+        box = np.vstack([np.eye(6), -np.eye(6)])
+        singular = np.array([
+            [-2.815686196810006, 0.36826132123495764, 2.815686196810006, -0.36826132123495764, 0.0, 0.0],
+            [-4.249540887267746, 3.069091383863176, 0.0, 0.0, 4.249540887267746, -3.069091383863176],
+            [0.0, 0.0, -1.4701132376884636, 2.72088089387684, 1.4701132376884636, -2.72088089387684],
+        ])
+        rounding = np.array([
+            [-3.232480675379941, -0.56049194385062, 3.232480675379941, 0.56049194385062, 0.0, 0.0],
+            [-1.424177868594625, 2.2967198591812976, 0.0, 0.0, 1.424177868594625, -2.2967198591812976],
+            [0.0, 0.0, 1.818842195607827, 2.836247034890321, -1.818842195607827, -2.836247034890321],
+        ])
+        a = np.stack([np.vstack([pairs, box]) for pairs in (singular, rounding, singular)])
+        b = np.stack([
+            np.append(rhs, np.full(12, -0.01))
+            for rhs in (
+                [0.07103933313866663, -0.272389661122662, 0.04822228003671261],
+                [0.029204691550921785, 0.08207046243405312, 0.01964061811006182],
+                [0.001, -0.272389661122662, 0.001],
+            )
+        ])
+        for start in (np.zeros(b.shape, dtype=bool), np.ones(b.shape, dtype=bool)):
+            relaxed, _ = assert_batch_is_per_problem(a, b, start)
+            assert relaxed.tolist() == [True, True, False]

@@ -5,7 +5,7 @@ numpy, or the package itself; the README and pyproject promise no more.
 The module globals that the benchmark imports or its tracer rebinds must stay
 in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
 and no process-pool machinery, and a command at --jobs 2, whose workers are
-forked directly, loads none either.
+forked directly, loads none either. No run command loads numpy.ma.
 """
 
 import ast
@@ -117,6 +117,28 @@ def test_forked_command_loads_no_process_pool(fresh_env, tmp_path, command):
         f"print(sorted({POOL_MODULES} & set(sys.modules)))"
     )
     assert _fresh_import(fresh_env, code).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+def test_command_loads_no_masked_arrays(fresh_env, tmp_path, command):
+    # numpy.ma loads on first use of some numpy functions (np.unique, for
+    # one), at about 10 ms of CPU and 1.7 MB of peak memory in each fresh
+    # process. Three agents in a 2.5 x 2.5 square make every command solve
+    # QPs in lockstep.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "groups": 2,
+                "rollouts_per_group": 5,
+                "system": {"n_agents": 3, "horizon_steps": 10, "domain_half_width": 2.5},
+            }
+        ),
+        encoding="utf-8",
+    )
+    args = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    code = f"import sys\nassert cbfcert.cli.main({args!r}) == 0\nprint('numpy.ma' in sys.modules)"
+    assert _fresh_import(fresh_env, code).splitlines()[-1] == "False"
 
 
 @pytest.mark.skipif(

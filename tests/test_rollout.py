@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp
 
 from cbfcert import rollout
-from cbfcert.cli import build_config
+from cbfcert.cli import TABLE1_AGENT_GRID, TABLE1_NOISE_GRID, build_config
 from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
@@ -412,19 +412,22 @@ class TestSpawn:
         with pytest.raises(SetupError, match=f"margin 1.5 in {most - 1} draws"):
             run_rollouts(cfg, seeds)
 
-    def test_fast_control_runs_exactly_for_needs_solve_rows(self, monkeypatch):
+    def test_solve_batch_gets_exactly_the_needs_solve_rows(self, monkeypatch):
         # Every batch's constraint systems, spawn rounds included, hand
-        # exactly their needs_solve rollouts to fast_control, in order.
+        # exactly their needs_solve rollouts to solve_batch, in order.
         cfg, seeds = spawn_case("margin_rejections")
         cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, horizon_steps=5))
         batches, solved = [], []
-        build, solve = rollout._constraint_rows, rollout.fast_control
+        build, solve = rollout._constraint_rows, rollout.solve_batch
         monkeypatch.setattr(
             rollout, "_constraint_rows", lambda *args: batches.append(build(*args)) or batches[-1]
         )
-        monkeypatch.setattr(
-            rollout, "fast_control", lambda a, b, p: solved.append((a, b)) or solve(a, b, p)
-        )
+
+        def spy(a, b, passive, rows):
+            solved.extend((a[r], b[r]) for r in rows)
+            return solve(a, b, passive, rows)
+
+        monkeypatch.setattr(rollout, "solve_batch", spy)
         run_rollouts(cfg, seeds)
         spawn_rounds = len(batches) - cfg.system.horizon_steps
         assert spawn_rounds > 1
@@ -482,6 +485,45 @@ class TestStreams:
             flat = [a.reshape((len(seeds),) + a.shape[2:]) for a in arrays_of(rollouts)]
             assert_bitwise(flat, arrays_of(batch))
         assert_matches_one_by_one(cfg, batch)
+
+
+def table1_cells():
+    """reproduce-table1's cells on a short single_psi2 config, 6 rollouts
+    each: the cells of one agent count differ only in their noise bound."""
+    cfg = horizon_config("single_psi2", 20, groups=2, rollouts_per_group=3)
+    return [
+        dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, n_agents=n, noise_bound=w))
+        for n in TABLE1_AGENT_GRID
+        for w in TABLE1_NOISE_GRID
+    ]
+
+
+class TestStacks:
+    # run_experiments runs the cells of one agent count as one stack of 18
+    # rollouts; at jobs 3 and 7 its batches end inside a cell.
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    def test_cells_are_the_same_alone_and_stacked(self, jobs):
+        cells = table1_cells()
+        stacked = rollout.run_experiments(cells, jobs, record_trajectory=True)
+        for cell, (rollouts, z, x_flags) in zip(cells, stacked):
+            alone, z_a, x_flags_a = run_experiment(cell, record_trajectory=True)
+            assert_bitwise(arrays_of(rollouts) + [z, x_flags], arrays_of(alone) + [z_a, x_flags_a])
+
+    def test_no_batch_exceeds_the_largest_cell_or_the_cap(self, monkeypatch):
+        # With a cap of one rollout, each stack of three 6-rollout cells is
+        # cut into three batches of the largest cell's size.
+        units = []
+        run_units = rollout._run_units
+        monkeypatch.setattr(rollout, "_BATCH_ROLLOUTS", 1)
+        monkeypatch.setattr(
+            rollout, "_run_units", lambda work, jobs: units.extend(work) or run_units(work, jobs)
+        )
+        cells = table1_cells()
+        stacked = rollout.run_experiments(cells, 1)
+        assert [len(unit[1]) for unit in units] == [6] * 6
+        for cell, (rollouts, _, _) in zip(cells, stacked):
+            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)[0]))
 
 
 class TestExperimentConfigValidation:

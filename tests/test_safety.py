@@ -212,6 +212,16 @@ class TestPairTable:
                 assert np.array_equal(getattr(batch, name)[r], getattr(one, name)), name
             assert np.array_equal(h_tilde[r], one.weighted_margins(u[r], params.psi))
 
+    def test_per_state_bounds_match_each_joint_state(self, rng):
+        # One noise bound per joint state, zero among them, gives each slice
+        # the gamma of its state's table with that bound as a float.
+        params = SafetyParams(psi=1.7, kappa=0.8)
+        x = rng.uniform(-4, 4, size=(4, 3, 2))
+        bounds = np.array([0.05, 0.0, 0.01, 0.03])
+        batch = PairTable(x, params, bounds)
+        for r, bound in enumerate(bounds.tolist()):
+            assert batch.gamma[r].tobytes() == PairTable(x[r], params, bound).gamma.tobytes()
+
     def test_gamma_zero_when_margin_disabled(self, rng):
         params = SafetyParams(robust_margin_enabled=False)
         x = rng.uniform(-4, 4, size=(3, 2))

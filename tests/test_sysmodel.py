@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,17 @@ class TestSampleNoise:
             assert w_low.shape == (3, NOISE_BLOCK, 3, 2)
             assert np.allclose(w_high, 5.0 * w_low, rtol=1e-13, atol=0.0)
         assert [g.random() for g in gens_low] == [g.random() for g in gens_high]
+
+    @pytest.mark.parametrize("dist", ["ball", "sphere"])
+    def test_per_generator_bounds_match_each_config(self, dist):
+        # A bound per generator scales generator r's draws as a config with
+        # that bound would, bit for bit.
+        bounds = np.array([0.01, 0.0, 0.05])
+        cfg = SystemConfig(n_agents=3, noise_bound=0.03, noise_dist=dist)
+        batch = noise_array(cfg, [np.random.default_rng(s) for s in range(3)], bounds)
+        for s, bound in enumerate(bounds.tolist()):
+            one = noise_array(replace(cfg, noise_bound=bound), [np.random.default_rng(s)])
+            assert batch[s].tobytes() == one[0].tobytes()
 
     @given(bound=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
