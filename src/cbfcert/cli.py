@@ -257,9 +257,10 @@ def _run(args) -> int:
     """The steps every run subcommand shares around its body.
 
     Resolves the config (``--seed`` overrides its base seed), makes ``--out``
-    and calls ``args.body(args, config, manifest)``, which runs the cells,
-    writes its own extra files, prints its lines (its closing "wrote" line
-    included) and returns (csv name, columns, rows). That CSV is written
+    (``SetupError`` when it cannot) and calls
+    ``args.body(args, config, manifest)``, which runs the cells, writes its
+    own extra files, prints its lines (its closing "wrote" line included)
+    and returns (csv name, columns, rows). That CSV is written
     under the provenance lines, then ``run_manifest.json``.
 
     The body hands the chunks of all its cells to one
@@ -283,7 +284,10 @@ def _run(args) -> int:
         "command": args.command,
         "jobs": args.jobs,
     }
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file at --out or on its way
+        raise SetupError(f"cannot make output directory {args.out}: {exc.strerror}") from exc
     csv_name, columns, rows = args.body(args, config, manifest)
     provenance = [
         f"tool: cbfcert {__version__}",

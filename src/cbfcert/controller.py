@@ -9,7 +9,9 @@ which Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) reduce to
 one nonnegative least-squares problem (``nnls``); its residual also decides
 feasibility. When the polyhedron is empty the same solver handles the
 shared-slack relaxation, and the step reports how much relaxation was needed.
-``solve_batch`` solves the flagged problems of a lockstep step together.
+``solve_batch`` solves the exact programs of a lockstep step's flagged
+problems together; ``solve_qp`` and ``fast_control`` run the same code on one
+problem and relax it when its polyhedron is empty.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverError
-from .nnls import _nnls, _nnls_batch
+from .nnls import _nnls_batch
 from .safety import PairTable, SafetyParams
 from .sysmodel import Plant
 
@@ -99,26 +101,29 @@ def _unit_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, norms
 
 
-def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
-    """Least-distance program min ||v|| s.t. a v >= b, as one NNLS.
+def _ldp(a: np.ndarray, b: np.ndarray, passive: np.ndarray):
+    """Least-distance programs min ||v|| s.t. a[p] v >= b[p] for a stack of
+    problems, as one lockstep NNLS: (v, duals, solved), one row per problem.
 
     With E = [a^T; b^T] and f the last unit vector, the NNLS residual
     r = E y - f gives v = -r[:dim] / r[dim] and duals y / (-r[dim]) (Lawson &
     Hanson, ch. 23). At the optimum -r[dim] = 1 / (1 + ||v||^2), and a zero
-    residual certifies that the polyhedron is empty: returns None then.
-    Each row (a_k, b_k) is scaled to unit norm first, which leaves the
-    program unchanged and makes the NNLS tolerance scale-free. ``passive``
-    is the NNLS start and final free set over the rows (see ``_nnls``).
+    residual certifies that the polyhedron is empty: solved[p] is false then,
+    and row p of v and duals means nothing. Each row (a_k, b_k) is scaled to
+    unit norm first, which leaves the program unchanged and makes the NNLS
+    tolerance scale-free. ``passive`` holds the NNLS starts and receives the
+    final free sets, one row per problem (see ``_nnls_batch``).
     """
-    dim = a.shape[1]
+    dim = a.shape[-1]
     e, norms = _unit_rows(a, b)
-    tol = 10.0 * max(e.shape) * _EPS
-    y = _nnls(e @ e.T, e[:, dim], tol, passive)
-    r = e.T @ y
-    gap = 1.0 - r[dim]
-    if gap <= tol:
-        return None
-    return r[:dim] / gap, y / (norms * gap)
+    tol = 10.0 * max(e.shape[1:]) * _EPS
+    e_t = np.swapaxes(e, 1, 2)
+    y = _nnls_batch(e @ e_t, e[..., dim], tol, passive)
+    r = (e_t @ y[..., None])[..., 0]
+    gap = 1.0 - r[:, dim]
+    solved = gap > tol
+    gap = np.where(solved, gap, 1.0)[:, None]
+    return r[:, :dim] / gap, y / (norms * gap), solved
 
 
 def _feasible(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -128,60 +133,47 @@ def _feasible(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return shortfall.max(axis=-1) <= TOL_PRIMAL * (1.0 + np.abs(b).max(axis=-1))
 
 
-def _relaxed(a: np.ndarray, b: np.ndarray):
-    """The shared-slack relaxation of a u >= b, as ``solve_qp`` returns it.
-
-    min ||u||^2 + rho*s^2 s.t. a_k^T u + s >= b_k, s >= 0 is the
-    least-distance program in (u, sqrt(rho)*s) over the rows
-    [a_k, 1/sqrt(rho)] and [0, 1], and it is always feasible. It runs cold.
-    """
-    n_c, dim = a.shape
-    root_rho = np.sqrt(RELAX_RHO)
-    rows = np.zeros((n_c + 1, dim + 1))
-    rows[:n_c, :dim] = a
-    rows[:n_c, dim] = 1.0 / root_rho
-    rows[n_c, dim] = 1.0
-    relaxed = _ldp(rows, np.append(b, 0.0))
-    if relaxed is None:
-        raise SolverError("relaxed QP produced no finite control")
-    v, duals = relaxed
-    slack = max(float(v[dim]) / root_rho, 0.0)
-    if slack <= 1e-9:
-        return v[:dim], duals[:n_c], STATUS_OPTIMAL, 0.0
-    return v[:dim], duals[:n_c], STATUS_INFEASIBLE_RELAXED, slack
-
-
 def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
 
-    Returns (u, duals, status, slack_used). The projection is solved exactly
-    as a least-distance program through one Lawson-Hanson NNLS. When the
-    NNLS residual certifies that the polyhedron is empty (or the point fails
-    the feasibility check), the problem is re-solved with a shared slack
-    s >= 0 weighted by ``RELAX_RHO``, and the answer is flagged
-    ``infeasible_relaxed`` with ``slack_used`` set to the optimal slack.
-
-    ``passive`` (bool per row) warm-starts the exact NNLS and receives the
-    free set of the answer: the NNLS's final one, or none for u = 0 and for
-    the relaxation, which runs cold. The answer does not depend on the start.
+    Returns (u, duals, status, slack_used). The point is the least-distance
+    program ``_ldp`` on a stack of one, warm-started from ``passive`` (bool
+    per row), which receives the NNLS's final free set; the answer does not
+    depend on the start. Where the NNLS residual certifies that the
+    polyhedron is empty, or the point fails the feasibility check, the
+    problem is re-solved cold with a shared slack s >= 0:
+    min ||u||^2 + rho*s^2 s.t. a_k^T u + s >= b_k, which is the
+    least-distance program in (u, sqrt(rho)*s) over the rows
+    [a_k, 1/sqrt(rho)] and [0, 1], always feasible; ``passive`` is cleared
+    then, as it is for u = 0. A slack above 1e-9 flags the answer
+    ``infeasible_relaxed``, with ``slack_used`` set to that slack.
     """
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite constraint data")
     n_c, dim = a.shape
+    free = np.zeros((1, n_c), dtype=bool) if passive is None else passive[None]
     if not needs_solve(b):
         # The unconstrained optimum u = 0 already satisfies everything.
-        if passive is not None:
-            passive[:] = False
+        free[:] = False
         return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
-    exact = _ldp(a, b, passive)
-    if exact is not None:
-        u, duals = exact
-        if _feasible(a, b, u):
-            return u, duals, STATUS_OPTIMAL, 0.0
-    if passive is not None:
-        passive[:] = False
-    # Empty polyhedron, or a point the check rejects.
-    return _relaxed(a, b)
+    u, duals, exact = _ldp(a[None], b[None], free)
+    if exact[0] and _feasible(a[None], b[None], u)[0]:
+        return u[0], duals[0], STATUS_OPTIMAL, 0.0
+    free[:] = False
+    root_rho = np.sqrt(RELAX_RHO)
+    rows = np.zeros((1, n_c + 1, dim + 1))
+    rows[0, :n_c, :dim] = a
+    rows[0, :n_c, dim] = 1.0 / root_rho
+    rows[0, n_c, dim] = 1.0
+    rhs = np.zeros((1, n_c + 1))
+    rhs[0, :n_c] = b
+    v, duals, solved = _ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool))
+    if not solved[0]:
+        raise SolverError("relaxed QP produced no finite control")
+    used = max(v[0, dim] / root_rho, 0.0)
+    if used <= 1e-9:
+        return v[0, :dim], duals[0, :n_c], STATUS_OPTIMAL, 0.0
+    return v[0, :dim], duals[0, :n_c], STATUS_INFEASIBLE_RELAXED, used
 
 
 def needs_solve(b: np.ndarray) -> np.ndarray:
@@ -196,17 +188,16 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
 
 
 def fast_control(
-    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None, exact: bool = True
+    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None
 ) -> tuple[np.ndarray, str, float]:
     """The minimum-effort joint control of one rollout-step, as (u, status,
-    slack_used) with u flat (N*m,), from the step's rows (a, b) of the
-    batch's ``_constraint_rows``. ``solve_qp`` solves them warm-started from
-    ``passive`` (one bool per row, see ``row_count``), which receives the
-    free set of the answer. With ``exact`` false the step goes straight to
-    the relaxation, as ``solve_qp`` does once it rejects the exact answer.
+    slack_used) with u flat (N*m,), from the step's rows (a, b) of a
+    ``_constraint_rows`` system: ``solve_qp`` warm-started from ``passive``
+    (one bool per row, see ``row_count``), which receives the free set of
+    the answer, with its failures raised as ``SolverError``.
     """
     try:
-        u, _, status, slack = solve_qp(a, b, passive) if exact else _relaxed(a, b)
+        u, _, status, slack = solve_qp(a, b, passive)
     except ValueError as exc:  # non-finite state or config values
         raise SolverError(str(exc)) from exc
     if not np.all(np.isfinite(u)):
@@ -222,57 +213,34 @@ _GRAM_BYTES = 1 << 21
 
 def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray, rows: np.ndarray):
     """The exact controls of the problems (a[r], b[r]), r in ``rows``, of a
-    batch's ``_constraint_rows``, which ``needs_solve`` all flags.
+    batch's ``_constraint_rows``, which ``needs_solve`` all flags, each bit
+    for bit what ``solve_qp`` computes before it decides to relax.
 
-    Returns (u, left, rejected) in the order of ``rows``: the flat controls,
-    which problems are left for ``fast_control`` (their u rows are zero), and
-    which of those had their exact answer rejected, so that ``fast_control``
-    goes straight to the relaxation. passive[r] is r's warm start and
-    receives its free set, or none where the answer was rejected; where r is
-    left otherwise, it stays as it was. The problems are solved in slices
-    whose Gram matrices take at most ``_GRAM_BYTES`` (one problem when a
-    single Gram is larger).
+    Returns (u, rejected) in the order of ``rows``: the flat controls, and
+    which problems' exact answers ``solve_qp`` rejects (an empty polyhedron,
+    or a point that fails the feasibility check). A rejected row of u means
+    nothing and its passive row keeps its start, so that ``fast_control``
+    from there repeats the same exact solve before it relaxes; every other
+    passive[r] receives r's final free set. The exact programs run through
+    ``_ldp`` in slices whose Gram matrices take at most ``_GRAM_BYTES`` (one
+    problem when a single Gram is larger). Non-finite data raises
+    ``SolverError``.
     """
     n_c, dim = a.shape[-2:]
-    u = np.zeros((len(rows), dim))
-    out = u, np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    u = np.empty((len(rows), dim))
+    rejected = np.empty(len(rows), dtype=bool)
     step = max(1, _GRAM_BYTES // (8 * n_c * n_c))
     for first in range(0, len(rows), step):
-        _solve_slice(a, b, passive, rows, slice(first, first + step), out)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("QP returned a non-finite control")
-    return out
-
-
-def _solve_slice(a, b, passive, rows, part, out) -> None:
-    """``solve_batch`` on rows[part], written into ``out`` = (u, left, rejected).
-
-    The exact NNLS runs through ``_nnls_batch``. A problem that it leaves,
-    or whose data is not finite, stays left, and so does one whose exact
-    answer ``solve_qp`` would reject, flagged as rejected. Every answer
-    solved here is bitwise the one ``fast_control`` gives.
-    """
-    u, left, rejected = out
-    dim = a.shape[-1]
-    part = np.arange(len(rows))[part]
-    sel = rows[part]
-    if sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows: views, not copies
-        sel = slice(sel[0], sel[-1] + 1)
-    a_p, b_p = a[sel], b[sel]
-    finite = np.isfinite(a_p).all(axis=(1, 2)) & np.isfinite(b_p).all(axis=1)
-    if not finite.all():
-        part, a_p, b_p = part[finite], a_p[finite], b_p[finite]
-    e, _ = _unit_rows(a_p, b_p)
-    tol = 10.0 * max(e.shape[1:]) * _EPS
-    free = passive[rows[part]]
-    y, unsolved = _nnls_batch(e @ np.swapaxes(e, 1, 2), e[..., dim], tol, free)
-    r = (np.swapaxes(e, 1, 2) @ y[..., None])[..., 0]
-    gap = 1.0 - r[:, dim]
-    exact = ~unsolved & (gap > tol)
-    u_p = r[:, :dim] / np.where(exact, gap, 1.0)[:, None]
-    exact &= _feasible(a_p, b_p, u_p)
-    u[part[exact]] = u_p[exact]
-    left[part[exact]] = False
-    rejected[part] = dropped = ~(unsolved | exact)
-    free[dropped] = False
-    passive[rows[part[~unsolved]]] = free[~unsolved]
+        part = slice(first, first + step)
+        sel = rows[part]
+        free = passive[sel]
+        if sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows: views, not copies
+            sel = slice(sel[0], sel[-1] + 1)
+        a_p, b_p = a[sel], b[sel]
+        if not (np.isfinite(a_p).all() and np.isfinite(b_p).all()):
+            raise SolverError("non-finite constraint data")
+        u[part], _, exact = _ldp(a_p, b_p, free)
+        exact &= _feasible(a_p, b_p, u[part])
+        rejected[part] = ~exact
+        passive[rows[part][exact]] = free[exact]
+    return u, rejected

@@ -1,8 +1,10 @@
-"""Lawson-Hanson nonnegative least squares on the normal equations.
+"""Lawson-Hanson nonnegative least squares on the normal equations, for a
+stack of problems in lockstep (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23).
 
-``_nnls`` solves one problem; ``_nnls_batch`` runs a stack of them in
-lockstep and gives each problem it finishes the bytes of its own ``_nnls``
-call (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+Every problem makes the passes it would make alone. Its solves come from one
+stacked ``np.linalg.solve`` per free-set size and its products from stacked
+``matmul`` calls, so its bytes do not depend on the stack it is solved in.
 """
 
 from __future__ import annotations
@@ -12,101 +14,6 @@ import numpy as np
 from .errors import SolverError
 
 _TINY = np.finfo(float).tiny
-
-
-def _nnls(
-    gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray | None = None
-) -> np.ndarray:
-    """Lawson-Hanson active-set NNLS, min ||E y - f|| s.t. y >= 0, given only
-    the normal equations gram = E^T E and c = E^T f.
-
-    Each pass frees the coordinate with the largest positive gradient
-    component, then solves the unconstrained problem on the free set, stepping
-    back along the segment whenever a free coordinate would turn nonpositive.
-    A coordinate whose column is numerically dependent on the free set (the
-    solve fails or gives it no positive weight) is skipped for that pass;
-    without that guard, rounding in the gradient re-selects it forever. The
-    same holds when a solve after a step back fails: the pass is undone and
-    the entering coordinate skipped.
-
-    On a free-set solve ||E y - f||^2 = ||f||^2 - c^T y, which exact passes
-    lower; a pass that replaces y without raising c^T y has met rounding
-    (an empty LDP polyhedron leaves gradients just above ``tol`` at a near-zero
-    residual), and the loop stops converged instead of cycling.
-
-    ``passive`` (bool per coordinate; None is empty) is the starting free set
-    and receives the final one. Coordinates whose solve on it is nonpositive
-    leave it first, and a singular solve empties it. The result is the solve
-    on the final free set, so a start that ends where a cold start ends gives
-    the same bytes in fewer passes.
-    """
-    n = c.size
-    y = np.zeros(n)
-    start = passive
-    passive = np.zeros(n, dtype=bool) if start is None else start.copy()
-    idx = np.flatnonzero(passive)
-    while idx.size:
-        try:
-            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-        except np.linalg.LinAlgError:
-            passive[:] = False
-            break
-        if z.min() > 0.0:
-            y[idx] = z
-            break
-        passive[idx[z <= 0.0]] = False
-        idx = np.flatnonzero(passive)
-    w = c - gram @ y
-    fit = c @ y
-    for _ in range(3 * n):
-        candidates = np.where(passive, -np.inf, w)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= tol:
-            break
-        passive[j] = True
-        idx = np.flatnonzero(passive)
-        try:
-            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-        except np.linalg.LinAlgError:
-            z = None
-        if z is None or not z[np.searchsorted(idx, j)] > 0.0:
-            passive[j] = False
-            w[j] = 0.0
-            continue
-        if z.min() <= 0.0:
-            # Saved only when a step back is needed; the common pass copies nothing.
-            y_before, passive_before = y.copy(), passive.copy()
-            passive_before[j] = False
-        while z.min() <= 0.0:
-            y_p = y[idx]
-            neg = np.flatnonzero(z <= 0.0)
-            ratio = y_p[neg] / np.maximum(y_p[neg] - z[neg], _TINY)
-            k = int(np.argmin(ratio))
-            y_p += ratio[k] * (z - y_p)
-            y_p[neg[k]] = 0.0  # exact zero, so the blocking coordinate leaves
-            y[idx] = y_p
-            passive[idx[y_p <= tol]] = False
-            idx = np.flatnonzero(passive)
-            try:
-                z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
-            except np.linalg.LinAlgError:
-                z = None
-                break
-        if z is None:
-            y, passive = y_before, passive_before
-            w[j] = 0.0
-            continue
-        y = np.zeros(n)
-        y[idx] = z
-        w = c - gram @ y
-        fit, last = c @ y, fit
-        if not fit > last:
-            break
-    else:
-        raise SolverError(f"NNLS did not converge in {3 * n} passes")
-    if start is not None:
-        start[:] = passive
-    return y
 
 
 def _free_solves(gram, c, passive, rows):
@@ -140,32 +47,80 @@ def _free_solves(gram, c, passive, rows):
     return z, singular
 
 
-def _nnls_batch(gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray):
-    """``_nnls`` on a stack of problems (gram[p], c[p]) in lockstep, started
-    from the free sets passive (P, n), which receive the final ones.
+def _step_back(gram, c, tol, y, passive, rows, z):
+    """The step backs of one pass for the problems ``rows``, in lockstep:
+    z[i] is problem rows[i]'s solve on its free set, and some free
+    coordinate of it is nonpositive.
 
-    Every problem makes the passes of its own ``_nnls`` call, with its solves
-    from ``_free_solves`` and its products as stacked ``matmul`` calls, so a
-    problem finished here gets the bytes of that call. A problem that would
-    need a step back, meets a singular free set or runs out of passes is
-    left: the returned mask flags it, its y row is zero and its passive row
-    is unspecified.
+    Each step moves y toward z until the first such coordinate reaches zero
+    (only the nonpositive coordinates bound the step), drops the free
+    coordinates at or below ``tol`` and solves again, until the solve is
+    positive or singular. y is read, not written. Returns the last solves
+    and which problems ended on a positive one; passive[rows] holds the
+    final free sets. A free set that empties raises ``SolverError``.
+    """
+    y = y[rows]
+    ok = np.zeros(len(rows), dtype=bool)
+    live = np.arange(len(rows))
+    while live.size:
+        at = np.arange(len(live))
+        free, y_l, z_l = passive[rows[live]], y[live], z[live]
+        neg = free & (z_l <= 0.0)
+        ratio = np.full(neg.shape, np.inf)
+        ratio[neg] = y_l[neg] / np.maximum(y_l[neg] - z_l[neg], _TINY)
+        k = ratio.argmin(axis=1)
+        y_l = np.where(free, y_l + ratio[at, k][:, None] * (z_l - y_l), y_l)
+        y_l[at, k] = 0.0  # exact zero, so the blocking coordinate leaves
+        y[live] = y_l
+        free &= ~(y_l <= tol)
+        if not free.any(axis=1).all():
+            raise SolverError("NNLS step back emptied the free set")
+        passive[rows[live]] = free
+        z[live], singular = _free_solves(gram, c, passive, rows[live])
+        done = singular | (np.where(free, z[live], np.inf).min(axis=1) > 0.0)
+        ok[live[done & ~singular]] = True
+        live = live[~done]
+    return z, ok
+
+
+def _nnls_batch(gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray):
+    """Active-set NNLS, min ||E_p y - f_p|| s.t. y >= 0, for every problem p
+    of a stack in lockstep, given only the normal equations
+    gram[p] = E_p^T E_p and c[p] = E_p^T f_p. Returns y, one row per problem.
+
+    Each pass frees the coordinate with the largest positive gradient
+    component, then solves the unconstrained problem on the free set,
+    stepping back along the segment whenever a free coordinate would turn
+    nonpositive (``_step_back``). A coordinate whose column is numerically
+    dependent on the free set (the solve fails or gives it no positive
+    weight) is skipped for that pass; without that guard, rounding in the
+    gradient re-selects it forever. The same holds when a solve after a step
+    back fails: the pass is undone and the entering coordinate skipped.
+
+    On a free-set solve ||E y - f||^2 = ||f||^2 - c^T y, which exact passes
+    lower; a pass that replaces y without raising c^T y has met rounding
+    (an empty LDP polyhedron leaves gradients just above ``tol`` at a
+    near-zero residual), and the problem stops converged instead of cycling.
+    A problem still passing after 3n passes raises ``SolverError``.
+
+    passive (P, n) holds the starting free sets and receives the final ones.
+    Coordinates whose solve on the start is nonpositive leave it first, and
+    a singular solve empties it. The result is the solve on the final free
+    set, so a start that ends where a cold start ends gives the same bytes
+    in fewer passes.
     """
     y = np.zeros(c.shape)
-    left = np.zeros(len(c), dtype=bool)
-    # The warm start: coordinates with a nonpositive solve leave the free
-    # set until its solve is positive.
     rows = passive.any(axis=1).nonzero()[0]
     while rows.size:
         z, singular = _free_solves(gram, c, passive, rows)
-        left[rows[singular]] = True
-        positive = np.where(passive[rows], z, np.inf).min(axis=1) > 0.0
+        passive[rows[singular]] = False
+        positive = ~singular & (np.where(passive[rows], z, np.inf).min(axis=1) > 0.0)
         y[rows[positive]] = z[positive]
         shrink = ~(positive | singular)
         rows, z = rows[shrink], z[shrink]
         passive[rows] &= ~(z <= 0.0)
         rows = rows[passive[rows].any(axis=1)]
-    active = ~left
+    active = np.ones(len(c), dtype=bool)
     w = c - (gram @ y[..., None])[..., 0]
     fit = (c[:, None, :] @ y[..., None])[:, 0, 0]
     for _ in range(3 * c.shape[1]):
@@ -179,19 +134,22 @@ def _nnls_batch(gram: np.ndarray, c: np.ndarray, tol: float, passive: np.ndarray
             break
         passive[rows, j] = True
         z, singular = _free_solves(gram, c, passive, rows)
-        taken = z[np.arange(len(rows)), j] > 0.0
-        skip = ~(taken | singular)
+        taken = ~singular & (z[np.arange(len(rows)), j] > 0.0)
+        back = (taken & (np.where(passive[rows], z, np.inf).min(axis=1) <= 0.0)).nonzero()[0]
+        if back.size:
+            before = passive[rows[back]]
+            before[np.arange(len(back)), j[back]] = False
+            z[back], ok = _step_back(gram, c, tol, y, passive, rows[back], z[back])
+            passive[rows[back[~ok]]] = before[~ok]
+            taken[back[~ok]] = False
+        skip = ~taken
         passive[rows[skip], j[skip]] = False
         w[rows[skip], j[skip]] = 0.0
-        back = taken & (np.where(passive[rows], z, np.inf).min(axis=1) <= 0.0)
-        left[rows[singular | back]] = True
-        active[rows[singular | back]] = False
-        solved = taken & ~back
-        rows = rows[solved]
-        y[rows] = z[solved]
+        rows = rows[taken]
+        y[rows] = z[taken]
         w[rows] = c[rows] - (gram @ y[..., None])[rows, :, 0]
         last, fit[rows] = fit[rows], (c[:, None, :] @ y[..., None])[rows, 0, 0]
         active[rows[~(fit[rows] > last)]] = False
-    left |= active
-    y[left] = 0.0
-    return y, left
+    if active.any():
+        raise SolverError(f"NNLS did not converge in {3 * c.shape[1]} passes")
+    return y

@@ -114,18 +114,19 @@ def _control(
 
     The batch's constraint systems are built once, and ``solve_batch``
     solves every rollout that ``needs_solve`` flags, together; elsewhere the
-    zero control is optimal. ``fast_control`` finishes the few that the
-    batch leaves, the relaxations among them. Row r of ``passive`` is
-    rollout r's warm start, updated in place.
+    zero control is optimal. ``fast_control`` relaxes the few whose exact
+    answer the batch rejects, one at a time, so that the benchmark's tracer,
+    which wraps this module's ``fast_control``, counts every relaxation.
+    Row r of ``passive`` is rollout r's warm start, updated in place.
     """
     a, b = _constraint_rows(u_prev, config.safety, plant, table)
     rows = np.flatnonzero(needs_solve(b))
     u = np.zeros(u_prev.shape)
     flat = u.reshape(len(u), a.shape[-1])
-    flat[rows], left, rejected = solve_batch(a, b, passive, rows)
+    flat[rows], rejected = solve_batch(a, b, passive, rows)
     relaxed = np.zeros(len(u_prev), dtype=bool)
-    for r, exact in zip(rows[left], ~rejected[left]):
-        flat[r], status, _ = fast_control(a[r], b[r], passive[r], exact)
+    for r in rows[rejected]:
+        flat[r], status, _ = fast_control(a[r], b[r], passive[r])
         relaxed[r] = status != STATUS_OPTIMAL
     return u, relaxed
 

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here shares code with cbfcert internals: the QP oracles go through
-scipy and literal grid enumeration, the constraint rows are built pair by
-pair from the scalar formulas, the samplers are plain rejection sampling, and
-noise is scaled one agent at a time. The exceptions are ``spawn_one_by_one``,
-which drives the package's own sampler and per-step control one rollout and
-one candidate at a time, as the reference for the engine's batched spawn
-rounds, and ``rollout_one_by_one``, which steps one rollout on that spawn.
+scipy, literal grid enumeration and a scalar Lawson-Hanson loop
+(``nnls_one_by_one``, which the package's lockstep NNLS must match bit for
+bit), the constraint rows are built pair by pair from the scalar formulas,
+the samplers are plain rejection sampling, and noise is scaled one agent at
+a time. The exceptions are ``spawn_one_by_one``, which drives the package's
+own sampler and per-step control one rollout and one candidate at a time, as
+the reference for the engine's batched spawn rounds, and
+``rollout_one_by_one``, which steps one rollout on that spawn.
 """
 
 import math
@@ -14,8 +16,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from cbfcert.controller import _constraint_rows, fast_control
-from cbfcert.errors import SetupError
+from cbfcert.controller import RELAX_RHO, TOL_PRIMAL, _constraint_rows, fast_control
+from cbfcert.errors import SetupError, SolverError
 from cbfcert.safety import PairTable
 from cbfcert.sysmodel import sample_initial_state
 
@@ -144,6 +146,152 @@ def min_shared_slack_lp(a, b):
     )
     assert res.status == 0, res.message
     return float(res.x[-1])
+
+
+def nnls_one_by_one(gram, c, tol, passive=None, step_backs=None):
+    """Lawson-Hanson active-set NNLS, min ||E y - f|| s.t. y >= 0, given only
+    the normal equations gram = E^T E and c = E^T f: one problem at a time,
+    the reference for the package's lockstep ``_nnls_batch``.
+
+    Each pass frees the coordinate with the largest positive gradient
+    component, then solves the unconstrained problem on the free set, stepping
+    back along the segment whenever a free coordinate would turn nonpositive.
+    A coordinate whose column is numerically dependent on the free set (the
+    solve fails or gives it no positive weight) is skipped for that pass;
+    without that guard, rounding in the gradient re-selects it forever. The
+    same holds when a solve after a step back fails: the pass is undone and
+    the entering coordinate skipped.
+
+    On a free-set solve ||E y - f||^2 = ||f||^2 - c^T y, which exact passes
+    lower; a pass that replaces y without raising c^T y has met rounding
+    (an empty LDP polyhedron leaves gradients just above ``tol`` at a near-zero
+    residual), and the loop stops converged instead of cycling.
+
+    ``passive`` (bool per coordinate; None is empty) is the starting free set
+    and receives the final one. Coordinates whose solve on it is nonpositive
+    leave it first, and a singular solve empties it. The result is the solve
+    on the final free set, so a start that ends where a cold start ends gives
+    the same bytes in fewer passes. Each pass that steps back appends its
+    entering coordinate to the list ``step_backs``, when one is given.
+    """
+    n = c.size
+    y = np.zeros(n)
+    start = passive
+    passive = np.zeros(n, dtype=bool) if start is None else start.copy()
+    idx = np.flatnonzero(passive)
+    while idx.size:
+        try:
+            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+        except np.linalg.LinAlgError:
+            passive[:] = False
+            break
+        if z.min() > 0.0:
+            y[idx] = z
+            break
+        passive[idx[z <= 0.0]] = False
+        idx = np.flatnonzero(passive)
+    w = c - gram @ y
+    fit = c @ y
+    for _ in range(3 * n):
+        candidates = np.where(passive, -np.inf, w)
+        j = int(np.argmax(candidates))
+        if candidates[j] <= tol:
+            break
+        passive[j] = True
+        idx = np.flatnonzero(passive)
+        try:
+            z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+        except np.linalg.LinAlgError:
+            z = None
+        if z is None or not z[np.searchsorted(idx, j)] > 0.0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        if z.min() <= 0.0:
+            # Saved only when a step back is needed; the common pass copies nothing.
+            y_before, passive_before = y.copy(), passive.copy()
+            passive_before[j] = False
+            if step_backs is not None:
+                step_backs.append(j)
+        while z.min() <= 0.0:
+            y_p = y[idx]
+            neg = np.flatnonzero(z <= 0.0)
+            ratio = y_p[neg] / np.maximum(y_p[neg] - z[neg], np.finfo(float).tiny)
+            k = int(np.argmin(ratio))
+            y_p += ratio[k] * (z - y_p)
+            y_p[neg[k]] = 0.0  # exact zero, so the blocking coordinate leaves
+            y[idx] = y_p
+            passive[idx[y_p <= tol]] = False
+            idx = np.flatnonzero(passive)
+            try:
+                z = np.linalg.solve(gram[idx[:, None], idx], c[idx])
+            except np.linalg.LinAlgError:
+                z = None
+                break
+        if z is None:
+            y, passive = y_before, passive_before
+            w[j] = 0.0
+            continue
+        y = np.zeros(n)
+        y[idx] = z
+        w = c - gram @ y
+        fit, last = c @ y, fit
+        if not fit > last:
+            break
+    else:
+        raise SolverError(f"NNLS did not converge in {3 * n} passes")
+    if start is not None:
+        start[:] = passive
+    return y
+
+
+def ldp_one_by_one(a, b, passive=None, step_backs=None):
+    """min ||v|| s.t. a v >= b as one ``nnls_one_by_one`` call on the
+    unit-scaled rows of E = [a^T; b^T] (Lawson & Hanson, ch. 23), or None
+    when the NNLS residual certifies that the polyhedron is empty."""
+    dim = a.shape[1]
+    e = np.empty(b.shape + (dim + 1,))
+    e[..., :dim] = a
+    e[..., dim] = b
+    norms = np.maximum(np.sqrt(np.einsum("...ij,...ij->...i", e, e)), np.finfo(float).tiny)
+    e /= norms[..., None]
+    tol = 10.0 * max(e.shape) * np.finfo(float).eps
+    y = nnls_one_by_one(e @ e.T, e[:, dim], tol, passive, step_backs)
+    r = e.T @ y
+    gap = 1.0 - r[dim]
+    if gap <= tol:
+        return None
+    return r[:dim] / gap
+
+
+def qp_one_by_one(a, b, passive=None, step_backs=None):
+    """The minimum-norm point of a u >= b, some b_k positive, through
+    ``ldp_one_by_one``, or its shared-slack relaxation when the polyhedron
+    is empty or the point misses a row by more than ``TOL_PRIMAL`` (relative
+    to the largest |b|): (u, rejected, relaxed), rejected when the exact
+    answer was. The relaxation
+    min ||u||^2 + rho*s^2 s.t. a u + s >= b, s >= 0 is the least-distance
+    program over the rows [a, 1/sqrt(rho)] and [0, 1], solved cold; it
+    counts as relaxed when its slack exceeds 1e-9. ``passive`` is the exact
+    NNLS's start and receives its final free set, or none after a
+    relaxation. ``step_backs`` collects both NNLS's step backs.
+    """
+    u = ldp_one_by_one(a, b, passive, step_backs)
+    if u is not None:
+        shortfall = b - (a @ u[..., None])[..., 0]
+        if shortfall.max(axis=-1) <= TOL_PRIMAL * (1.0 + np.abs(b).max(axis=-1)):
+            return u, False, False
+    if passive is not None:
+        passive[:] = False
+    n_c, dim = a.shape
+    root_rho = np.sqrt(RELAX_RHO)
+    rows = np.zeros((n_c + 1, dim + 1))
+    rows[:n_c, :dim] = a
+    rows[:n_c, dim] = 1.0 / root_rho
+    rows[n_c, dim] = 1.0
+    v = ldp_one_by_one(rows, np.append(b, 0.0), None, step_backs)
+    assert v is not None, "the relaxation is always feasible"
+    return v[:dim], True, not max(float(v[dim]) / root_rho, 0.0) <= 1e-9
 
 
 def qp_grid_oracle_2d(a, b, lo=-5.0, hi=5.0, step=1e-3, chunk=64):

@@ -285,6 +285,23 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_that_cannot_be_made_exits_3(self, tmp_path, capsys, monkeypatch, command, below):
+        # --out names a regular file, or a path below one: one error line
+        # naming the path, before any cell runs.
+        def boom(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(rollout, "run_rollouts", boom)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        cfg_path = write_config(tmp_path, TINY)
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"setup error: cannot make output directory {out}:" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

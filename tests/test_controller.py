@@ -9,7 +9,6 @@ from cbfcert.controller import (
     STATUS_INFEASIBLE_RELAXED,
     STATUS_OPTIMAL,
     _constraint_rows,
-    _nnls,
     fast_control,
     needs_solve,
     row_count,
@@ -17,6 +16,7 @@ from cbfcert.controller import (
     solve_qp,
 )
 from cbfcert.errors import SolverError
+from cbfcert.nnls import _nnls_batch
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import (
     NOISE_BLOCK_STEPS,
@@ -30,7 +30,9 @@ from oracles import (
     kkt_residuals,
     make_feasible_qp,
     min_shared_slack_lp,
+    nnls_one_by_one,
     qp_grid_oracle_2d,
+    qp_one_by_one,
     qp_oracle_slsqp,
     reference_rows,
 )
@@ -514,43 +516,52 @@ class TestWarmStart:
     def test_pass_budget_counts_passes_only(self, monkeypatch):
         # A gradient that never lets a coordinate in, and a tolerance no
         # gradient meets: every pass fails, so the loop runs out its 3n
-        # passes. The warm start's own solve comes on top of them.
+        # passes. The warm start's own solve comes on top of them. One
+        # problem that runs out fails its whole stack: here the second one
+        # converges after n passes, and its free sets of sizes 2 to n cost
+        # one more stacked solve each.
         n = 5
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda m, v: calls.append(1) or solve(m, v))
-        for start, extra in ((None, 0), (np.ones(n, dtype=bool), 1)):
+        cold, warm = np.zeros((1, n), dtype=bool), np.ones((1, n), dtype=bool)
+        fails, converges = -np.ones((1, n)), np.ones((1, n))
+        for c, start, solves in (
+            (fails, cold, 3 * n),
+            (fails, warm, 3 * n + 1),
+            (np.vstack([fails, converges]), np.vstack([cold, cold]), 4 * n - 1),
+        ):
             calls.clear()
+            gram = np.broadcast_to(np.eye(n), (len(c), n, n))
             with pytest.raises(SolverError, match=f"{3 * n} passes"):
-                _nnls(np.eye(n), -np.ones(n), -np.inf, start)
-            assert len(calls) == 3 * n + extra
+                _nnls_batch(gram, c, -np.inf, start.copy())
+            assert len(calls) == solves
 
 
-def batch_controls(a, b, passive):
-    """solve_batch on every problem of a stack, with the problems it leaves
-    finished by fast_control, as the engine does: (u, relaxed, left)."""
-    rows = np.arange(len(b))
-    u, left, rejected = solve_batch(a, b, passive, rows)
-    relaxed = np.zeros(len(b), dtype=bool)
-    for r in rows[left]:
-        u[r], status, _ = fast_control(a[r], b[r], passive[r], not rejected[r])
-        relaxed[r] = status != STATUS_OPTIMAL
-    return u, relaxed, left
-
-
-def assert_batch_is_per_problem(a, b, start):
-    """Every batched control, relaxation flag and final free set is bit for
-    bit that of the problem's own solve_qp from its own start. Returns
-    (relaxed, left)."""
+def assert_batch_is_one_by_one(a, b, start):
+    """solve_batch and then fast_control on the problems it rejects, as the
+    engine runs them, give bit for bit the control, relaxation flag and
+    final free set of the scalar reference ``qp_one_by_one`` from the
+    problem's own start; solve_batch rejects exactly the problems that the
+    reference relaxes and leaves their starts alone. Returns (relaxed,
+    stepped): which problems relaxed, and which stepped back in the
+    reference."""
     passive = start.copy()
-    u, relaxed, left = batch_controls(a, b, passive)
+    u, rejected = solve_batch(a, b, passive, np.arange(len(b)))
+    relaxed = np.zeros(len(b), dtype=bool)
+    stepped = np.zeros(len(b), dtype=bool)
     for p in range(len(b)):
-        own = start[p].copy()
-        u_p, _, status, _ = solve_qp(a[p], b[p], own)
+        own, step_backs = start[p].copy(), []
+        u_p, rejected_p, relaxed[p] = qp_one_by_one(a[p], b[p], own, step_backs)
+        assert rejected[p] == rejected_p
+        if rejected[p]:
+            assert np.array_equal(passive[p], start[p])
+            u[p], status, _ = fast_control(a[p], b[p], passive[p])
+            assert relaxed[p] == (status != STATUS_OPTIMAL)
         assert u[p].tobytes() == u_p.tobytes()
-        assert relaxed[p] == (status != STATUS_OPTIMAL)
         assert np.array_equal(passive[p], own)
-    return relaxed, left
+        stepped[p] = bool(step_backs)
+    return relaxed, stepped
 
 
 def random_stack(rng, size, n_rows, dim):
@@ -581,7 +592,7 @@ class TestSolveBatch:
         gram_bytes=st.sampled_from([8, controller._GRAM_BYTES]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_stacks_match_solve_qp(self, seed, size, n_rows, dim, gram_bytes):
+    def test_random_stacks_match_one_by_one(self, seed, size, n_rows, dim, gram_bytes):
         # Cold, partial and all-rows starts; with a one-byte Gram budget
         # every problem is its own slice.
         rng = np.random.default_rng(seed)
@@ -591,15 +602,14 @@ class TestSolveBatch:
         saved = controller._GRAM_BYTES
         controller._GRAM_BYTES = gram_bytes
         try:
-            assert_batch_is_per_problem(a, b, start)
+            assert_batch_is_one_by_one(a, b, start)
         finally:
             controller._GRAM_BYTES = saved
 
     def test_crowded_steps_take_every_path(self, rng):
         # 114-row, 24-column steps of crowded rollouts in a 0.1 and a 0.05
         # control box (the smaller box empties every polyhedron), from warm,
-        # all-rows and random starts: some problems finish in lockstep, some
-        # are left to fast_control, and some relax.
+        # all-rows and random starts: some problems step back and some relax.
         problems, starts = [], []
         for bound in (0.1, 0.05):
             params = SafetyParams(psi=2.0, kappa=0.1, control_bound=bound)
@@ -614,9 +624,8 @@ class TestSolveBatch:
         a, b = (np.stack(parts) for parts in zip(*problems))
         start = np.concatenate(starts)
         flagged = needs_solve(b)
-        relaxed, left = assert_batch_is_per_problem(a[flagged], b[flagged], start[flagged])
-        assert (left & ~relaxed).any() and not left.all()
-        assert relaxed.any()
+        relaxed, stepped = assert_batch_is_one_by_one(a[flagged], b[flagged], start[flagged])
+        assert stepped.any() and relaxed.any()
 
     def test_singular_and_empty_hand_cases(self):
         # The singular step-back and the rounding-level residual cases above
@@ -643,5 +652,22 @@ class TestSolveBatch:
             )
         ])
         for start in (np.zeros(b.shape, dtype=bool), np.ones(b.shape, dtype=bool)):
-            relaxed, _ = assert_batch_is_per_problem(a, b, start)
+            relaxed, _ = assert_batch_is_one_by_one(a, b, start)
             assert relaxed.tolist() == [True, True, False]
+
+    def test_non_finite_data_is_a_solver_error(self):
+        a, b = random_stack(np.random.default_rng(0), 3, 4, 2)
+        a[1, 2, 0] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_batch(a, b, np.zeros(b.shape, dtype=bool), np.arange(3))
+
+    def test_step_back_that_empties_the_free_set_fails(self):
+        # The warm start keeps coordinate 0 at 1e-16; entering coordinate 1
+        # steps back to y = (0, 2e-16), both at or below the tolerance, and
+        # the free set empties. The scalar reference fails there too (its
+        # empty solve has no minimum).
+        gram, c, tol = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([1e-16, 1.0]), 4e-15
+        with pytest.raises(ValueError):
+            nnls_one_by_one(gram, c, tol, np.array([True, False]))
+        with pytest.raises(SolverError, match="emptied the free set"):
+            _nnls_batch(gram[None], c[None], tol, np.array([[True, False]]))

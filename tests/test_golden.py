@@ -41,6 +41,7 @@ import json
 
 import pytest
 
+from cbfcert import rollout
 from cbfcert.cli import build_config, main
 from cbfcert.rollout import run_experiment
 
@@ -237,6 +238,27 @@ def _rollouts_digest(case: str, jobs: int) -> str:
 def test_golden_rollouts_digest(case, jobs):
     digest = _rollouts_digest(case, jobs)
     assert digest == GOLDEN_ROLLOUTS[case], f"{case} at jobs {jobs}: digest {digest}"
+
+
+@pytest.mark.parametrize("case, relaxations", [("control_bound", 100), ("double_integrator", 7)])
+def test_only_relaxations_leave_the_batch(case, relaxations, monkeypatch):
+    # Both cases step back and relax (double_integrator steps back in 7 more
+    # problems, which all stay exact). controller.solve_batch finishes the
+    # step backs in lockstep; only the problems whose exact answer it
+    # rejects go to fast_control, and each of those ends on the relaxation,
+    # which clears its free set.
+    calls = []
+
+    def spy(a, b, passive):
+        calls.append(fast_control(a, b, passive))
+        assert not passive.any()
+        return calls[-1]
+
+    fast_control = rollout.fast_control
+    monkeypatch.setattr(rollout, "fast_control", spy)
+    digest = _rollouts_digest(case, 1)
+    assert digest == GOLDEN_ROLLOUTS[case], f"{case}: digest {digest}"
+    assert len(calls) == relaxations
 
 
 @pytest.mark.parametrize("command, jobs", _at_jobs(sorted(SWEEPS)))
