@@ -213,22 +213,27 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, comments: list[str], columns: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:  # a directory at the path, or no permission
+        raise SetupError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SetupError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _dump_trajectories(out_dir: Path, rollouts: Rollouts, config: ExperimentConfig) -> None:
     traj_dir = out_dir / "trajectories"
-    traj_dir.mkdir(parents=True, exist_ok=True)
     n = config.system.state_dim
     m = config.system.control_dim
     columns = (
@@ -257,7 +262,8 @@ def _run(args) -> int:
     """The steps every run subcommand shares around its body.
 
     Resolves the config (``--seed`` overrides its base seed), makes ``--out``
-    (``SetupError`` when it cannot) and calls
+    and, for ``--dump-trajectories``, its ``trajectories`` directory
+    (``SetupError`` when it cannot, before any cell runs) and calls
     ``args.body(args, config, manifest)``, which runs the cells, writes its
     own extra files, prints its lines (its closing "wrote" line included)
     and returns (csv name, columns, rows). That CSV is written
@@ -284,10 +290,11 @@ def _run(args) -> int:
         "command": args.command,
         "jobs": args.jobs,
     }
+    out_dir = args.out / "trajectories" if getattr(args, "dump_trajectories", False) else args.out
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a regular file at --out or on its way
-        raise SetupError(f"cannot make output directory {args.out}: {exc.strerror}") from exc
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file at the path or on its way
+        raise SetupError(f"cannot make output directory {exc.filename}: {exc.strerror}") from exc
     csv_name, columns, rows = args.body(args, config, manifest)
     provenance = [
         f"tool: cbfcert {__version__}",

@@ -10,8 +10,8 @@ one nonnegative least-squares problem (``nnls``); its residual also decides
 feasibility. When the polyhedron is empty the same solver handles the
 shared-slack relaxation, and the step reports how much relaxation was needed.
 ``solve_batch`` solves the exact programs of a lockstep step's flagged
-problems together; ``solve_qp`` and ``fast_control`` run the same code on one
-problem and relax it when its polyhedron is empty.
+problems together and alone decides which of them relax; ``fast_control``
+relaxes one rejected problem, and ``solve_qp`` runs both on one problem.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _constraint_rows(
     drift, actuation = plant
     dim = u_prev.shape[-2] * u_prev.shape[-1]
     d_drift = table.diff @ drift.T
-    with np.errstate(invalid="ignore"):  # overflowed state: NaN, which solve_qp rejects
+    with np.errstate(invalid="ignore"):  # overflowed state: NaN, which the solver rejects
         b = table.gamma - np.einsum("...j,...j->...", table.grad, d_drift) - params.kappa * table.h
     if params.freeze_adot and params.psi > 0:
         du_prev = u_prev[..., table.idx_i, :] - u_prev[..., table.idx_j, :]
@@ -133,33 +133,13 @@ def _feasible(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return shortfall.max(axis=-1) <= TOL_PRIMAL * (1.0 + np.abs(b).max(axis=-1))
 
 
-def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
-    """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
-
-    Returns (u, duals, status, slack_used). The point is the least-distance
-    program ``_ldp`` on a stack of one, warm-started from ``passive`` (bool
-    per row), which receives the NNLS's final free set; the answer does not
-    depend on the start. Where the NNLS residual certifies that the
-    polyhedron is empty, or the point fails the feasibility check, the
-    problem is re-solved cold with a shared slack s >= 0:
-    min ||u||^2 + rho*s^2 s.t. a_k^T u + s >= b_k, which is the
-    least-distance program in (u, sqrt(rho)*s) over the rows
-    [a_k, 1/sqrt(rho)] and [0, 1], always feasible; ``passive`` is cleared
-    then, as it is for u = 0. A slack above 1e-9 flags the answer
-    ``infeasible_relaxed``, with ``slack_used`` set to that slack.
+def _relax(a: np.ndarray, b: np.ndarray):
+    """The cold shared-slack relaxation of one problem a u >= b, as (u, duals,
+    status, slack_used): min ||u||^2 + rho*s^2 s.t. a u + s >= b, s >= 0, the
+    least-distance program in (u, sqrt(rho)*s) over the rows [a_k, 1/sqrt(rho)]
+    and [0, 1], always feasible. A slack above 1e-9 flags it ``infeasible_relaxed``.
     """
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite constraint data")
     n_c, dim = a.shape
-    free = np.zeros((1, n_c), dtype=bool) if passive is None else passive[None]
-    if not needs_solve(b):
-        # The unconstrained optimum u = 0 already satisfies everything.
-        free[:] = False
-        return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
-    u, duals, exact = _ldp(a[None], b[None], free)
-    if exact[0] and _feasible(a[None], b[None], u)[0]:
-        return u[0], duals[0], STATUS_OPTIMAL, 0.0
-    free[:] = False
     root_rho = np.sqrt(RELAX_RHO)
     rows = np.zeros((1, n_c + 1, dim + 1))
     rows[0, :n_c, :dim] = a
@@ -176,6 +156,30 @@ def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
     return v[0, :dim], duals[0, :n_c], STATUS_INFEASIBLE_RELAXED, used
 
 
+def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
+    """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
+
+    Returns (u, duals, status, slack_used): ``solve_batch`` on a stack of
+    one, warm-started from ``passive`` (bool per row), which receives the
+    final free set; the answer does not depend on the start. Where
+    ``solve_batch`` rejects the exact answer, the problem gets the cold
+    shared-slack relaxation of ``fast_control`` instead, and ``passive`` is
+    cleared, as it is for u = 0. Non-finite data raises ``SolverError``.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SolverError("non-finite constraint data")
+    n_c, dim = a.shape
+    free = np.zeros((1, n_c), dtype=bool) if passive is None else passive[None]
+    if not needs_solve(b):
+        # The unconstrained optimum u = 0 already satisfies everything.
+        free[:] = False
+        return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
+    u, duals, rejected = solve_batch(a[None], b[None], free, np.zeros(1, dtype=int))
+    if rejected[0]:
+        return _relax(a, b)
+    return u[0], duals[0], STATUS_OPTIMAL, 0.0
+
+
 def needs_solve(b: np.ndarray) -> np.ndarray:
     """Whether a step needs the solver: some row's right-hand side is positive.
 
@@ -187,21 +191,13 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
     return ~(np.max(b, axis=-1, initial=0.0) <= TOL_PRIMAL)
 
 
-def fast_control(
-    a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None
-) -> tuple[np.ndarray, str, float]:
-    """The minimum-effort joint control of one rollout-step, as (u, status,
-    slack_used) with u flat (N*m,), from the step's rows (a, b) of a
-    ``_constraint_rows`` system: ``solve_qp`` warm-started from ``passive``
-    (one bool per row, see ``row_count``), which receives the free set of
-    the answer, with its failures raised as ``SolverError``.
+def fast_control(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, float]:
+    """The control of one rollout-step whose exact answer ``solve_batch``
+    rejected, as (u, status, slack_used) with u flat (N*m,), from the step's
+    ``_constraint_rows`` (a, b): their cold shared-slack relaxation. It is
+    only for those rejected problems; ``solve_qp`` solves any one problem.
     """
-    try:
-        u, _, status, slack = solve_qp(a, b, passive)
-    except ValueError as exc:  # non-finite state or config values
-        raise SolverError(str(exc)) from exc
-    if not np.all(np.isfinite(u)):
-        raise SolverError("QP returned a non-finite control")
+    u, _, status, slack = _relax(a, b)
     return u, status, slack
 
 
@@ -213,21 +209,21 @@ _GRAM_BYTES = 1 << 21
 
 def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray, rows: np.ndarray):
     """The exact controls of the problems (a[r], b[r]), r in ``rows``, of a
-    batch's ``_constraint_rows``, which ``needs_solve`` all flags, each bit
-    for bit what ``solve_qp`` computes before it decides to relax.
+    batch's ``_constraint_rows``, which ``needs_solve`` all flags: the
+    package's only exact solve.
 
-    Returns (u, rejected) in the order of ``rows``: the flat controls, and
-    which problems' exact answers ``solve_qp`` rejects (an empty polyhedron,
-    or a point that fails the feasibility check). A rejected row of u means
-    nothing and its passive row keeps its start, so that ``fast_control``
-    from there repeats the same exact solve before it relaxes; every other
-    passive[r] receives r's final free set. The exact programs run through
-    ``_ldp`` in slices whose Gram matrices take at most ``_GRAM_BYTES`` (one
-    problem when a single Gram is larger). Non-finite data raises
-    ``SolverError``.
+    Returns (u, duals, rejected) in the order of ``rows``: the flat controls,
+    their duals, and which problems' exact answers are rejected (an empty
+    polyhedron, or a point that fails the feasibility check); only those
+    relax, through ``fast_control``. A rejected row of u and duals means
+    nothing and its passive row comes back cleared; every other passive[r]
+    receives r's final free set. The exact programs run through ``_ldp`` in
+    slices whose Gram matrices take at most ``_GRAM_BYTES`` (one problem
+    when a single Gram is larger). Non-finite data raises ``SolverError``.
     """
     n_c, dim = a.shape[-2:]
     u = np.empty((len(rows), dim))
+    duals = np.empty((len(rows), n_c))
     rejected = np.empty(len(rows), dtype=bool)
     step = max(1, _GRAM_BYTES // (8 * n_c * n_c))
     for first in range(0, len(rows), step):
@@ -239,8 +235,9 @@ def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray, rows: np.ndar
         a_p, b_p = a[sel], b[sel]
         if not (np.isfinite(a_p).all() and np.isfinite(b_p).all()):
             raise SolverError("non-finite constraint data")
-        u[part], _, exact = _ldp(a_p, b_p, free)
+        u[part], duals[part], exact = _ldp(a_p, b_p, free)
         exact &= _feasible(a_p, b_p, u[part])
         rejected[part] = ~exact
-        passive[rows[part][exact]] = free[exact]
-    return u, rejected
+        free[~exact] = False
+        passive[rows[part]] = free
+    return u, duals, rejected

@@ -103,14 +103,11 @@ class ExperimentConfig:
             raise ConfigError("psi coupling requires control_dim == state_dim")
 
 
-def _control(
-    u_prev: np.ndarray,
-    config: ExperimentConfig,
-    plant: Plant,
-    table: PairTable,
-    passive: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The joint controls of a batch of rollouts, and which ones relaxed.
+def _control(config: ExperimentConfig, plant: Plant, x, u_prev, w_bar, passive):
+    """(u, relaxed, min margin, min distance) of a batch of rollouts at joint
+    states x (R, N, n) with previous controls u_prev (R, N, m) and noise
+    bounds w_bar (R,): the joint controls, which ones relaxed, and each
+    rollout's min weighted margin at u and min pair distance.
 
     The batch's constraint systems are built once, and ``solve_batch``
     solves every rollout that ``needs_solve`` flags, together; elsewhere the
@@ -119,16 +116,19 @@ def _control(
     which wraps this module's ``fast_control``, counts every relaxation.
     Row r of ``passive`` is rollout r's warm start, updated in place.
     """
-    a, b = _constraint_rows(u_prev, config.safety, plant, table)
+    params = config.safety
+    table = PairTable(x, params, w_bar)
+    a, b = _constraint_rows(u_prev, params, plant, table)
     rows = np.flatnonzero(needs_solve(b))
     u = np.zeros(u_prev.shape)
     flat = u.reshape(len(u), a.shape[-1])
-    flat[rows], rejected = solve_batch(a, b, passive, rows)
-    relaxed = np.zeros(len(u_prev), dtype=bool)
+    flat[rows], _, rejected = solve_batch(a, b, passive, rows)
+    relaxed = np.zeros(len(u), dtype=bool)
     for r in rows[rejected]:
-        flat[r], status, _ = fast_control(a[r], b[r], passive[r])
+        flat[r], status, _ = fast_control(a[r], b[r])
         relaxed[r] = status != STATUS_OPTIMAL
-    return u, relaxed
+    margins = table.weighted_margins(u, params.psi)
+    return u, relaxed, np.min(margins, axis=-1), np.min(table.dist, axis=-1)
 
 
 def run_rollouts(
@@ -149,11 +149,10 @@ def run_rollouts(
     is drawn ``NOISE_BLOCK_STEPS`` steps at a time, at steps 0, B, 2B, ...
     """
     sys_cfg = config.system
-    params = config.safety
     plant = dynamics_model(sys_cfg)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w_bar = np.full(len(rngs), sys_cfg.noise_bound) if noise_bound is None else noise_bound
-    n_rows = row_count(params, sys_cfg.n_agents, sys_cfg.control_dim)
+    n_rows = row_count(config.safety, sys_cfg.n_agents, sys_cfg.control_dim)
     x = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.state_dim))
     u = np.empty((len(rngs), sys_cfg.n_agents, sys_cfg.control_dim))
     relaxed = np.empty(len(rngs), dtype=bool)
@@ -164,13 +163,10 @@ def run_rollouts(
     pending = np.arange(len(rngs))
     for _ in range(_MAX_INITIAL_DRAWS):
         x[pending] = [sample_initial_state(sys_cfg, rngs[r]) for r in pending]
-        table = PairTable(x[pending], params, w_bar[pending])
         cold = np.zeros((len(pending), n_rows), dtype=bool)
-        u[pending], relaxed[pending] = _control(
-            np.zeros(u[pending].shape), config, plant, table, cold
+        u[pending], relaxed[pending], step_min[pending], step_dist[pending] = _control(
+            config, plant, x[pending], np.zeros(u[pending].shape), w_bar[pending], cold
         )
-        step_min[pending] = np.min(table.weighted_margins(u[pending], params.psi), axis=-1)
-        step_dist[pending] = np.min(table.dist, axis=-1)
         pending = pending[~(step_min[pending] >= config.h_min)]
         if not pending.size:
             break
@@ -201,10 +197,7 @@ def run_rollouts(
         if k % NOISE_BLOCK_STEPS == 0:
             noise = noise_array(sys_cfg, rngs, w_bar)
         x = euler_step(x, u, noise[:, k % NOISE_BLOCK_STEPS], sys_cfg.dt, plant)
-        table = PairTable(x, params, w_bar)
-        u, relaxed = _control(u, config, plant, table, passive)
-        step_min = np.min(table.weighted_margins(u, params.psi), axis=-1)
-        step_dist = np.min(table.dist, axis=-1)
+        u, relaxed, step_min, step_dist = _control(config, plant, x, u, w_bar, passive)
 
     return Rollouts(
         seed=np.array(seeds),

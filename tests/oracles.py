@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from cbfcert.controller import RELAX_RHO, TOL_PRIMAL, _constraint_rows, fast_control
+from cbfcert.controller import RELAX_RHO, TOL_PRIMAL, _constraint_rows, solve_qp
 from cbfcert.errors import SetupError, SolverError
 from cbfcert.safety import PairTable
 from cbfcert.sysmodel import sample_initial_state
@@ -416,7 +416,7 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
     """Spawn one rollout: draw candidates until one's first control is safe enough.
 
     Each candidate is a state from ``sample_initial_state``; its first control
-    is ``fast_control`` on its own constraint rows with zero previous control
+    is ``solve_qp`` on its own constraint rows with zero previous control
     and no warm start. The candidate is accepted when every pair's weighted
     margin at that control reaches ``config.h_min``. Returns the state, the
     control, the solver status and the number of candidates drawn; raises
@@ -427,7 +427,7 @@ def spawn_one_by_one(config, model, rng, max_draws=1_000):
     for draws in range(1, max_draws + 1):
         x = sample_initial_state(sys_cfg, rng)
         table = PairTable(x, params, sys_cfg.noise_bound)
-        u, status, _ = fast_control(*_constraint_rows(u_zero, params, model, table))
+        u, _, status, _ = solve_qp(*_constraint_rows(u_zero, params, model, table))
         u = u.reshape(u_zero.shape)
         if float(np.min(table.weighted_margins(u, params.psi))) >= config.h_min:
             return x, u, status, draws
@@ -440,7 +440,7 @@ def rollout_one_by_one(config, model, seed, block):
 
     It spawns through ``spawn_one_by_one``, then draws its noise from the
     same generator with ``noise_blocks`` (blocks of ``block`` steps, drawn
-    whole) and solves each step's control with ``fast_control`` on its own
+    whole) and solves each step's control with ``solve_qp`` on its own
     rows, from a cold start, with plain Euler steps between.
     """
     sys_cfg, params = config.system, config.safety
@@ -452,7 +452,7 @@ def rollout_one_by_one(config, model, seed, block):
     for k in range(steps):
         x = x + sys_cfg.dt * (x @ model.drift.T + u @ model.actuation.T + noise[k])
         table = PairTable(x, params, sys_cfg.noise_bound)
-        u = fast_control(*_constraint_rows(u, params, model, table))[0].reshape(u.shape)
+        u = solve_qp(*_constraint_rows(u, params, model, table))[0].reshape(u.shape)
         xs.append(x)
         us.append(u)
     return np.array(xs), np.array(us)

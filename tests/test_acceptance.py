@@ -16,7 +16,7 @@ from scipy.stats import binom
 
 from cbfcert.bounds import bernstein_slack, hoeffding_bound, pairwise_variance, scenario_bound
 from cbfcert.cli import main
-from cbfcert.controller import STATUS_OPTIMAL, _constraint_rows, fast_control, solve_qp
+from cbfcert.controller import STATUS_OPTIMAL, _constraint_rows, solve_qp
 from cbfcert.rollout import ExperimentConfig, run_rollouts
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import SystemConfig, dynamics_model, euler_step
@@ -189,7 +189,7 @@ def _braking_invariance_run(seed: int):
     active_steps = 0
     for k in range(cfg.horizon_steps + 1):
         table = PairTable(x, params, 0.0)
-        u, status, _ = fast_control(*_constraint_rows(u, params, model, table))
+        u, _, status, _ = solve_qp(*_constraint_rows(u, params, model, table))
         u = u.reshape(3, 2)
         assert status == STATUS_OPTIMAL
         min_h = min(min_h, float(np.min(table.h)))

@@ -302,6 +302,38 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"setup error: cannot make output directory {out}:" in err
 
+    def test_taken_trajectories_path_exits_3_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # <out>/trajectories names a regular file: verify --dump-trajectories
+        # fails with one error line naming it, and no cell runs.
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trajectories").write_text("")
+        cfg_path = write_config(tmp_path, TINY)
+        args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+        assert main(args + ["--dump-trajectories"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"setup error: cannot make output directory {out / 'trajectories'}:" in err
+        assert ran == [] and sorted(p.name for p in out.iterdir()) == ["trajectories"]
+
+    @pytest.mark.parametrize(
+        "command, csv_name",
+        [("verify", "groups.csv"), ("reproduce-table1", "table1.csv"), ("sweep-psi", "psi_sweep.csv")],
+    )
+    @pytest.mark.parametrize("taken", ["csv", "manifest"])
+    def test_output_file_that_cannot_be_written_exits_3(self, tmp_path, capsys, command, csv_name, taken):
+        # A directory where the command's CSV or run_manifest.json goes: one
+        # error line naming that path.
+        path = tmp_path / "out" / (csv_name if taken == "csv" else "run_manifest.json")
+        path.mkdir(parents=True)
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(path.parent), "--jobs", "1"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"setup error: cannot write {path}:" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -60,7 +60,7 @@ def solve(a, b):
 
 
 def rows(x, u_prev, params, w_bar, model=MODEL):
-    """The (A, b) that fast_control solves for this step."""
+    """The (A, b) that the engine builds for this step."""
     table = PairTable(np.asarray(x, dtype=float), params, w_bar)
     return _constraint_rows(np.asarray(u_prev, dtype=float), params, model, table)
 
@@ -184,9 +184,9 @@ class TestSolveQP:
         assert status == STATUS_OPTIMAL
 
     def test_non_finite_data_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError):
             solve([[np.nan, 0.0]], [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError):
             solve([[1.0, 0.0]], [np.inf])
 
     def test_feasibility_invariant_at_optimal(self, rng):
@@ -330,9 +330,9 @@ class TestSolveQP:
 
 
 def control(x, u_prev, params, w_bar, model=MODEL, passive=None):
-    """fast_control on the rows of one joint state, as the engine calls it,
+    """solve_qp on the rows of one joint state, as the engine builds them,
     with the control reshaped to N x m."""
-    u, status, slack = fast_control(*rows(x, u_prev, params, w_bar, model), passive)
+    u, _, status, slack = solve_qp(*rows(x, u_prev, params, w_bar, model), passive)
     return u.reshape(np.shape(u_prev)), status, slack
 
 
@@ -383,7 +383,7 @@ class TestControlStep:
     @reference_cases
     def test_fast_control_matches_public_path(self, rng, model, dynamics, params):
         # The public solver on rows built pair by pair from the scalar
-        # formulas must give fast_control's answer.
+        # formulas must give its answer on the engine's rows.
         for _ in range(30):
             n = int(rng.integers(2, 13))
             x = rng.uniform(0.0, 3.0, size=(n, model.state_dim))
@@ -543,11 +543,12 @@ def assert_batch_is_one_by_one(a, b, start):
     engine runs them, give bit for bit the control, relaxation flag and
     final free set of the scalar reference ``qp_one_by_one`` from the
     problem's own start; solve_batch rejects exactly the problems that the
-    reference relaxes and leaves their starts alone. Returns (relaxed,
-    stepped): which problems relaxed, and which stepped back in the
-    reference."""
+    reference relaxes and clears their starts. The problems it keeps get
+    solve_qp's duals bit for bit, and they meet the KKT conditions. Returns
+    (relaxed, stepped): which problems relaxed, and which stepped back in
+    the reference."""
     passive = start.copy()
-    u, rejected = solve_batch(a, b, passive, np.arange(len(b)))
+    u, duals, rejected = solve_batch(a, b, passive, np.arange(len(b)))
     relaxed = np.zeros(len(b), dtype=bool)
     stepped = np.zeros(len(b), dtype=bool)
     for p in range(len(b)):
@@ -555,9 +556,12 @@ def assert_batch_is_one_by_one(a, b, start):
         u_p, rejected_p, relaxed[p] = qp_one_by_one(a[p], b[p], own, step_backs)
         assert rejected[p] == rejected_p
         if rejected[p]:
-            assert np.array_equal(passive[p], start[p])
-            u[p], status, _ = fast_control(a[p], b[p], passive[p])
+            assert not passive[p].any()
+            u[p], status, _ = fast_control(a[p], b[p])
             assert relaxed[p] == (status != STATUS_OPTIMAL)
+        else:
+            assert duals[p].tobytes() == solve_qp(a[p], b[p], start[p].copy())[1].tobytes()
+            assert max(kkt_residuals(a[p], b[p], u[p], duals[p])) <= 1e-6
         assert u[p].tobytes() == u_p.tobytes()
         assert np.array_equal(passive[p], own)
         stepped[p] = bool(step_backs)

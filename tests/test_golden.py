@@ -41,7 +41,7 @@ import json
 
 import pytest
 
-from cbfcert import rollout
+from cbfcert import controller, rollout
 from cbfcert.cli import build_config, main
 from cbfcert.rollout import run_experiment
 
@@ -245,17 +245,23 @@ def test_only_relaxations_leave_the_batch(case, relaxations, monkeypatch):
     # Both cases step back and relax (double_integrator steps back in 7 more
     # problems, which all stay exact). controller.solve_batch finishes the
     # step backs in lockstep; only the problems whose exact answer it
-    # rejects go to fast_control, and each of those ends on the relaxation,
-    # which clears its free set.
-    calls = []
+    # rejects go to fast_control, and each of those runs one least-distance
+    # program, its relaxation, and no exact solve of its own.
+    calls, ldps = [], []
 
-    def spy(a, b, passive):
-        calls.append(fast_control(a, b, passive))
-        assert not passive.any()
+    def spy(a, b):
+        before = len(ldps)
+        calls.append(fast_control(a, b))
+        assert len(ldps) == before + 1
         return calls[-1]
 
-    fast_control = rollout.fast_control
+    def ldp_spy(*args):
+        ldps.append(args)
+        return ldp(*args)
+
+    fast_control, ldp = rollout.fast_control, controller._ldp
     monkeypatch.setattr(rollout, "fast_control", spy)
+    monkeypatch.setattr(controller, "_ldp", ldp_spy)
     digest = _rollouts_digest(case, 1)
     assert digest == GOLDEN_ROLLOUTS[case], f"{case}: digest {digest}"
     assert len(calls) == relaxations

@@ -13,7 +13,7 @@ from scipy.stats import ks_2samp
 
 from cbfcert import rollout
 from cbfcert.cli import TABLE1_AGENT_GRID, TABLE1_NOISE_GRID, build_config
-from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve
+from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve, solve_qp
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
     ExperimentConfig,
@@ -384,7 +384,7 @@ class TestSpawn:
             x0, u0, status, n_draws = spawn_one_by_one(cfg, model, rng)
             x1 = euler_step(x0, u0, noise_array(cfg.system, [rng])[0, 0], cfg.system.dt, model)
             table = PairTable(x1, params, cfg.system.noise_bound)
-            u1 = rollout.fast_control(*rollout._constraint_rows(u0, params, model, table))[0]
+            u1 = solve_qp(*rollout._constraint_rows(u0, params, model, table))[0]
             u1 = u1.reshape(u0.shape)
             h0 = PairTable(x0, params, cfg.system.noise_bound).weighted_margins(u0, params.psi)
             h1 = table.weighted_margins(u1, params.psi)
