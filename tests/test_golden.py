@@ -6,10 +6,11 @@ the body (everything below the '#' provenance lines) of
 carry states, controls and margins to six significant digits, so a drift in
 the controller shows up here even when the group statistics do not move.
 
-The five cases cover the single integrator with psi = 2, the same with a
+The six cases cover the single integrator with psi = 2, the same with a
 binding control box (relaxed steps), ``freeze_adot``, the double integrator
-with psi = 0, and twelve agents crowded into a 6 x 6 square; their digests
-must differ, so no case silently degenerates into another.
+with psi = 0, twelve agents crowded into a 6 x 6 square, and a noisy run
+without the robust margin whose groups flag rollouts; their digests must
+differ, so no case silently degenerates into another.
 
 The two sweep commands are pinned the same way: ``reproduce-table1`` and
 ``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
@@ -73,6 +74,13 @@ CASES = {
     "crowded_n12": {
         "system": {"n_agents": 12, "domain_half_width": 6.0, "horizon_steps": 10},
     },
+    # Strong noise and no robust margin: each group flags one rollout of
+    # three (p_hat = 1/3) and one rollout comes within d_min, so the
+    # certificate's statistics are pinned, not only its format.
+    "noisy_flags": {
+        "system": {"noise_bound": 0.3},
+        "safety": {"robust_margin_enabled": False},
+    },
 }
 
 GOLDEN = {
@@ -81,6 +89,7 @@ GOLDEN = {
     "freeze_adot": "06840f3137f3fca828f24faa4486c82fdd3f3eaea153263b7692aa51b6085f30",
     "double_integrator": "4eca0171dfa9aef937cd06f821713fb0ccfe8b80484e722f420851a392add8a0",
     "crowded_n12": "ed69a56a141b3a15021f442691d568c46e1a306f35a1a98bbd41b20ff0d34395",
+    "noisy_flags": "10e4aa8bd120b56f6bd87ee8da892744dcd4bc92dcf77ee8e8db86f48d08a552",
 }
 
 # (certificate.json, run_manifest.json) per case, masked as in _json_digest.
@@ -105,6 +114,10 @@ GOLDEN_JSON = {
         "dd128b30c1ba942e370d5517738c7bb5ac500cf5e72c254f32f5be22005cf01a",
         "4b7647119c5a8d95a68dcafe93d24247b66f8ba6adc579ece3bf0369e623a262",
     ),
+    "noisy_flags": (
+        "ad2167b869b650ab6990a070c3c39e16a03182cc51832110ac38673d897abf11",
+        "8b28b62e0e42109283d70e1feff218270fca365d4475b366be846d866fed7172",
+    ),
 }
 
 # Per case, over the per-seed Rollouts arrays, as in _rollouts_digest.
@@ -114,6 +127,7 @@ GOLDEN_ROLLOUTS = {
     "freeze_adot": "88c30fe37f1da4d4907acdb1ed35a7713c118cf5cdf98300311a2fdd808d7f9b",
     "double_integrator": "ab22d0e1a9677a7900aa9b79afad2d988f932dbd6f5f20cff566428f0c0a44b8",
     "crowded_n12": "87ba89046300b7b47676e237f0daa49f81dc89b10867f43ae53ac9763513a5aa",
+    "noisy_flags": "18f70b7914741bbae07b50f8e5b36a08fd96dfaf3b2d1676d12e200949c42260",
 }
 
 # Values that differ between two runs of the same config.
