@@ -212,27 +212,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, comments: list[str], columns: list[str], rows) -> None:
+def _write(path: Path, written: list, write) -> None:
+    """``write(fh)`` on ``path`` opened as text, which joins ``written`` once
+    it is open; an OSError becomes ``SetupError``."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            written.append(path)
+            write(fh)
     except OSError as exc:  # a directory at the path, or no permission
         raise SetupError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_json(path: Path, data: dict) -> None:
-    try:
-        path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise SetupError(f"cannot write {path}: {exc.strerror}") from exc
+def _write_csv(path: Path, comments: list[str], columns: list[str], rows, written: list) -> None:
+    def write(fh):
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+    _write(path, written, write)
 
 
-def _dump_trajectories(out_dir: Path, rollouts: Rollouts, config: ExperimentConfig) -> None:
+def _write_json(path: Path, data: dict, written: list) -> None:
+    _write(path, written, lambda fh: fh.write(json.dumps(data, indent=2) + "\n"))
+
+
+def _dump_trajectories(
+    out_dir: Path, rollouts: Rollouts, config: ExperimentConfig, written: list
+) -> None:
     traj_dir = out_dir / "trajectories"
     n = config.system.state_dim
     m = config.system.control_dim
@@ -255,7 +264,7 @@ def _dump_trajectories(out_dir: Path, rollouts: Rollouts, config: ExperimentConf
                 rows.append([t, agent, *x[agent].tolist(), *u[agent].tolist(), min_margin])
             t += config.system.dt
         path = traj_dir / f"group{g_index:04d}_rollout{p_index:03d}.csv"
-        _write_csv(path, [f"seed: {rollouts.seed[g_index, p_index]}"], columns, rows)
+        _write_csv(path, [f"seed: {rollouts.seed[g_index, p_index]}"], columns, rows, written)
 
 
 def _run(args) -> int:
@@ -264,10 +273,13 @@ def _run(args) -> int:
     Resolves the config (``--seed`` overrides its base seed), makes ``--out``
     and, for ``--dump-trajectories``, its ``trajectories`` directory
     (``SetupError`` when it cannot, before any cell runs) and calls
-    ``args.body(args, config, manifest)``, which runs the cells, writes its
-    own extra files, prints its lines (its closing "wrote" line included)
-    and returns (csv name, columns, rows). That CSV is written
-    under the provenance lines, then ``run_manifest.json``.
+    ``args.body(args, config, manifest, written)``, which runs the cells,
+    writes its own extra files, prints its lines and returns (csv name,
+    columns, rows). That CSV is written under the provenance lines, then
+    ``run_manifest.json``, and only then the closing "wrote" line is
+    printed. Every file the run opens joins the list ``written``; when the
+    run fails after opening one (an output that cannot be written exits 3),
+    they are all removed, so a failed run leaves no file of its own.
 
     The body hands the chunks of all its cells to one
     ``rollout.run_experiments`` call, which forks the ``--jobs`` workers
@@ -295,15 +307,22 @@ def _run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file at the path or on its way
         raise SetupError(f"cannot make output directory {exc.filename}: {exc.strerror}") from exc
-    csv_name, columns, rows = args.body(args, config, manifest)
     provenance = [
         f"tool: cbfcert {__version__}",
         f"generated_utc: {manifest['timestamp_utc']}",
         f"config_hash: {manifest['config_hash']}",
         f"base_seed: {config.base_seed}",
     ]
-    _write_csv(args.out / csv_name, provenance, columns, rows)
-    _write_json(args.out / "run_manifest.json", manifest)
+    written = []
+    try:
+        csv_name, columns, rows = args.body(args, config, manifest, written)
+        _write_csv(args.out / csv_name, provenance, columns, rows, written)
+        _write_json(args.out / "run_manifest.json", manifest, written)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print("wrote " + ", ".join(str(path) for path in written if path.parent == args.out))
     return 0
 
 
@@ -322,7 +341,7 @@ def _cell(config: ExperimentConfig, manifest: dict, **overrides) -> ExperimentCo
     return cell
 
 
-def cmd_verify(args, config: ExperimentConfig, manifest: dict):
+def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
     rollouts, z, x_flags = run_experiment(
         config, jobs=args.jobs, record_trajectory=args.dump_trajectories
     )
@@ -353,9 +372,10 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict):
                 "relaxed_rollouts": int(np.count_nonzero(rollouts.relaxed_steps)),
             },
         },
+        written,
     )
     if args.dump_trajectories:
-        _dump_trajectories(args.out, rollouts, config)
+        _dump_trajectories(args.out, rollouts, config, written)
     print(
         f"verify: {config.groups} groups x {config.rollouts_per_group} rollouts | "
         f"pooled violation rate {report.pooled_violation_rate:.6g} | "
@@ -364,12 +384,11 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict):
         f"S_sat {report.scenario_satisfaction:.6g} | "
         f"analytic delta {report.analytic_delta:.6g}"
     )
-    print(f"wrote {args.out / 'certificate.json'} and {args.out / 'groups.csv'}")
     columns = ["group_id", *(f.name for f in fields(GroupStats))]
     return "groups.csv", columns, [(k, *astuple(s)) for k, s in enumerate(report.group_stats)]
 
 
-def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
+def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written: list):
     cells = [
         _cell(config, manifest, system={"n_agents": n_agents, "noise_bound": w_bar})
         for n_agents in TABLE1_AGENT_GRID
@@ -388,12 +407,11 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict):
         w_bar, n_agents = cell.system.noise_bound, cell.system.n_agents
         rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
         print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")
-    print(f"wrote {args.out / 'table1.csv'}")
     columns = ["w_bar", "N", "p_hat", "eps_B", "eps_H", "eps_S", "B_sat", "H_sat", "S_sat"]
     return "table1.csv", columns, rows
 
 
-def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
+def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, written: list):
     cells = [
         _cell(
             config,
@@ -411,7 +429,6 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict):
         min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))
         print(f"psi={psi:g}: p_hat_v {p_hat_v:.6g} min_dist {min_dist:.6g}")
-    print(f"wrote {args.out / 'psi_sweep.csv'}")
     return "psi_sweep.csv", ["psi", "p_hat_v", "min_dist"], rows
 
 

@@ -9,9 +9,9 @@ which Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) reduce to
 one nonnegative least-squares problem (``nnls``); its residual also decides
 feasibility. When the polyhedron is empty the same solver handles the
 shared-slack relaxation, and the step reports how much relaxation was needed.
-``solve_batch`` solves the exact programs of a lockstep step's flagged
-problems together and alone decides which of them relax; ``fast_control``
-relaxes one rejected problem, and ``solve_qp`` runs both on one problem.
+``solve_batch`` takes a lockstep step's whole batch, solves the exact
+programs of its flagged problems together and alone decides which of them
+relax; ``fast_control`` relaxes one rejected problem.
 """
 
 from __future__ import annotations
@@ -133,53 +133,6 @@ def _feasible(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return shortfall.max(axis=-1) <= TOL_PRIMAL * (1.0 + np.abs(b).max(axis=-1))
 
 
-def _relax(a: np.ndarray, b: np.ndarray):
-    """The cold shared-slack relaxation of one problem a u >= b, as (u, duals,
-    status, slack_used): min ||u||^2 + rho*s^2 s.t. a u + s >= b, s >= 0, the
-    least-distance program in (u, sqrt(rho)*s) over the rows [a_k, 1/sqrt(rho)]
-    and [0, 1], always feasible. A slack above 1e-9 flags it ``infeasible_relaxed``.
-    """
-    n_c, dim = a.shape
-    root_rho = np.sqrt(RELAX_RHO)
-    rows = np.zeros((1, n_c + 1, dim + 1))
-    rows[0, :n_c, :dim] = a
-    rows[0, :n_c, dim] = 1.0 / root_rho
-    rows[0, n_c, dim] = 1.0
-    rhs = np.zeros((1, n_c + 1))
-    rhs[0, :n_c] = b
-    v, duals, solved = _ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool))
-    if not solved[0]:
-        raise SolverError("relaxed QP produced no finite control")
-    used = max(v[0, dim] / root_rho, 0.0)
-    if used <= 1e-9:
-        return v[0, :dim], duals[0, :n_c], STATUS_OPTIMAL, 0.0
-    return v[0, :dim], duals[0, :n_c], STATUS_INFEASIBLE_RELAXED, used
-
-
-def solve_qp(a: np.ndarray, b: np.ndarray, passive: np.ndarray | None = None):
-    """Minimum-norm point of the polyhedron a u >= b, or its relaxation.
-
-    Returns (u, duals, status, slack_used): ``solve_batch`` on a stack of
-    one, warm-started from ``passive`` (bool per row), which receives the
-    final free set; the answer does not depend on the start. Where
-    ``solve_batch`` rejects the exact answer, the problem gets the cold
-    shared-slack relaxation of ``fast_control`` instead, and ``passive`` is
-    cleared, as it is for u = 0. Non-finite data raises ``SolverError``.
-    """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise SolverError("non-finite constraint data")
-    n_c, dim = a.shape
-    free = np.zeros((1, n_c), dtype=bool) if passive is None else passive[None]
-    if not needs_solve(b):
-        # The unconstrained optimum u = 0 already satisfies everything.
-        free[:] = False
-        return np.zeros(dim), np.zeros(n_c), STATUS_OPTIMAL, 0.0
-    u, duals, rejected = solve_batch(a[None], b[None], free, np.zeros(1, dtype=int))
-    if rejected[0]:
-        return _relax(a, b)
-    return u[0], duals[0], STATUS_OPTIMAL, 0.0
-
-
 def needs_solve(b: np.ndarray) -> np.ndarray:
     """Whether a step needs the solver: some row's right-hand side is positive.
 
@@ -194,11 +147,28 @@ def needs_solve(b: np.ndarray) -> np.ndarray:
 def fast_control(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, float]:
     """The control of one rollout-step whose exact answer ``solve_batch``
     rejected, as (u, status, slack_used) with u flat (N*m,), from the step's
-    ``_constraint_rows`` (a, b): their cold shared-slack relaxation. It is
-    only for those rejected problems; ``solve_qp`` solves any one problem.
+    ``_constraint_rows`` (a, b): the package's only relaxation.
+
+    It is the cold shared-slack relaxation min ||u||^2 + rho*s^2 s.t.
+    a u + s >= b, s >= 0, the least-distance program in (u, sqrt(rho)*s) over
+    the rows [a_k, 1/sqrt(rho)] and [0, 1], always feasible. A slack above
+    1e-9 flags it ``infeasible_relaxed``.
     """
-    u, _, status, slack = _relax(a, b)
-    return u, status, slack
+    n_c, dim = a.shape
+    root_rho = np.sqrt(RELAX_RHO)
+    rows = np.zeros((1, n_c + 1, dim + 1))
+    rows[0, :n_c, :dim] = a
+    rows[0, :n_c, dim] = 1.0 / root_rho
+    rows[0, n_c, dim] = 1.0
+    rhs = np.zeros((1, n_c + 1))
+    rhs[0, :n_c] = b
+    v, _, solved = _ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool))
+    if not solved[0]:
+        raise SolverError("relaxed QP produced no finite control")
+    used = max(v[0, dim] / root_rho, 0.0)
+    if used <= 1e-9:
+        return v[0, :dim], STATUS_OPTIMAL, 0.0
+    return v[0, :dim], STATUS_INFEASIBLE_RELAXED, used
 
 
 # The Gram matrices that one lockstep slice of ``solve_batch`` stacks stay
@@ -207,37 +177,39 @@ def fast_control(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, float]:
 _GRAM_BYTES = 1 << 21
 
 
-def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray, rows: np.ndarray):
-    """The exact controls of the problems (a[r], b[r]), r in ``rows``, of a
-    batch's ``_constraint_rows``, which ``needs_solve`` all flags: the
-    package's only exact solve.
+def solve_batch(a: np.ndarray, b: np.ndarray, passive: np.ndarray):
+    """The exact controls of a batch's ``_constraint_rows`` (a, b), one
+    problem per leading row: the package's only exact solve.
 
-    Returns (u, duals, rejected) in the order of ``rows``: the flat controls,
+    Returns (u, duals, rejected), one row per problem: the flat controls,
     their duals, and which problems' exact answers are rejected (an empty
     polyhedron, or a point that fails the feasibility check); only those
-    relax, through ``fast_control``. A rejected row of u and duals means
-    nothing and its passive row comes back cleared; every other passive[r]
-    receives r's final free set. The exact programs run through ``_ldp`` in
+    relax, through ``fast_control``. A problem that ``needs_solve`` does not
+    flag gets u = 0 and zero duals, and its passive row is left as it is. A
+    rejected row of u and duals means nothing and its passive row comes back
+    cleared; every other flagged problem's passive row receives its final
+    free set. The flagged problems' exact programs run through ``_ldp`` in
     slices whose Gram matrices take at most ``_GRAM_BYTES`` (one problem
-    when a single Gram is larger). Non-finite data raises ``SolverError``.
+    when a single Gram is larger). Non-finite data in a flagged problem
+    raises ``SolverError``.
     """
     n_c, dim = a.shape[-2:]
-    u = np.empty((len(rows), dim))
-    duals = np.empty((len(rows), n_c))
-    rejected = np.empty(len(rows), dtype=bool)
-    step = max(1, _GRAM_BYTES // (8 * n_c * n_c))
+    u = np.zeros((len(b), dim))
+    duals = np.zeros(b.shape)
+    rejected = np.zeros(len(b), dtype=bool)
+    rows = np.flatnonzero(needs_solve(b))
+    step = max(1, _GRAM_BYTES // max(8 * n_c * n_c, 1))
     for first in range(0, len(rows), step):
-        part = slice(first, first + step)
-        sel = rows[part]
+        sel = rows[first : first + step]
         free = passive[sel]
         if sel[-1] - sel[0] == len(sel) - 1:  # consecutive rows: views, not copies
             sel = slice(sel[0], sel[-1] + 1)
         a_p, b_p = a[sel], b[sel]
         if not (np.isfinite(a_p).all() and np.isfinite(b_p).all()):
             raise SolverError("non-finite constraint data")
-        u[part], duals[part], exact = _ldp(a_p, b_p, free)
-        exact &= _feasible(a_p, b_p, u[part])
-        rejected[part] = ~exact
+        u_p, duals_p, exact = _ldp(a_p, b_p, free)
+        exact &= _feasible(a_p, b_p, u_p)
+        u[sel], duals[sel], rejected[sel] = u_p, duals_p, ~exact
         free[~exact] = False
-        passive[rows[part]] = free
+        passive[sel] = free
     return u, duals, rejected

@@ -24,7 +24,6 @@ from .controller import (
     STATUS_OPTIMAL,
     _constraint_rows,
     fast_control,
-    needs_solve,
     row_count,
     solve_batch,
 )
@@ -109,8 +108,8 @@ def _control(config: ExperimentConfig, plant: Plant, x, u_prev, w_bar, passive):
     bounds w_bar (R,): the joint controls, which ones relaxed, and each
     rollout's min weighted margin at u and min pair distance.
 
-    The batch's constraint systems are built once, and ``solve_batch``
-    solves every rollout that ``needs_solve`` flags, together; elsewhere the
+    The batch's constraint systems are built once and go to ``solve_batch``
+    whole, which solves every rollout that can bind, together; elsewhere the
     zero control is optimal. ``fast_control`` relaxes the few whose exact
     answer the batch rejects, one at a time, so that the benchmark's tracer,
     which wraps this module's ``fast_control``, counts every relaxation.
@@ -119,14 +118,12 @@ def _control(config: ExperimentConfig, plant: Plant, x, u_prev, w_bar, passive):
     params = config.safety
     table = PairTable(x, params, w_bar)
     a, b = _constraint_rows(u_prev, params, plant, table)
-    rows = np.flatnonzero(needs_solve(b))
-    u = np.zeros(u_prev.shape)
-    flat = u.reshape(len(u), a.shape[-1])
-    flat[rows], _, rejected = solve_batch(a, b, passive, rows)
-    relaxed = np.zeros(len(u), dtype=bool)
-    for r in rows[rejected]:
+    flat, _, relaxed = solve_batch(a, b, passive)
+    # A rejected rollout counts as relaxed when its relaxation needs slack.
+    for r in np.flatnonzero(relaxed):
         flat[r], status, _ = fast_control(a[r], b[r])
         relaxed[r] = status != STATUS_OPTIMAL
+    u = flat.reshape(u_prev.shape)
     margins = table.weighted_margins(u, params.psi)
     return u, relaxed, np.min(margins, axis=-1), np.min(table.dist, axis=-1)
 

@@ -5,9 +5,10 @@ scipy, literal grid enumeration and a scalar Lawson-Hanson loop
 (``nnls_one_by_one``, which the package's lockstep NNLS must match bit for
 bit), the constraint rows are built pair by pair from the scalar formulas,
 the samplers are plain rejection sampling, and noise is scaled one agent at
-a time. The exceptions are ``spawn_one_by_one``, which drives the package's
-own sampler and per-step control one rollout and one candidate at a time, as
-the reference for the engine's batched spawn rounds, and
+a time. The exceptions are ``solve_qp``, the package's batch solve and
+relaxation run on one problem; ``spawn_one_by_one``, which drives the
+package's own sampler and ``solve_qp`` one rollout and one candidate at a
+time, as the reference for the engine's batched spawn rounds; and
 ``rollout_one_by_one``, which steps one rollout on that spawn.
 """
 
@@ -16,7 +17,15 @@ import math
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from cbfcert.controller import RELAX_RHO, TOL_PRIMAL, _constraint_rows, solve_qp
+from cbfcert.controller import (
+    RELAX_RHO,
+    STATUS_OPTIMAL,
+    TOL_PRIMAL,
+    _constraint_rows,
+    fast_control,
+    needs_solve,
+    solve_batch,
+)
 from cbfcert.errors import SetupError, SolverError
 from cbfcert.safety import PairTable
 from cbfcert.sysmodel import sample_initial_state
@@ -292,6 +301,29 @@ def qp_one_by_one(a, b, passive=None, step_backs=None):
     v = ldp_one_by_one(rows, np.append(b, 0.0), None, step_backs)
     assert v is not None, "the relaxation is always feasible"
     return v[:dim], True, not max(float(v[dim]) / root_rho, 0.0) <= 1e-9
+
+
+def solve_qp(a, b, passive=None):
+    """Minimum-norm point of the polyhedron a u >= b, or its relaxation, as
+    the engine computes it for one problem: (u, duals, status, slack_used).
+
+    ``solve_batch`` runs on a stack of one, warm-started from ``passive``
+    (bool per row; None is a cold start), which receives the final free set;
+    the answer does not depend on the start. Where ``solve_batch`` rejects
+    the exact answer, ``fast_control`` relaxes the problem, duals is None and
+    ``passive`` is cleared, as it is for u = 0. Non-finite data raises
+    ``SolverError``.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SolverError("non-finite constraint data")
+    free = np.zeros((1, len(b)), dtype=bool) if passive is None else passive[None]
+    if not needs_solve(b):
+        free[:] = False
+    u, duals, rejected = solve_batch(a[None], b[None], free)
+    if rejected[0]:
+        u, status, slack = fast_control(a, b)
+        return u, None, status, slack
+    return u[0], duals[0], STATUS_OPTIMAL, 0.0
 
 
 def qp_grid_oracle_2d(a, b, lo=-5.0, hi=5.0, step=1e-3, chunk=64):

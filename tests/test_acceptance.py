@@ -16,7 +16,7 @@ from scipy.stats import binom
 
 from cbfcert.bounds import bernstein_slack, hoeffding_bound, pairwise_variance, scenario_bound
 from cbfcert.cli import main
-from cbfcert.controller import STATUS_OPTIMAL, _constraint_rows, solve_qp
+from cbfcert.controller import STATUS_OPTIMAL, _constraint_rows
 from cbfcert.rollout import ExperimentConfig, run_rollouts
 from cbfcert.safety import PairTable, SafetyParams
 from cbfcert.sysmodel import SystemConfig, dynamics_model, euler_step
@@ -26,6 +26,7 @@ from oracles import (
     pairwise_variance_definition,
     qp_grid_oracle_2d,
     qp_oracle_slsqp,
+    solve_qp,
 )
 
 REPO = Path(__file__).resolve().parent.parent

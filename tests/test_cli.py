@@ -334,6 +334,35 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"setup error: cannot write {path}:" in err
 
+    @pytest.mark.parametrize(
+        "command, taken",
+        [
+            ("verify", "certificate.json"),
+            ("verify", "groups.csv"),
+            ("verify", "run_manifest.json"),
+            ("verify", "trajectories/group0001_rollout002.csv"),
+            ("reproduce-table1", "table1.csv"),
+            ("reproduce-table1", "run_manifest.json"),
+            ("sweep-psi", "psi_sweep.csv"),
+            ("sweep-psi", "run_manifest.json"),
+        ],
+    )
+    def test_failed_write_leaves_no_file_of_the_run(self, tmp_path, capsys, command, taken):
+        # A directory where one output goes, the first or the last the
+        # command writes: it exits 3, removes every file it had written
+        # before and prints no "wrote" line.
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+        if command == "verify":
+            args.append("--dump-trajectories")
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert f"setup error: cannot write {out / taken}:" in captured.err
+        assert "wrote" not in captured.out
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -13,7 +13,6 @@ from cbfcert.controller import (
     needs_solve,
     row_count,
     solve_batch,
-    solve_qp,
 )
 from cbfcert.errors import SolverError
 from cbfcert.nnls import _nnls_batch
@@ -35,6 +34,7 @@ from oracles import (
     qp_one_by_one,
     qp_oracle_slsqp,
     reference_rows,
+    solve_qp,
 )
 
 MODEL = dynamics_model(SystemConfig())
@@ -539,19 +539,26 @@ class TestWarmStart:
 
 
 def assert_batch_is_one_by_one(a, b, start):
-    """solve_batch and then fast_control on the problems it rejects, as the
-    engine runs them, give bit for bit the control, relaxation flag and
-    final free set of the scalar reference ``qp_one_by_one`` from the
-    problem's own start; solve_batch rejects exactly the problems that the
-    reference relaxes and clears their starts. The problems it keeps get
-    solve_qp's duals bit for bit, and they meet the KKT conditions. Returns
-    (relaxed, stepped): which problems relaxed, and which stepped back in
-    the reference."""
+    """solve_batch on the whole stack and then fast_control on the problems
+    it rejects, as the engine runs them. A problem that needs_solve does not
+    flag gets u = 0, zero duals and no rejection, and keeps its start. Every
+    other one gets bit for bit the control, relaxation flag and final free
+    set of the scalar reference ``qp_one_by_one`` from its own start;
+    solve_batch rejects exactly the problems that the reference relaxes and
+    clears their starts. The problems it keeps get the duals of the
+    one-problem ``solve_qp`` bit for bit, and they meet the KKT conditions.
+    Returns (relaxed, stepped): which problems relaxed, and which stepped
+    back in the reference."""
     passive = start.copy()
-    u, duals, rejected = solve_batch(a, b, passive, np.arange(len(b)))
+    u, duals, rejected = solve_batch(a, b, passive)
+    assert (u.shape, duals.shape, rejected.shape) == ((len(b), a.shape[-1]), b.shape, (len(b),))
     relaxed = np.zeros(len(b), dtype=bool)
     stepped = np.zeros(len(b), dtype=bool)
     for p in range(len(b)):
+        if not needs_solve(b[p]):
+            assert not u[p].any() and not duals[p].any() and not rejected[p]
+            assert np.array_equal(passive[p], start[p])
+            continue
         own, step_backs = start[p].copy(), []
         u_p, rejected_p, relaxed[p] = qp_one_by_one(a[p], b[p], own, step_backs)
         assert rejected[p] == rejected_p
@@ -627,8 +634,7 @@ class TestSolveBatch:
             starts += [warm, np.ones_like(warm), rng.random(warm.shape) < 0.5]
         a, b = (np.stack(parts) for parts in zip(*problems))
         start = np.concatenate(starts)
-        flagged = needs_solve(b)
-        relaxed, stepped = assert_batch_is_one_by_one(a[flagged], b[flagged], start[flagged])
+        relaxed, stepped = assert_batch_is_one_by_one(a, b, start)
         assert stepped.any() and relaxed.any()
 
     def test_singular_and_empty_hand_cases(self):
@@ -659,11 +665,27 @@ class TestSolveBatch:
             relaxed, _ = assert_batch_is_one_by_one(a, b, start)
             assert relaxed.tolist() == [True, True, False]
 
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 10), dim=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_batch_matches_one_by_one(self, seed, n_rows, dim):
+        # Unflagged problems (every right-hand side at most zero) between
+        # exact and rejected ones, all from random warm starts: the
+        # unflagged rows stay zero and keep their starts, and every other
+        # row is the one-problem answer.
+        rng = np.random.default_rng(seed)
+        a, b = random_stack(rng, 9, n_rows, dim)
+        b[::3] = -np.abs(b[::3])
+        start = rng.random(b.shape) < 0.5
+        relaxed, _ = assert_batch_is_one_by_one(a, b, start)
+        assert needs_solve(b).tolist() == [False, True, True] * 3
+        assert not relaxed[::3].any()
+        assert relaxed[2::3].all() == (n_rows >= 2)  # a row and its negation: empty
+
     def test_non_finite_data_is_a_solver_error(self):
         a, b = random_stack(np.random.default_rng(0), 3, 4, 2)
         a[1, 2, 0] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
-            solve_batch(a, b, np.zeros(b.shape, dtype=bool), np.arange(3))
+            solve_batch(a, b, np.zeros(b.shape, dtype=bool))
 
     def test_step_back_that_empties_the_free_set_fails(self):
         # The warm start keeps coordinate 0 at 1e-16; entering coordinate 1

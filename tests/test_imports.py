@@ -2,8 +2,8 @@
 
 Every import in the package's modules must name the standard library,
 numpy, or the package itself; the README and pyproject promise no more.
-The module globals that the benchmark imports or its tracer rebinds must stay
-in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
+The module globals that the benchmark imports, or that its tracer rebinds or
+reads, must stay in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
 and no process-pool machinery, and a command at --jobs 2, whose workers are
 forked directly, loads none either. No run command loads numpy.ma.
 """
@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import cbfcert.cli
+import cbfcert.controller
+import cbfcert.errors
 import cbfcert.rollout
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cbfcert"
@@ -84,6 +86,14 @@ def test_traced_names_are_module_globals():
 def test_benchmark_entry_points_are_module_globals():
     missing = _missing(ENTRY_POINTS)
     assert not missing, missing
+
+
+def test_traced_values_are_module_globals():
+    # The tracer compares each relaxation's status with STATUS_OPTIMAL and
+    # counts the SolverError it sees raised.
+    assert isinstance(vars(cbfcert.controller).get("STATUS_OPTIMAL"), str)
+    solver_error = vars(cbfcert.errors).get("SolverError")
+    assert isinstance(solver_error, type) and issubclass(solver_error, Exception)
 
 
 def _fresh_import(env, code: str) -> str:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp
 
-from cbfcert import rollout
+from cbfcert import controller, rollout
 from cbfcert.cli import TABLE1_AGENT_GRID, TABLE1_NOISE_GRID, build_config
-from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve, solve_qp
+from cbfcert.controller import STATUS_INFEASIBLE_RELAXED, needs_solve
 from cbfcert.errors import ConfigError, SetupError
 from cbfcert.rollout import (
     ExperimentConfig,
@@ -33,7 +33,7 @@ from cbfcert.sysmodel import (
     noise_array,
     sample_initial_state,
 )
-from oracles import margin_scores_two_pass, rollout_one_by_one, spawn_one_by_one
+from oracles import margin_scores_two_pass, rollout_one_by_one, solve_qp, spawn_one_by_one
 from test_cli import assert_no_child_left
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
@@ -413,24 +413,34 @@ class TestSpawn:
             run_rollouts(cfg, seeds)
 
     def test_solve_batch_gets_exactly_the_needs_solve_rows(self, monkeypatch):
-        # Every batch's constraint systems, spawn rounds included, hand
-        # exactly their needs_solve rollouts to solve_batch, in order.
+        # Every batch's constraint systems, spawn rounds included, go to
+        # solve_batch whole, and its exact solves get exactly their
+        # needs_solve rollouts, in order.
         cfg, seeds = spawn_case("margin_rejections")
         cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, horizon_steps=5))
-        batches, solved = [], []
-        build, solve = rollout._constraint_rows, rollout.solve_batch
+        dim = cfg.system.n_agents * cfg.system.control_dim
+        batches, handed, solved = [], [], []
+        build, solve, ldp = rollout._constraint_rows, rollout.solve_batch, controller._ldp
         monkeypatch.setattr(
             rollout, "_constraint_rows", lambda *args: batches.append(build(*args)) or batches[-1]
         )
 
-        def spy(a, b, passive, rows):
-            solved.extend((a[r], b[r]) for r in rows)
-            return solve(a, b, passive, rows)
+        def spy(a, b, passive):
+            handed.append((a, b))
+            return solve(a, b, passive)
+
+        def ldp_spy(a, b, passive):
+            if a.shape[-1] == dim:  # not a relaxation, which has a slack column
+                solved.extend(zip(a, b))
+            return ldp(a, b, passive)
 
         monkeypatch.setattr(rollout, "solve_batch", spy)
+        monkeypatch.setattr(controller, "_ldp", ldp_spy)
         run_rollouts(cfg, seeds)
         spawn_rounds = len(batches) - cfg.system.horizon_steps
         assert spawn_rounds > 1
+        assert len(handed) == len(batches)
+        assert all(got[0] is want[0] and got[1] is want[1] for got, want in zip(handed, batches))
         expected = [(a[r], b[r]) for a, b in batches for r in np.flatnonzero(needs_solve(b))]
         assert sum(needs_solve(b).sum() for _, b in batches[:spawn_rounds]) > 0
         assert len(solved) == len(expected)
