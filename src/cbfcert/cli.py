@@ -31,6 +31,7 @@ if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -46,6 +47,12 @@ from . import __version__
 from .bounds import GroupStats, certificate
 from .errors import ConfigError, SetupError, SolverError, WorkerError
 from .rollout import ExperimentConfig, Rollouts, run_experiment, run_experiments
+
+# Everything the imports above allocated lives until exit, so move it out of
+# the collector's reach: a forked worker's collections then neither walk nor
+# write (and so copy) those pages, and interpreter exit does not walk them.
+# New objects are collected as before.
+gc.freeze()
 
 PSI_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 TABLE1_NOISE_GRID = (0.01, 0.03, 0.05)
@@ -282,10 +289,11 @@ def _run(args) -> int:
     they are all removed, so a failed run leaves no file of its own.
 
     The body hands the chunks of all its cells to one
-    ``rollout.run_experiments`` call, which forks the ``--jobs`` workers
-    (none at ``--jobs 1``) and reaps them before it returns or raises.
-    Forked workers share the numpy this process loaded, while spawned ones
-    would each import it again, which costs more than the cells of a small
+    ``rollout.run_experiments`` call, which forks as many workers as the
+    cells' work pays for, at least one and at most ``--jobs`` (none at
+    ``--jobs 1``), and reaps them before it returns or raises. Forked
+    workers share the numpy this process loaded, while spawned ones would
+    each import it again, which costs more than the cells of a small
     command.
     """
     config = load_config(args.config) if args.config else build_config({})
@@ -467,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--jobs", type=jobs, default=_usable_cpus(), help="worker processes (output is identical for any value)")
+        p.add_argument("--jobs", type=jobs, default=_usable_cpus(), help="most worker processes: a command forks as many as its work pays for, at least one, or none at 1 (output is identical for any value)")
         p.set_defaults(func=_run, body=body)
         return p
 

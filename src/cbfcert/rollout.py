@@ -243,22 +243,22 @@ def run_group(
     )
 
 
-def _run_units(units: list, jobs: int) -> list:
+def _run_units(units: list, n_workers: int) -> list:
     """``run_rollouts(*unit)`` for every unit, in unit order.
 
-    At ``jobs > 1`` with more than one unit it forks n = ``min(jobs, units)``
-    workers. Worker w runs units w, w + n, w + 2n, ... in order until its
-    first failing unit, writes the pickled list of (index, result or
-    exception) to its own pipe and leaves through ``os._exit``, so nothing
-    the parent had buffered is written twice. A worker runs all of its units
-    below the one that failed, so the smallest failing index over all
-    workers is the unit whose exception a serial run raises, and it is
-    raised. Every worker is reaped on every path; on an error, an interrupt
-    or a dead worker the remaining ones are killed first. Where ``os.fork``
-    does not exist the units run in this process.
+    At ``n_workers = 0``, and where ``os.fork`` does not exist, the units run
+    in this process. Otherwise it forks n = ``min(n_workers, units)`` workers.
+    Worker w runs units w, w + n, w + 2n, ... in order until its first
+    failing unit, writes the pickled list of (index, result or exception) to
+    its own pipe and leaves through ``os._exit``, so nothing the parent had
+    buffered is written twice. A worker runs all of its units below the one
+    that failed, so the smallest failing index over all workers is the unit
+    whose exception a serial run raises, and it is raised. Every worker is
+    reaped on every path; on an error, an interrupt or a dead worker the
+    remaining ones are killed first.
     """
-    n_workers = min(jobs, len(units))
-    if n_workers < 2 or not hasattr(os, "fork"):
+    n_workers = min(n_workers, len(units))
+    if n_workers == 0 or not hasattr(os, "fork"):
         return [run_rollouts(*unit) for unit in units]
     workers = {}  # pid -> read end of its result pipe, until it is reaped
     try:
@@ -315,20 +315,35 @@ def _run_units(units: list, jobs: int) -> list:
 # raise a command's peak memory above that of its largest cell.
 _BATCH_ROLLOUTS = 1024
 
+# Row-steps (rollout-steps x constraint rows) of work that each forked worker
+# of ``run_experiments`` must get. A second worker adds about 70 ms of CPU to
+# a command (its fork, a cold first chunk, its own numpy.random import and
+# smaller lockstep batches), or about 36k row-steps at 2 us each. Four times
+# that keeps the fixed cost of the workers a command forks under a quarter of
+# its CPU. (Measured on a shared 2-CPU x86_64 host.)
+_ROW_STEPS_PER_WORKER = 150_000
+
 
 def run_experiments(
     configs, jobs: int = 1, record_trajectory: bool = False
 ) -> list[tuple[Rollouts, np.ndarray, np.ndarray]]:
     """Every cell's rollouts as (G, P) arrays, with their scores and flags, per cell.
 
+    ``jobs`` is the most worker processes to fork. At ``jobs = 1`` nothing
+    forks. Otherwise the command's work, the sum over cells of
+    G x P x (horizon_steps + 1) x ``row_count`` row-steps, buys
+    ``max(1, work // _ROW_STEPS_PER_WORKER)`` workers, at most ``jobs``, so
+    at least one forks and the rollouts never run in the calling process.
+
     Cells whose configs differ only in ``system.noise_bound`` form one
     stack: their G x P seeds, cell after cell and each in group order, run
     as one sequence of rollouts, each with its own cell's bound. Each stack
-    is cut into ``max(ceil(jobs / stacks), ceil(size / cap))`` near-equal
+    is cut into ``max(ceil(n / stacks), ceil(size / cap))`` near-equal
     contiguous chunks (at most one per rollout; a chunk may end inside a
-    group or a cell), where cap is the larger of ``_BATCH_ROLLOUTS`` and the
-    largest cell. Each chunk is one ``run_rollouts`` batch, a work unit of
-    ``_run_units``, which runs all units of all stacks at once. Each stack's
+    group or a cell), where n is that number of workers and cap is the
+    larger of ``_BATCH_ROLLOUTS`` and the largest cell. Each chunk is one
+    ``run_rollouts`` batch, a work unit of ``_run_units``, which runs all
+    units of all stacks at once on ``min(n, units)`` workers. Each stack's
     batches are joined in seed order and split back into its cells, so the
     result is the same for any ``jobs``.
     """
@@ -338,7 +353,16 @@ def run_experiments(
         stacks.setdefault(shared, []).append(i)
     sizes = [config.groups * config.rollouts_per_group for config in configs]
     cap = max(_BATCH_ROLLOUTS, *sizes)
-    per_stack = math.ceil(jobs / len(stacks))
+    n_workers = 0
+    if jobs > 1:
+        work = sum(
+            size
+            * (config.system.horizon_steps + 1)
+            * row_count(config.safety, config.system.n_agents, config.system.control_dim)
+            for size, config in zip(sizes, configs)
+        )
+        n_workers = min(jobs, max(1, work // _ROW_STEPS_PER_WORKER))
+    per_stack = math.ceil(n_workers / len(stacks))
     plan, units = [], []
     for cells in stacks.values():
         seeds = [
@@ -355,7 +379,7 @@ def run_experiments(
             for a, b in zip(bounds, bounds[1:])
         ]
         plan.append((cells, n_chunks))
-    batches = iter(_run_units(units, jobs))
+    batches = iter(_run_units(units, n_workers))
 
     names = [f.name for f in fields(Rollouts) if f.name != "trajectory"]
     results = [None] * len(configs)
@@ -379,6 +403,6 @@ def run_experiment(
     config: ExperimentConfig, jobs: int = 1, record_trajectory: bool = False
 ) -> tuple[Rollouts, np.ndarray, np.ndarray]:
     """All rollouts of one experiment: ``run_experiments`` on one cell, whose
-    G x P seeds are cut into ``min(G * P, max(jobs, ceil(G * P / cap)))``
-    chunks."""
+    G x P seeds are cut into ``min(G * P, max(n, ceil(G * P / cap)))``
+    chunks for its n workers."""
     return run_experiments([config], jobs, record_trajectory)[0]

@@ -41,6 +41,22 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def record_forks(monkeypatch) -> list:
+    """The list that collects the pid of every child ``os.fork`` makes in
+    this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
 def csv_body(path):
     """Everything except the '#' provenance header lines."""
     with open(path, "rb") as fh:
@@ -474,27 +490,35 @@ class TestSweepCommands:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
-    @pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
-    def test_one_pool_per_command(self, tmp_path, monkeypatch, command, jobs, pools):
-        # Every cell of a command runs on one set of min(jobs, units) forked
-        # workers; --jobs 1 forks none. On TINY every command has at least
-        # two work units at --jobs 2.
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+    @staticmethod
+    def forks(tmp_path, monkeypatch, command, jobs) -> int:
+        """How many workers ``command`` on TINY at ``--jobs jobs`` forks."""
+        forks = record_forks(monkeypatch)
         cfg_path = write_config(tmp_path, TINY)
         args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
         assert main(args) == 0
-        assert len(forks) == pools * int(jobs)
         assert_no_child_left()
+        return len(forks)
+
+    @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+    @pytest.mark.parametrize("jobs, workers", [("1", 0), ("2", 1)])
+    def test_one_pool_per_command(self, tmp_path, monkeypatch, command, jobs, workers):
+        # Every cell of a command runs on one set of forked workers; --jobs 1
+        # forks none. TINY's work is far below one worker's worth, so --jobs 2
+        # forks one.
+        assert self.forks(tmp_path, monkeypatch, command, jobs) == workers
+
+    @pytest.mark.parametrize(
+        "command, workers", [("verify", 6), ("reproduce-table1", 7), ("sweep-psi", 7)]
+    )
+    def test_work_above_every_job_forks_min_jobs_units(
+        self, tmp_path, monkeypatch, command, workers
+    ):
+        # When one row-step pays for a worker, --jobs 7 forks min(jobs, units):
+        # verify cuts its one cell of six seeds into six units, table1 each of
+        # its two stacks into four, and sweep-psi each of its six cells into two.
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
+        assert self.forks(tmp_path, monkeypatch, command, "7") == workers
 
     def test_dead_worker_fails_the_command(self, tmp_path, fresh_env):
         # A worker that exits without writing its results makes the command
@@ -550,21 +574,21 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "command, units",
-        [("reproduce-table1", [18] * 2), ("sweep-psi", [100] * 6), ("verify", [3, 3])],
+        [("reproduce-table1", [18] * 2), ("sweep-psi", [100] * 6), ("verify", [6])],
     )
     def test_every_unit_is_submitted_before_any_is_joined(
         self, tmp_path, monkeypatch, command, units
     ):
-        # At --jobs 2 table1 runs each stack of its three same-N cells as one
-        # work unit, sweep-psi one whole cell per unit, and verify cuts its
-        # one cell in two; every unit reaches the runner in one call, before
-        # any result is joined.
+        # At --jobs 2 on TINY, whose work pays for one worker, table1 runs
+        # each stack of its three same-N cells as one work unit, sweep-psi
+        # one whole cell per unit, and verify its one cell as one unit; every
+        # unit reaches the runner in one call, before any result is joined.
         calls = []
         run_units = rollout._run_units
 
-        def spy(work, jobs):
+        def spy(work, n_workers):
             calls.append([len(unit[1]) for unit in work])
-            return run_units(work, 1)
+            return run_units(work, 0)
 
         monkeypatch.setattr(rollout, "_run_units", spy)
         cfg_path = write_config(tmp_path, TINY)
@@ -610,8 +634,8 @@ class TestForkedOutput:
         assert len(lines) == 7
 
     def test_results_larger_than_a_pipe_buffer(self, tmp_path):
-        # Each worker returns 10 rollouts of 101 frames of 3 agents: about
-        # 100 KiB of trajectories, more than a 64 KiB pipe buffer holds.
+        # The one worker returns 20 rollouts of 101 frames of 2 agents: about
+        # 140 KiB of trajectories, more than a 64 KiB pipe buffer holds.
         data = {**TINY, "rollouts_per_group": 10}
         data["system"] = {**TINY["system"], "horizon_steps": 100}
         cfg_path = write_config(tmp_path, data)

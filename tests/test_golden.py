@@ -16,9 +16,9 @@ The two sweep commands are pinned the same way: ``reproduce-table1`` and
 ``sweep-psi`` each run once on a tiny config (ten steps; table1 with 2 x 3
 rollouts per cell and theta 0.3), and the body of the CSV they write is hashed.
 
-The CSV digests hold at ``--jobs 1`` and at ``--jobs 2``, where every cell's
-rollouts are cut into chunks on worker processes (test ids ending in
-``-jobs2``).
+The CSV digests hold at ``--jobs 1`` and at ``--jobs 2``, where the rollouts
+run on a forked worker process (test ids ending in ``-jobs2``); the tests of
+``tests/test_rollout.py`` cut them into chunks on several workers.
 
 The CSVs round to six significant digits, so the engine's numbers are also
 pinned at full precision: ``GOLDEN_ROLLOUTS`` holds a digest of the bytes of

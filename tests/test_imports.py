@@ -5,7 +5,9 @@ numpy, or the package itself; the README and pyproject promise no more.
 The module globals that the benchmark imports, or that its tracer rebinds or
 reads, must stay in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
 and no process-pool machinery, and a command at --jobs 2, whose workers are
-forked directly, loads none either. No run command loads numpy.ma.
+forked directly, loads none either. No run command loads numpy.ma, and the
+parent of a --jobs 2 command does not load numpy.random. The CLI freezes the
+heap its imports leave; the library modules leave the collector alone.
 """
 
 import ast
@@ -96,9 +98,9 @@ def test_traced_values_are_module_globals():
     assert isinstance(solver_error, type) and issubclass(solver_error, Exception)
 
 
-def _fresh_import(env, code: str) -> str:
-    """stdout of ``import cbfcert.cli`` followed by ``code`` in a new interpreter."""
-    argv = [sys.executable, "-c", "import cbfcert.cli\n" + code]
+def _fresh_import(env, code: str, module: str = "cbfcert.cli") -> str:
+    """stdout of ``import <module>`` followed by ``code`` in a new interpreter."""
+    argv = [sys.executable, "-c", f"import {module}\n" + code]
     result = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -163,3 +165,35 @@ def test_command_loads_no_masked_arrays(fresh_env, tmp_path, command):
 def test_cli_import_runs_one_blas_thread_unless_set(fresh_env, preset, threads):
     code = "import os\nprint(len(os.listdir('/proc/self/task')))"
     assert _fresh_import({**fresh_env, **preset}, code) == f"{threads}\n"
+
+
+def test_cli_import_freezes_its_heap(fresh_env):
+    # Forked workers and interpreter exit then skip the import-time objects;
+    # the collector still runs on everything allocated later.
+    code = "import gc\nprint(gc.get_freeze_count() > 0, gc.isenabled())"
+    assert _fresh_import(fresh_env, code) == "True True\n"
+
+
+def test_library_import_freezes_nothing(fresh_env):
+    # As with the BLAS thread variables, only the CLI sets up its process.
+    code = "import gc\nprint(gc.get_freeze_count(), gc.isenabled())"
+    assert _fresh_import(fresh_env, code, module="cbfcert.rollout") == "0 True\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
+def test_forked_command_parent_loads_no_numpy_random(fresh_env, tmp_path, command):
+    # numpy.random's extension modules add about 2 MB to a process; only the
+    # forked workers, which draw the rollouts, load them, so the parent's
+    # peak memory stays that of the imports.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"groups": 2, "rollouts_per_group": 2, "system": {"horizon_steps": 2}}),
+        encoding="utf-8",
+    )
+    args = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "2"]
+    code = (
+        "import sys\n"
+        f"assert cbfcert.cli.main({args!r}) == 0\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    assert _fresh_import(fresh_env, code).splitlines()[-1] == "False"

@@ -34,7 +34,7 @@ from cbfcert.sysmodel import (
     sample_initial_state,
 )
 from oracles import margin_scores_two_pass, rollout_one_by_one, solve_qp, spawn_one_by_one
-from test_cli import assert_no_child_left
+from test_cli import assert_no_child_left, record_forks
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _config as golden_config
 from test_sysmodel import NOISE_BLOCK
@@ -246,10 +246,11 @@ class TestRunGroup:
             arrays_of(p_rollouts) + [p_z, p_x_flags], arrays_of(rollouts) + [z, x_flags]
         )
 
-    def test_chunks_do_not_change_a_group(self):
-        # 15 seeds cut into 2, 3 or 4 chunks, each on its own forked worker:
-        # every cut but jobs 3's falls inside a group, and jobs 2 and 4 do
-        # not divide G * P.
+    def test_chunks_do_not_change_a_group(self, monkeypatch):
+        # 15 seeds cut into 2, 3 or 4 chunks, each on its own forked worker
+        # (one row-step pays for a worker here): every cut but jobs 3's
+        # falls inside a group, and jobs 2 and 4 do not divide G * P.
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
         data = golden_config("control_bound")
         data.update(groups=3, rollouts_per_group=5)
         cfg = build_config(data)
@@ -368,6 +369,71 @@ class TestRunUnits:
             assert_no_child_left()
 
 
+def rule_cell(n_agents=2, horizon=5, rollouts=3, control_bound=None, noise_bound=0.03):
+    """A cell of two groups of ``rollouts``, whose work is
+    2 x rollouts x (horizon + 1) x rows row-steps."""
+    return build_config(
+        {
+            "groups": 2,
+            "rollouts_per_group": rollouts,
+            "system": {
+                "n_agents": n_agents,
+                "horizon_steps": horizon,
+                "noise_bound": noise_bound,
+                "domain_half_width": 4.0,
+            },
+            "safety": {"control_bound": control_bound},
+        }
+    )
+
+
+class TestWorkerCount:
+    # run_experiments forks n = min(jobs, units, max(1, work // W)) workers
+    # at jobs >= 2 and none at jobs 1; W is 100 row-steps here, and each
+    # case's work is worked out by hand beside it.
+
+    @pytest.mark.parametrize(
+        "cells, jobs, workers",
+        [
+            # 2 x 3 x 6 x 1 pair row = 36 row-steps: work // W = 0, yet one forks.
+            ([rule_cell()], 2, 1),
+            # 3 pair rows: 2 x 3 x 6 x 3 = 108, work // W = 1.
+            ([rule_cell(n_agents=3)], 2, 1),
+            # 2 x 3 x 12 x 3 = 216, work // W = 2, at any jobs from 2 up.
+            ([rule_cell(n_agents=3, horizon=11)], 2, 2),
+            ([rule_cell(n_agents=3, horizon=11)], 3, 2),
+            # jobs 1 forks nothing, whatever the work.
+            ([rule_cell(n_agents=3, horizon=11)], 1, 0),
+            # 1 pair row + 2 x 2 agents x 2 box rows = 9 rows: 36 x 9 = 324.
+            ([rule_cell(control_bound=1.0)], 7, 3),
+            # One stack of two cells that differ only in their noise bound:
+            # 108 + 108 = 216.
+            ([rule_cell(n_agents=3), rule_cell(n_agents=3, noise_bound=0.05)], 2, 2),
+            # 2 x 2 x 150 x 1 = 600 buys six workers, but four seeds give
+            # four units.
+            ([rule_cell(horizon=149, rollouts=2)], 7, 4),
+        ],
+        ids=[
+            "below-one-worker",
+            "one-worker",
+            "two-workers",
+            "two-workers-at-jobs3",
+            "jobs1-in-process",
+            "box-rows",
+            "stacked-cells",
+            "units",
+        ],
+    )
+    def test_workers_follow_the_work(self, monkeypatch, cells, jobs, workers):
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 100)
+        forks = record_forks(monkeypatch)
+        stacked = rollout.run_experiments(cells, jobs)
+        assert len(forks) == workers
+        assert_no_child_left()
+        for cell, (rollouts, _, _) in zip(cells, stacked):
+            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)[0]))
+
+
 class TestSpawn:
     @pytest.mark.parametrize("case", SPAWN_CASES)
     def test_spawn_rounds_match_one_by_one_spawn(self, case, monkeypatch):
@@ -482,9 +548,11 @@ class TestStreams:
         assert_matches_one_by_one(horizon_config("single_psi2", horizon), short)
 
     @pytest.mark.parametrize("case", ["control_bound", "crowded_n12", "double_integrator"])
-    def test_rollout_is_the_same_alone_batched_and_chunked(self, case):
+    def test_rollout_is_the_same_alone_batched_and_chunked(self, case, monkeypatch):
         # Six seeds over 40 steps (three noise blocks): alone, as one batch
-        # and in 1 to 4 chunks, every array agrees bit for bit.
+        # and in 1 to 4 chunks (one row-step pays for a worker here), every
+        # array agrees bit for bit.
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
         cfg = horizon_config(case, 40, groups=2, rollouts_per_group=3)
         seeds = [rollout_seed(cfg, g, p) for g in range(2) for p in range(3)]
         batch = run_rollouts(cfg, seeds, True)
@@ -510,10 +578,12 @@ def table1_cells():
 
 class TestStacks:
     # run_experiments runs the cells of one agent count as one stack of 18
-    # rollouts; at jobs 3 and 7 its batches end inside a cell.
+    # rollouts; when one row-step pays for a worker, at jobs 3 and 7 its
+    # batches end inside a cell.
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
-    def test_cells_are_the_same_alone_and_stacked(self, jobs):
+    def test_cells_are_the_same_alone_and_stacked(self, jobs, monkeypatch):
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
         cells = table1_cells()
         stacked = rollout.run_experiments(cells, jobs, record_trajectory=True)
         for cell, (rollouts, z, x_flags) in zip(cells, stacked):
