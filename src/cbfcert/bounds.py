@@ -3,14 +3,15 @@
 Per group of P rollouts this module computes the empirical violation rate,
 the pairwise variance estimator, and three finite-sample bound slacks
 (variance-adaptive Bernstein, Hoeffding, scenario). Across groups it builds
-the certificate report: pooled violation rate, bound-satisfaction fractions
-and the analytic union-bound certificate.
+the certificate: pooled violation rate, bound-satisfaction fractions, the
+analytic union-bound certificate, the per-group statistics and the run's
+diagnostics, every section of ``certificate.json`` but its provenance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,16 +33,6 @@ class GroupStats:
     def bernstein_full(self) -> float:
         """Full high-confidence upper bound p_hat + slack on the true violation rate."""
         return self.p_hat + self.eps_bernstein
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    group_stats: tuple[GroupStats, ...]
-    pooled_violation_rate: float
-    bernstein_satisfaction: float
-    hoeffding_satisfaction: float
-    scenario_satisfaction: float
-    analytic_delta: float
 
 
 def empirical_mean(x_flags) -> float:
@@ -188,29 +179,41 @@ def group_stats(x_flags, z_scores, delta: float) -> GroupStats:
     )
 
 
-def certificate(config, x_flags, z_scores, max_control_norm) -> CertificateReport:
-    """Aggregate an experiment's (G, P) flags and scores into its certificate.
+def certificate(config, rollouts, z_scores, x_flags) -> dict:
+    """An experiment's certificate from its ``Rollouts`` and (G, P) scores and flags.
 
-    The analytic delta is heuristic: its variance and increment inputs use
-    sup||grad h|| over the spawn square and the observed maximum control
-    (see :func:`increment_bound`), not bounds over the region visited.
+    Returns every section of ``certificate.json`` but the provenance, in file
+    order: pooled_violation_rate, satisfaction, analytic_delta, groups and
+    diagnostics. The CLI reads the first four by position, so a new section
+    goes after them. The analytic delta is heuristic: its variance and
+    increment inputs use sup||grad h|| over the spawn square and the observed
+    maximum control (see :func:`increment_bound`), not bounds over the region
+    visited.
     """
     sys_cfg = config.system
-    stats = tuple(group_stats(x, z, config.delta) for x, z in zip(x_flags, z_scores))
+    stats = [group_stats(x, z, config.delta) for x, z in zip(x_flags, z_scores)]
     pooled = float(np.mean(x_flags))
     b_sat, h_sat, s_sat = satisfaction_stats(stats, pooled)
     w_bar, side, dt = sys_cfg.noise_bound, sys_cfg.domain_half_width, sys_cfg.dt
-    return CertificateReport(
-        group_stats=stats,
-        pooled_violation_rate=pooled,
-        bernstein_satisfaction=b_sat,
-        hoeffding_satisfaction=h_sat,
-        scenario_satisfaction=s_sat,
-        analytic_delta=analytic_delta(
+    u_max = float(np.max(rollouts.max_control_norm))
+    return {
+        "pooled_violation_rate": pooled,
+        "satisfaction": {"bernstein": b_sat, "hoeffding": h_sat, "scenario": s_sat},
+        "analytic_delta": analytic_delta(
             h_min=config.h_min,
             K=sys_cfg.horizon_steps,
             sigma2_step=step_variance(w_bar, side, dt),
-            c_increment=increment_bound(w_bar, side, dt, float(np.max(max_control_norm))),
+            c_increment=increment_bound(w_bar, side, dt, u_max),
             n_pairs=sys_cfg.n_agents * (sys_cfg.n_agents - 1) // 2,
         ),
-    )
+        "groups": [
+            {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
+            for k, s in enumerate(stats)
+        ],
+        # Steps whose constraint polyhedron was empty and that ran on the
+        # shared-slack relaxation: the barrier condition did not hold there.
+        "diagnostics": {
+            "relaxed_steps": int(rollouts.relaxed_steps.sum()),
+            "relaxed_rollouts": int(np.count_nonzero(rollouts.relaxed_steps)),
+        },
+    }

@@ -36,7 +36,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -353,47 +353,27 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
     rollouts, z, x_flags = run_experiment(
         config, jobs=args.jobs, record_trajectory=args.dump_trajectories
     )
-    report = certificate(config, x_flags, z, rollouts.max_control_norm)
-    _write_json(
-        args.out / "certificate.json",
-        {
-            "tool_version": manifest["tool_version"],
-            "generated_utc": manifest["timestamp_utc"],
-            "config_hash": manifest["config_hash"],
-            "base_seed": manifest["base_seed"],
-            "config": manifest["config"],
-            "pooled_violation_rate": report.pooled_violation_rate,
-            "satisfaction": {
-                "bernstein": report.bernstein_satisfaction,
-                "hoeffding": report.hoeffding_satisfaction,
-                "scenario": report.scenario_satisfaction,
-            },
-            "analytic_delta": report.analytic_delta,
-            "groups": [
-                {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
-                for k, s in enumerate(report.group_stats)
-            ],
-            # Steps whose constraint polyhedron was empty and that ran on the
-            # shared-slack relaxation: the barrier condition did not hold there.
-            "diagnostics": {
-                "relaxed_steps": int(rollouts.relaxed_steps.sum()),
-                "relaxed_rollouts": int(np.count_nonzero(rollouts.relaxed_steps)),
-            },
-        },
-        written,
-    )
+    cert = certificate(config, rollouts, z, x_flags)
+    provenance = {
+        "tool_version": manifest["tool_version"],
+        "generated_utc": manifest["timestamp_utc"],
+        "config_hash": manifest["config_hash"],
+        "base_seed": manifest["base_seed"],
+        "config": manifest["config"],
+    }
+    _write_json(args.out / "certificate.json", provenance | cert, written)
     if args.dump_trajectories:
         _dump_trajectories(args.out, rollouts, config, written)
+    pooled, satisfaction, delta, groups, *_ = cert.values()
+    b_sat, h_sat, s_sat = satisfaction.values()
     print(
         f"verify: {config.groups} groups x {config.rollouts_per_group} rollouts | "
-        f"pooled violation rate {report.pooled_violation_rate:.6g} | "
-        f"B_sat {report.bernstein_satisfaction:.6g} "
-        f"H_sat {report.hoeffding_satisfaction:.6g} "
-        f"S_sat {report.scenario_satisfaction:.6g} | "
-        f"analytic delta {report.analytic_delta:.6g}"
+        f"pooled violation rate {pooled:.6g} | "
+        f"B_sat {b_sat:.6g} H_sat {h_sat:.6g} S_sat {s_sat:.6g} | "
+        f"analytic delta {delta:.6g}"
     )
     columns = ["group_id", *(f.name for f in fields(GroupStats))]
-    return "groups.csv", columns, [(k, *astuple(s)) for k, s in enumerate(report.group_stats)]
+    return "groups.csv", columns, [[group[c] for c in columns] for group in groups]
 
 
 def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written: list):
@@ -403,15 +383,13 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written
         for w_bar in TABLE1_NOISE_GRID
     ]
     rows = []
-    for cell, (rollouts, z, x_flags) in zip(cells, run_experiments(cells, args.jobs)):
-        report = certificate(cell, x_flags, z, rollouts.max_control_norm)
+    for cell, triple in zip(cells, run_experiments(cells, args.jobs)):
+        _, satisfaction, _, groups, *_ = certificate(cell, *triple).values()
         p_hat, eps_b, eps_h, eps_s = (
-            float(np.mean([getattr(s, name) for s in report.group_stats]))
+            float(np.mean([group[name] for group in groups]))
             for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
         )
-        b_sat = report.bernstein_satisfaction
-        h_sat = report.hoeffding_satisfaction
-        s_sat = report.scenario_satisfaction
+        b_sat, h_sat, s_sat = satisfaction.values()
         w_bar, n_agents = cell.system.noise_bound, cell.system.n_agents
         rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
         print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")

@@ -358,10 +358,16 @@ def kkt_residuals(a, b, u, duals):
     """(stationarity, complementarity, dual-sign, primal-violation) residuals.
 
     Convention: at the optimum u equals the dual combination sum(lambda_k a_k).
+    Complementarity is max_k |lambda_k s_k| / max(1, lambda_k) for the row
+    slacks s = a u - b: the plain product for duals up to one, and the slack
+    itself for larger duals, which nearly parallel rows drive up to 1e5 and
+    more while their slacks stay at rounding level.
     """
     stationarity = float(np.max(np.abs(u - a.T @ duals), initial=0.0))
     slack = a @ u - b
-    complementarity = float(np.max(np.abs(duals * slack), initial=0.0))
+    complementarity = float(
+        np.max(np.abs(duals * slack) / np.maximum(1.0, duals), initial=0.0)
+    )
     dual_sign = float(max(0.0, -np.min(duals, initial=0.0)))
     primal = float(max(0.0, -np.min(slack, initial=0.0)))
     return stationarity, complementarity, dual_sign, primal

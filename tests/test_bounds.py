@@ -1,4 +1,6 @@
 
+from dataclasses import asdict, fields
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -9,16 +11,20 @@ from cbfcert.bounds import (
     GroupStats,
     analytic_delta,
     bernstein_slack,
+    certificate,
     count_support,
     empirical_mean,
     group_stats,
     hoeffding_bound,
+    increment_bound,
     pairwise_variance,
     satisfaction_stats,
     scenario_bound,
     step_variance,
 )
 from cbfcert.errors import ConfigError
+from cbfcert.rollout import ExperimentConfig, Rollouts
+from cbfcert.sysmodel import SystemConfig
 from oracles import pairwise_variance_definition
 
 binary_lists = st.lists(st.integers(0, 1), min_size=2, max_size=120)
@@ -264,6 +270,71 @@ class TestGroupStats:
         assert s.eps_hoeffding == pytest.approx(hoeffding_bound(5, 0.1))
         assert s.d_support == 0
         assert s.eps_scenario == pytest.approx(scenario_bound(0, 5, 0.1))
+
+
+class TestCertificate:
+    # One hand-built cell of 2 groups x 4 rollouts: three of its rollouts
+    # relaxed six steps between them, and the largest control norm is 0.7.
+    # h_min = 3 keeps the analytic delta below one.
+    CONFIG = ExperimentConfig(
+        groups=2,
+        rollouts_per_group=4,
+        h_min=3.0,
+        system=SystemConfig(n_agents=3, noise_bound=0.05, domain_half_width=2.5),
+    )
+    FLAGS = np.array([[1, 0, 0, 1], [0, 0, 0, 0]], dtype=bool)
+    SCORES = np.array([[0.0, 0.5, 0.9, 0.05], [0.3, 0.3, 0.8, 1.0]])
+    ROLLOUTS = Rollouts(
+        seed=np.arange(8).reshape(2, 4),
+        raw_min_margin=np.ones((2, 4)),
+        min_distance=np.ones((2, 4)),
+        relaxed_steps=np.array([[0, 2, 0, 0], [1, 0, 0, 3]]),
+        max_control_norm=np.array([[0.1, 0.7, 0.2, 0.3], [0.4, 0.0, 0.5, 0.6]]),
+    )
+
+    def cert(self):
+        return certificate(self.CONFIG, self.ROLLOUTS, self.SCORES, self.FLAGS)
+
+    def test_sections_in_file_order(self):
+        cert = self.cert()
+        assert list(cert) == [
+            "pooled_violation_rate", "satisfaction", "analytic_delta", "groups", "diagnostics",
+        ]
+        assert list(cert["satisfaction"]) == ["bernstein", "hoeffding", "scenario"]
+        names = [f.name for f in fields(GroupStats)]
+        for group in cert["groups"]:
+            assert list(group) == ["group_id", *names, "bernstein_full"]
+
+    def test_groups_are_group_stats(self):
+        groups = self.cert()["groups"]
+        assert len(groups) == 2
+        for k, (x, z) in enumerate(zip(self.FLAGS, self.SCORES)):
+            s = group_stats(x, z, self.CONFIG.delta)
+            assert groups[k] == {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
+        assert [g["p_hat"] for g in groups] == [0.5, 0.0]
+        assert [g["d_support"] for g in groups] == [0, 1]  # group 1 ties at 0.3
+
+    def test_pooled_rate_and_satisfaction(self):
+        cert = self.cert()
+        assert cert["pooled_violation_rate"] == 0.25
+        stats = [group_stats(x, z, self.CONFIG.delta) for x, z in zip(self.FLAGS, self.SCORES)]
+        assert tuple(cert["satisfaction"].values()) == satisfaction_stats(stats, 0.25)
+
+    def test_analytic_delta_from_the_largest_control(self):
+        expected = analytic_delta(
+            h_min=3.0,
+            K=50,
+            sigma2_step=step_variance(0.05, 2.5, 0.1),
+            c_increment=increment_bound(0.05, 2.5, 0.1, 0.7),
+            n_pairs=3,
+        )
+        assert 0.0 < expected < 1.0
+        assert self.cert()["analytic_delta"] == expected
+
+    def test_diagnostics_count_relaxed_steps_and_rollouts(self):
+        diagnostics = self.cert()["diagnostics"]
+        assert diagnostics == {"relaxed_steps": 6, "relaxed_rollouts": 3}
+        assert all(type(v) is int for v in diagnostics.values())
 
 
 class TestCoverageSmoke:

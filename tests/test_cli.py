@@ -474,6 +474,24 @@ class TestSweepCommands:
         assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
         assert "cells" not in json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, cells", [("verify", 1), ("reproduce-table1", 6)])
+    def test_certificate_is_called_through_the_module_global(
+        self, tmp_path, monkeypatch, command, cells, jobs
+    ):
+        # perfbench/tracer.py rebinds cli.certificate to time bounds.certificate,
+        # so every cell's certificate must be built through that global, in
+        # this process, whatever --jobs is.
+        calls = []
+        build = cli.certificate
+        monkeypatch.setattr(
+            cli, "certificate", lambda cell, *rest: calls.append(cell) or build(cell, *rest)
+        )
+        cfg_path = write_config(tmp_path, TINY)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
+        assert main(args) == 0
+        assert len(calls) == cells
+
     @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
     def test_sweeps_reject_dump_trajectories(self, tmp_path, capsys, command):
         # Only verify writes trajectories; the sweeps must not accept the flag.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbfcert import controller
@@ -209,6 +209,18 @@ class TestSolveQP:
             assert comp <= 1e-6
             assert sign <= 1e-12
             assert primal <= 1e-8
+
+    @pytest.mark.parametrize("dual", [1.0, 1.9e5])
+    def test_kkt_check_rejects_a_positive_dual_on_a_slack_row(self, dual):
+        # A positive dual on a row that u clears by 1e-3: stationarity holds
+        # exactly, and complementarity must still fail at either dual size.
+        a = np.array([[1.0, 0.0]])
+        u = np.array([dual, 0.0])
+        b = np.array([dual - 1e-3])
+        stat, comp, sign, primal = kkt_residuals(a, b, u, np.array([dual]))
+        assert (stat, sign, primal) == (0.0, 0.0, 0.0)
+        assert comp == pytest.approx(1e-3, rel=1e-6)
+        assert max(stat, comp, sign, primal) > 1e-6
 
     @given(scale=st.floats(1e-3, 1e3), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -666,6 +678,7 @@ class TestSolveBatch:
             assert relaxed.tolist() == [True, True, False]
 
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 10), dim=st.integers(1, 5))
+    @example(seed=345480, n_rows=5, dim=2)  # duals near 2e5 on two nearly opposite rows
     @settings(max_examples=60, deadline=None)
     def test_mixed_batch_matches_one_by_one(self, seed, n_rows, dim):
         # Unflagged problems (every right-hand side at most zero) between
