@@ -2,8 +2,9 @@
 
 Per group of P rollouts this module computes the empirical violation rate,
 the pairwise variance estimator, and three finite-sample bound slacks
-(variance-adaptive Bernstein, Hoeffding, scenario). Across groups it builds
-the certificate: pooled violation rate, bound-satisfaction fractions, the
+(variance-adaptive Bernstein, Hoeffding, scenario), every group of a cell in
+one array pass over its (G, P) flags and scores. Across groups it builds the
+certificate: pooled violation rate, bound-satisfaction fractions, the
 analytic union-bound certificate, the per-group statistics and the run's
 diagnostics, every section of ``certificate.json`` but its provenance.
 """
@@ -11,50 +12,30 @@ diagnostics, every section of ``certificate.json`` but its provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-
-@dataclass(frozen=True)
-class GroupStats:
-    """Per-group statistics; the eps_* fields are slacks excluding p_hat."""
-
-    p_hat: float
-    sigma2_hat: float
-    eps_bernstein: float
-    eps_hoeffding: float
-    eps_scenario: float
-    d_support: int
-
-    @property
-    def bernstein_full(self) -> float:
-        """Full high-confidence upper bound p_hat + slack on the true violation rate."""
-        return self.p_hat + self.eps_bernstein
+# Per-group statistics in groups.csv column order, after group_id; the eps_*
+# columns are slacks excluding p_hat. certificate.json's groups add
+# bernstein_full = p_hat + eps_bernstein.
+GROUP_COLUMNS = ("p_hat", "sigma2_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario", "d_support")
 
 
-def empirical_mean(x_flags) -> float:
-    """Arithmetic mean of the violation indicators."""
-    flags = np.asarray(x_flags, dtype=float)
-    if flags.size == 0:
-        raise ValueError("empirical_mean requires a non-empty sequence")
-    return float(flags.mean())
-
-
-def pairwise_variance(x_flags) -> float:
-    """Mean squared difference over all ordered pairs, 1/(P(P-1)) sum (X_i-X_j)^2.
+def pairwise_variance(x_flags):
+    """Mean squared difference over all ordered pairs, 1/(P(P-1)) sum (X_i-X_j)^2,
+    of each group laid out along the last axis.
 
     Expanding the double sum gives (P * sum(x^2) - sum(x)^2) / (P(P-1)), which
     is evaluated in O(P) and coincides with the unbiased sample variance.
     """
     flags = np.asarray(x_flags, dtype=float)
-    p = flags.size
+    p = flags.shape[-1]
     if p < 2:
         raise ValueError("pairwise_variance requires at least two samples")
-    total = float(flags.sum())
-    total_sq = float((flags * flags).sum())
+    total = flags.sum(axis=-1)
+    total_sq = (flags * flags).sum(axis=-1)
     return (p * total_sq - total * total) / (p * (p - 1))
 
 
@@ -63,15 +44,16 @@ def _check_delta(delta: float) -> None:
         raise ConfigError("delta must lie in (0, 1)")
 
 
-def bernstein_slack(sigma2_hat: float, p: int, delta: float) -> float:
-    """Variance-adaptive slack sqrt(2 sigma^2 ln(2/delta) / P) + 7 ln(2/delta) / (3(P-1))."""
+def bernstein_slack(sigma2_hat, p: int, delta: float):
+    """Variance-adaptive slack sqrt(2 sigma^2 ln(2/delta) / P) + 7 ln(2/delta) / (3(P-1)),
+    elementwise over an array of variances or for a scalar one."""
     _check_delta(delta)
     if p < 2:
         raise ValueError("bernstein_slack requires P >= 2")
-    if sigma2_hat < 0:
+    if np.any(np.asarray(sigma2_hat) < 0):
         raise ValueError("sigma2_hat must be >= 0")
     log_term = math.log(2.0 / delta)
-    return math.sqrt(2.0 * sigma2_hat * log_term / p) + 7.0 * log_term / (3.0 * (p - 1))
+    return np.sqrt(2.0 * sigma2_hat * log_term / p) + 7.0 * log_term / (3.0 * (p - 1))
 
 
 def hoeffding_bound(p: int, delta: float) -> float:
@@ -82,26 +64,29 @@ def hoeffding_bound(p: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * p))
 
 
-def scenario_bound(d_support: int, p: int, delta: float) -> float:
-    """Scenario-optimization slack (d + ln(1/delta)) / P.
+def scenario_bound(d_support, p: int, delta: float):
+    """Scenario-optimization slack (d + ln(1/delta)) / P, elementwise over an
+    array of support counts or for a scalar one.
 
     Values above one are reported as-is (a vacuous bound)."""
     _check_delta(delta)
-    if not 0 <= d_support <= p:
+    d = np.asarray(d_support)
+    if np.any((d < 0) | (d > p)):
         raise ValueError("d_support must lie in [0, P]")
     return (d_support + math.log(1.0 / delta)) / p
 
 
-def count_support(z_scores) -> int:
-    """Number of rollouts tied (within 1e-9) at the group's minimal score, minus one.
+def count_support(z_scores):
+    """Number of rollouts tied (within 1e-9) at the group's minimal score, minus
+    one, for each group laid out along the last axis.
 
     A unique minimizer therefore contributes zero support constraints; with
     continuous noise ties almost surely do not occur.
     """
     z = np.asarray(z_scores, dtype=float)
-    if z.size == 0:
+    if z.shape[-1] == 0:
         raise ValueError("count_support requires a non-empty sequence")
-    return int(np.count_nonzero(z <= z.min() + 1e-9) - 1)
+    return np.count_nonzero(z <= z.min(axis=-1, keepdims=True) + 1e-9, axis=-1) - 1
 
 
 def analytic_delta(
@@ -145,40 +130,6 @@ def increment_bound(
     return dt * sup_grad_norm(domain_side) * (2.0 * u_max_observed + 2.0 * w_bar)
 
 
-def satisfaction_stats(
-    stats: list[GroupStats] | tuple[GroupStats, ...], pooled: float
-) -> tuple[float, float, float]:
-    """Fraction of groups whose bound covers the pooled violation rate.
-
-    A group satisfies a bound family when pooled <= p_hat + slack; the pooled
-    rate over all groups stands in for the unknown true probability.
-    """
-    if len(stats) == 0:
-        raise ValueError("satisfaction_stats requires at least one group")
-    b = sum(pooled <= s.p_hat + s.eps_bernstein for s in stats)
-    h = sum(pooled <= s.p_hat + s.eps_hoeffding for s in stats)
-    s_ = sum(pooled <= s.p_hat + s.eps_scenario for s in stats)
-    n = len(stats)
-    return b / n, h / n, s_ / n
-
-
-def group_stats(x_flags, z_scores, delta: float) -> GroupStats:
-    """All per-group statistics for one scored group."""
-    flags = np.asarray(x_flags)
-    p = flags.size
-    p_hat = empirical_mean(flags)
-    sigma2 = pairwise_variance(flags)
-    d_support = count_support(z_scores)
-    return GroupStats(
-        p_hat=p_hat,
-        sigma2_hat=sigma2,
-        eps_bernstein=bernstein_slack(sigma2, p, delta),
-        eps_hoeffding=hoeffding_bound(p, delta),
-        eps_scenario=scenario_bound(d_support, p, delta),
-        d_support=d_support,
-    )
-
-
 def certificate(config, rollouts, z_scores, x_flags) -> dict:
     """An experiment's certificate from its ``Rollouts`` and (G, P) scores and flags.
 
@@ -191,14 +142,29 @@ def certificate(config, rollouts, z_scores, x_flags) -> dict:
     visited.
     """
     sys_cfg = config.system
-    stats = [group_stats(x, z, config.delta) for x, z in zip(x_flags, z_scores)]
+    flags = np.asarray(x_flags, dtype=float)
+    p = flags.shape[-1]
+    sigma2 = pairwise_variance(flags)
+    p_hat = flags.mean(axis=-1)
+    d_support = count_support(z_scores)
+    eps = {
+        "bernstein": bernstein_slack(sigma2, p, config.delta),
+        "hoeffding": np.full_like(p_hat, hoeffding_bound(p, config.delta)),
+        "scenario": scenario_bound(d_support, p, config.delta),
+    }
     pooled = float(np.mean(x_flags))
-    b_sat, h_sat, s_sat = satisfaction_stats(stats, pooled)
+    # A group satisfies a bound family when pooled <= p_hat + slack; the
+    # pooled rate over all groups stands in for the unknown true probability.
+    satisfaction = {
+        name: float(np.count_nonzero(pooled <= p_hat + slack) / p_hat.size)
+        for name, slack in eps.items()
+    }
+    columns = (p_hat, sigma2, *eps.values(), d_support, p_hat + eps["bernstein"])
     w_bar, side, dt = sys_cfg.noise_bound, sys_cfg.domain_half_width, sys_cfg.dt
     u_max = float(np.max(rollouts.max_control_norm))
     return {
         "pooled_violation_rate": pooled,
-        "satisfaction": {"bernstein": b_sat, "hoeffding": h_sat, "scenario": s_sat},
+        "satisfaction": satisfaction,
         "analytic_delta": analytic_delta(
             h_min=config.h_min,
             K=sys_cfg.horizon_steps,
@@ -207,8 +173,8 @@ def certificate(config, rollouts, z_scores, x_flags) -> dict:
             n_pairs=sys_cfg.n_agents * (sys_cfg.n_agents - 1) // 2,
         ),
         "groups": [
-            {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
-            for k, s in enumerate(stats)
+            {"group_id": k, **dict(zip((*GROUP_COLUMNS, "bernstein_full"), row))}
+            for k, row in enumerate(zip(*(column.tolist() for column in columns)))
         ],
         # Steps whose constraint polyhedron was empty and that ran on the
         # shared-slack relaxation: the barrier condition did not hold there.

@@ -44,7 +44,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .bounds import GroupStats, certificate
+from .bounds import GROUP_COLUMNS, certificate
 from .errors import ConfigError, SetupError, SolverError, WorkerError
 from .rollout import ExperimentConfig, Rollouts, run_experiment, run_experiments
 
@@ -372,7 +372,7 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
         f"B_sat {b_sat:.6g} H_sat {h_sat:.6g} S_sat {s_sat:.6g} | "
         f"analytic delta {delta:.6g}"
     )
-    columns = ["group_id", *(f.name for f in fields(GroupStats))]
+    columns = ["group_id", *GROUP_COLUMNS]
     return "groups.csv", columns, [[group[c] for c in columns] for group in groups]
 
 

@@ -96,14 +96,6 @@ class Plant(NamedTuple):
     drift: np.ndarray
     actuation: np.ndarray
 
-    @property
-    def state_dim(self) -> int:
-        return self.actuation.shape[0]
-
-    @property
-    def control_dim(self) -> int:
-        return self.actuation.shape[1]
-
 
 def dynamics_model(config: SystemConfig) -> Plant:
     """The plant of ``config``, a chain of integrators: the derivative of each

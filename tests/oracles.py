@@ -4,8 +4,10 @@ Nothing here shares code with cbfcert internals: the QP oracles go through
 scipy, literal grid enumeration and a scalar Lawson-Hanson loop
 (``nnls_one_by_one``, which the package's lockstep NNLS must match bit for
 bit), the constraint rows are built pair by pair from the scalar formulas,
-the samplers are plain rejection sampling, and noise is scaled one agent at
-a time. The exceptions are ``solve_qp``, the package's batch solve and
+the samplers are plain rejection sampling, noise is scaled one agent at a
+time, and the certificate's per-group statistics are computed one group at a
+time (``group_stats_one_by_one``, which the array pass must match bit for
+bit). The exceptions are ``solve_qp``, the package's batch solve and
 relaxation run on one problem; ``spawn_one_by_one``, which drives the
 package's own sampler and ``solve_qp`` one rollout and one candidate at a
 time, as the reference for the engine's batched spawn rounds; and
@@ -520,6 +522,47 @@ def pairwise_variance_definition(x):
         for j in range(i + 1, p):
             total += (x[i] - x[j]) ** 2
     return total / (p * (p - 1))
+
+
+def group_stats_one_by_one(x_flags, z_scores, delta):
+    """The certificate's ``groups`` and ``satisfaction`` sections, one group at a time.
+
+    Each group's statistics come from the scalar formulas on its own row of
+    flags and scores: the empirical mean, the pairwise variance in its O(P)
+    form, the support count at the minimal score, and the Bernstein,
+    Hoeffding and scenario slacks. A group satisfies a bound family when the
+    pooled rate over all groups is at most p_hat + slack.
+    """
+    groups = []
+    for k, (x, z) in enumerate(zip(x_flags, z_scores)):
+        flags = np.asarray(x, dtype=float)
+        p = flags.size
+        p_hat = float(flags.mean())
+        total = float(flags.sum())
+        total_sq = float((flags * flags).sum())
+        sigma2 = (p * total_sq - total * total) / (p * (p - 1))
+        z = np.asarray(z, dtype=float)
+        d_support = int(np.count_nonzero(z <= z.min() + 1e-9) - 1)
+        log_term = math.log(2.0 / delta)
+        eps_bernstein = math.sqrt(2.0 * sigma2 * log_term / p) + 7.0 * log_term / (3.0 * (p - 1))
+        groups.append(
+            {
+                "group_id": k,
+                "p_hat": p_hat,
+                "sigma2_hat": sigma2,
+                "eps_bernstein": eps_bernstein,
+                "eps_hoeffding": math.sqrt(math.log(2.0 / delta) / (2.0 * p)),
+                "eps_scenario": (d_support + math.log(1.0 / delta)) / p,
+                "d_support": d_support,
+                "bernstein_full": p_hat + eps_bernstein,
+            }
+        )
+    pooled = float(np.mean(x_flags))
+    satisfaction = {
+        name: sum(pooled <= g["p_hat"] + g[f"eps_{name}"] for g in groups) / len(groups)
+        for name in ("bernstein", "hoeffding", "scenario")
+    }
+    return groups, satisfaction
 
 
 def margin_scores_two_pass(raw, theta, eps_norm):

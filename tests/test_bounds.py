@@ -1,31 +1,27 @@
-
-from dataclasses import asdict, fields
+import json
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbfcert.bounds import (
-    GroupStats,
+    GROUP_COLUMNS,
     analytic_delta,
     bernstein_slack,
     certificate,
     count_support,
-    empirical_mean,
-    group_stats,
     hoeffding_bound,
     increment_bound,
     pairwise_variance,
-    satisfaction_stats,
     scenario_bound,
     step_variance,
 )
 from cbfcert.errors import ConfigError
 from cbfcert.rollout import ExperimentConfig, Rollouts
 from cbfcert.sysmodel import SystemConfig
-from oracles import pairwise_variance_definition
+from oracles import group_stats_one_by_one, pairwise_variance_definition
 
 binary_lists = st.lists(st.integers(0, 1), min_size=2, max_size=120)
 
@@ -36,19 +32,42 @@ def mp_bernstein_slack(sigma2, p, delta):
         return float(mp.sqrt(2 * mp.mpf(sigma2) * log_term / p) + 7 * log_term / (3 * (p - 1)))
 
 
+# The config of hand-built cells' certificates: of it, the group statistics and
+# the satisfaction read only delta (0.1 here).
+CONFIG = ExperimentConfig(groups=1, rollouts_per_group=2)
+
+
+def cell_certificate(x_flags, z_scores=None, config=CONFIG):
+    """certificate of (G, P) flags and scores, on a run record that no group
+    statistic reads; distinct scores by default."""
+    flags = np.asarray(x_flags, dtype=bool)
+    if z_scores is None:
+        z_scores = np.broadcast_to(np.linspace(0.0, 1.0, flags.shape[-1]), flags.shape)
+    ones = np.ones(flags.shape)
+    rollouts = Rollouts(
+        seed=np.zeros(flags.shape, dtype=int),
+        raw_min_margin=ones,
+        min_distance=ones,
+        relaxed_steps=np.zeros(flags.shape, dtype=int),
+        max_control_norm=ones,
+    )
+    return certificate(config, rollouts, np.asarray(z_scores, dtype=float), flags)
+
+
 class TestEmpiricalMean:
     def test_quarter(self):
-        assert empirical_mean([1, 0, 0, 0]) == pytest.approx(0.25)
+        assert cell_certificate([[1, 0, 0, 0]])["groups"][0]["p_hat"] == 0.25
 
     def test_all_zero(self):
-        assert empirical_mean([0] * 10) == 0.0
+        assert cell_certificate([[0] * 10])["groups"][0]["p_hat"] == 0.0
 
     def test_two_of_fifty(self):
-        assert empirical_mean([1, 1] + [0] * 48) == pytest.approx(0.04)
+        groups = cell_certificate([[1, 1] + [0] * 48, [1] * 50])["groups"]
+        assert [g["p_hat"] for g in groups] == [pytest.approx(0.04), 1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_mean([])
+            cell_certificate(np.zeros((1, 0)))
 
 
 class TestPairwiseVariance:
@@ -74,6 +93,10 @@ class TestPairwiseVariance:
         assert ours == pytest.approx(pairwise_variance_definition(flags), abs=1e-12)
         assert ours == pytest.approx(float(np.var(flags, ddof=1)), abs=1e-12)
 
+    def test_reduces_each_row(self):
+        rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
+        assert pairwise_variance(rows).tolist() == [pairwise_variance(r) for r in rows]
+
     def test_bounded_for_binary_data(self):
         # Max at a balanced sequence: P/(4(P-1)) = 0.2551 for P = 50.
         worst = pairwise_variance([1] * 25 + [0] * 25)
@@ -89,14 +112,27 @@ class TestBernstein:
         )
 
     def test_full_bound_is_additive(self):
-        zero = group_stats([0] * 50, np.linspace(0.2, 1.0, 50), 0.1)
-        assert zero.bernstein_full == bernstein_slack(0.0, 50, 0.1)
-        flags = [1] * 15 + [0] * 35
-        stats = group_stats(flags, np.linspace(0.0, 1.0, 50), 0.1)
-        assert stats.bernstein_full == stats.p_hat + stats.eps_bernstein
-        assert stats.bernstein_full == pytest.approx(
-            0.3 + bernstein_slack(pairwise_variance(flags), 50, 0.1)
+        flags = [[0] * 50, [1] * 15 + [0] * 35]
+        zero, stats = cell_certificate(flags)["groups"]
+        assert zero["bernstein_full"] == bernstein_slack(0.0, 50, 0.1)
+        assert stats["bernstein_full"] == stats["p_hat"] + stats["eps_bernstein"]
+        assert stats["bernstein_full"] == pytest.approx(
+            0.3 + bernstein_slack(pairwise_variance(flags[1]), 50, 0.1)
         )
+
+    def test_elementwise_over_variances(self):
+        sigma2 = np.array([0.0, 0.1, 0.25])
+        assert bernstein_slack(sigma2, 50, 0.1).tolist() == [
+            bernstein_slack(float(s), 50, 0.1) for s in sigma2
+        ]
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            bernstein_slack(np.array([0.1, -1e-3]), 50, 0.1)
+        with pytest.raises(ValueError):
+            bernstein_slack(0.1, 1, 0.1)
+        with pytest.raises(ConfigError):
+            bernstein_slack(np.array([0.1]), 50, 1.0)
 
     def test_quarter_variance_slack(self):
         assert bernstein_slack(0.25, 50, 0.1) == pytest.approx(
@@ -157,6 +193,12 @@ class TestScenario:
             scenario_bound(-1, 50, 0.1)
         with pytest.raises(ValueError):
             scenario_bound(51, 50, 0.1)
+        with pytest.raises(ValueError):
+            scenario_bound(np.array([0, 3, 51]), 50, 0.1)
+
+    def test_elementwise_over_support_counts(self):
+        d = np.array([0, 1, 50])
+        assert scenario_bound(d, 50, 0.1).tolist() == [scenario_bound(int(k), 50, 0.1) for k in d]
 
 
 class TestCountSupport:
@@ -168,6 +210,10 @@ class TestCountSupport:
 
     def test_all_tied(self):
         assert count_support([0.3] * 5) == 4
+
+    def test_reduces_each_row(self):
+        scores = [[0.5, 0.7, 0.2, 0.9], [0.2, 0.2, 0.8, 0.9], [0.3] * 4]
+        assert count_support(scores).tolist() == [0, 1, 3]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -232,44 +278,86 @@ class TestAnalyticDelta:
 
 
 class TestSatisfaction:
-    def make_stats(self, p_hats, eps=0.1):
-        return [
-            GroupStats(
-                p_hat=p,
-                sigma2_hat=0.0,
-                eps_bernstein=eps,
-                eps_hoeffding=eps,
-                eps_scenario=eps,
-                d_support=0,
-            )
-            for p in p_hats
-        ]
-
+    # 50 rollouts per group at delta = 0.1: a group without flags has
+    # Bernstein slack 0.1427, Hoeffding 0.1731 and, with no tie at its minimal
+    # score, scenario slack 0.0461.
     def test_equal_rates_all_satisfied(self):
-        stats = self.make_stats([0.2, 0.2, 0.2])
-        assert satisfaction_stats(stats, 0.2) == (1.0, 1.0, 1.0)
+        flags = [[1] * 10 + [0] * 40] * 3
+        assert cell_certificate(flags)["satisfaction"] == {
+            "bernstein": 1.0, "hoeffding": 1.0, "scenario": 1.0,
+        }
 
-    def test_zero_slack_counts_upside_groups(self):
-        stats = self.make_stats([0.1, 0.3, 0.5], eps=0.0)
-        b, h, s = satisfaction_stats(stats, 0.3)
-        assert b == h == s == pytest.approx(2.0 / 3.0)
+    def test_counts_groups_at_or_above_the_pooled_rate(self):
+        # Pooled 0.5: the flag-free group's bounds all fall short of it.
+        flags = [[0] * 50, [1] * 25 + [0] * 25, [1] * 50]
+        satisfaction = cell_certificate(flags)["satisfaction"]
+        assert list(satisfaction.values()) == [2 / 3, 2 / 3, 2 / 3]
 
-    def test_requires_groups(self):
-        with pytest.raises(ValueError):
-            satisfaction_stats([], 0.1)
+    def test_families_differ_on_one_group(self):
+        # Pooled 0.1 lies between the flag-free group's scenario slack and its
+        # Bernstein and Hoeffding slacks.
+        flags = [[0] * 50, [1] * 10 + [0] * 40]
+        satisfaction = cell_certificate(flags)["satisfaction"]
+        assert satisfaction == {"bernstein": 1.0, "hoeffding": 1.0, "scenario": 0.5}
+
+    def test_ties_at_the_minimum_widen_the_scenario_bound(self):
+        # All 50 scores tied: 49 support constraints make the slack vacuous.
+        flags = [[0] * 50, [1] * 10 + [0] * 40]
+        scores = [[0.5] * 50, np.linspace(0.0, 1.0, 50)]
+        cert = cell_certificate(flags, scores)
+        assert cert["groups"][0]["d_support"] == 49
+        assert cert["satisfaction"]["scenario"] == 1.0
 
 
 class TestGroupStats:
     def test_fields_are_consistent(self):
         flags = [1, 0, 0, 1, 0]
         z = [0.0, 0.5, 0.9, 0.05, 0.7]
-        s = group_stats(flags, z, delta=0.1)
-        assert s.p_hat == pytest.approx(0.4)
-        assert s.sigma2_hat == pytest.approx(pairwise_variance(flags))
-        assert s.eps_bernstein == pytest.approx(bernstein_slack(s.sigma2_hat, 5, 0.1))
-        assert s.eps_hoeffding == pytest.approx(hoeffding_bound(5, 0.1))
-        assert s.d_support == 0
-        assert s.eps_scenario == pytest.approx(scenario_bound(0, 5, 0.1))
+        (s,) = cell_certificate([flags], [z])["groups"]
+        assert s["p_hat"] == pytest.approx(0.4)
+        assert s["sigma2_hat"] == pytest.approx(pairwise_variance(flags))
+        assert s["eps_bernstein"] == pytest.approx(bernstein_slack(s["sigma2_hat"], 5, 0.1))
+        assert s["eps_hoeffding"] == pytest.approx(hoeffding_bound(5, 0.1))
+        assert s["d_support"] == 0
+        assert s["eps_scenario"] == pytest.approx(scenario_bound(0, 5, 0.1))
+
+
+@st.composite
+def scored_cells(draw):
+    """(G, P) flags and scores with flag-free, all-flagged and mixed groups,
+    and scores drawn from a small grid so that ties at the minimum, exact or
+    within 1e-9, are common."""
+    g, p = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    row = lambda elements: st.lists(elements, min_size=p, max_size=p)
+    flags = draw(
+        st.lists(
+            st.one_of(st.just([0] * p), st.just([1] * p), row(st.integers(0, 1))),
+            min_size=g,
+            max_size=g,
+        )
+    )
+    grid = st.sampled_from([0.0, 5e-10, 1e-9, 0.25, 0.5, 1.0])
+    scores = draw(st.lists(row(st.one_of(grid, st.floats(0.0, 1.0))), min_size=g, max_size=g))
+    delta = draw(st.sampled_from([0.01, 0.05, 0.1, 0.5]))
+    return np.array(flags, dtype=bool), np.array(scores), delta
+
+
+class TestAgainstOneByOne:
+    @given(scored_cells())
+    @example((np.array([[True, False]]), np.array([[0.3, 0.3]]), 0.1))  # G = 1, P = 2
+    @example((np.ones((3, 4), dtype=bool), np.zeros((3, 4)), 0.05))
+    @example((np.zeros((2, 5), dtype=bool), np.array([[0.0, 1e-9, 2e-9, 0.5, 1.0]] * 2), 0.1))
+    @settings(max_examples=150, deadline=None)
+    def test_groups_and_satisfaction_equal_the_scalar_code(self, cell):
+        flags, scores, delta = cell
+        config = ExperimentConfig(groups=1, rollouts_per_group=2, delta=delta)
+        cert = cell_certificate(flags, scores, config)
+        groups, satisfaction = group_stats_one_by_one(flags, scores, delta)
+        assert cert["groups"] == groups
+        assert cert["satisfaction"] == satisfaction
+        # Equal values of other types would print other bytes.
+        assert json.dumps(cert["groups"]) == json.dumps(groups)
+        assert json.dumps(cert["satisfaction"]) == json.dumps(satisfaction)
 
 
 class TestCertificate:
@@ -301,24 +389,20 @@ class TestCertificate:
             "pooled_violation_rate", "satisfaction", "analytic_delta", "groups", "diagnostics",
         ]
         assert list(cert["satisfaction"]) == ["bernstein", "hoeffding", "scenario"]
-        names = [f.name for f in fields(GroupStats)]
         for group in cert["groups"]:
-            assert list(group) == ["group_id", *names, "bernstein_full"]
+            assert list(group) == ["group_id", *GROUP_COLUMNS, "bernstein_full"]
 
     def test_groups_are_group_stats(self):
         groups = self.cert()["groups"]
-        assert len(groups) == 2
-        for k, (x, z) in enumerate(zip(self.FLAGS, self.SCORES)):
-            s = group_stats(x, z, self.CONFIG.delta)
-            assert groups[k] == {"group_id": k, **asdict(s), "bernstein_full": s.bernstein_full}
+        assert groups == group_stats_one_by_one(self.FLAGS, self.SCORES, self.CONFIG.delta)[0]
         assert [g["p_hat"] for g in groups] == [0.5, 0.0]
         assert [g["d_support"] for g in groups] == [0, 1]  # group 1 ties at 0.3
 
     def test_pooled_rate_and_satisfaction(self):
         cert = self.cert()
         assert cert["pooled_violation_rate"] == 0.25
-        stats = [group_stats(x, z, self.CONFIG.delta) for x, z in zip(self.FLAGS, self.SCORES)]
-        assert tuple(cert["satisfaction"].values()) == satisfaction_stats(stats, 0.25)
+        _, satisfaction = group_stats_one_by_one(self.FLAGS, self.SCORES, self.CONFIG.delta)
+        assert cert["satisfaction"] == satisfaction
 
     def test_analytic_delta_from_the_largest_control(self):
         expected = analytic_delta(
@@ -343,9 +427,5 @@ class TestCoverageSmoke:
         # Bernoulli(0.05) flags; the bound must cover p at rate >= 1 - delta.
         p_true, delta, P = 0.05, 0.1, 50
         flags = rng.random((2000, P)) < p_true
-        covered = 0
-        for row in flags:
-            p_hat = row.mean()
-            slack = bernstein_slack(pairwise_variance(row), P, delta)
-            covered += p_true <= p_hat + slack
-        assert covered / 2000 >= 1 - delta
+        bound = flags.mean(axis=1) + bernstein_slack(pairwise_variance(flags), P, delta)
+        assert np.mean(p_true <= bound) >= 1 - delta

@@ -121,10 +121,11 @@ class TestAssembleConstraints:
 
     @reference_cases
     def test_rows_match_pairwise_reference(self, rng, model, dynamics, params):
+        state_dim, control_dim = model.actuation.shape
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            x = rng.uniform(-2.0, 2.0, size=(n, model.state_dim))
-            u_prev = rng.uniform(-0.5, 0.5, size=(n, model.control_dim))
+            x = rng.uniform(-2.0, 2.0, size=(n, state_dim))
+            u_prev = rng.uniform(-0.5, 0.5, size=(n, control_dim))
             a, b = rows(x, u_prev, params, 0.03, model)
             a_ref, b_ref = reference_rows(x, u_prev, params, 0.03, dynamics)
             assert np.allclose(a, a_ref, rtol=1e-12, atol=1e-12)
@@ -135,10 +136,11 @@ class TestAssembleConstraints:
     def test_batched_rows_match_each_joint_state(self, rng, model, dynamics, params):
         # Slice r of the system built on a batch's table is bit for bit the
         # system of joint state r alone (the lockstep rollouts rely on it).
-        x = rng.uniform(-2.0, 2.0, size=(6, 4, model.state_dim))
-        u_prev = rng.uniform(-0.5, 0.5, size=(6, 4, model.control_dim))
+        state_dim, control_dim = model.actuation.shape
+        x = rng.uniform(-2.0, 2.0, size=(6, 4, state_dim))
+        u_prev = rng.uniform(-0.5, 0.5, size=(6, 4, control_dim))
         a, b = _constraint_rows(u_prev, params, model, PairTable(x, params, 0.03))
-        assert a.shape == (6, row_count(params, 4, model.control_dim), 4 * model.control_dim)
+        assert a.shape == (6, row_count(params, 4, control_dim), 4 * control_dim)
         for r in range(len(x)):
             a_r, b_r = _constraint_rows(u_prev[r], params, model, PairTable(x[r], params, 0.03))
             assert a[r].tobytes() == a_r.tobytes()
@@ -396,10 +398,11 @@ class TestControlStep:
     def test_fast_control_matches_public_path(self, rng, model, dynamics, params):
         # The public solver on rows built pair by pair from the scalar
         # formulas must give its answer on the engine's rows.
+        state_dim, control_dim = model.actuation.shape
         for _ in range(30):
             n = int(rng.integers(2, 13))
-            x = rng.uniform(0.0, 3.0, size=(n, model.state_dim))
-            u_prev = rng.uniform(-0.5, 0.5, size=(n, model.control_dim))
+            x = rng.uniform(0.0, 3.0, size=(n, state_dim))
+            u_prev = rng.uniform(-0.5, 0.5, size=(n, control_dim))
             u_fast, status_fast, slack_fast = control(x, u_prev, params, 0.03, model)
             u_ref, _, status_ref, slack_ref = solve_qp(
                 *reference_rows(x, u_prev, params, 0.03, dynamics)

@@ -3,7 +3,8 @@
 Every import in the package's modules must name the standard library,
 numpy, or the package itself; the README and pyproject promise no more.
 The module globals that the benchmark imports, or that its tracer rebinds or
-reads, must stay in place. Importing the CLI in a fresh interpreter loads a one-thread BLAS
+reads, must stay in place, and the groups.csv columns that the benchmark
+checks must be the report's. Importing the CLI in a fresh interpreter loads a one-thread BLAS
 and no process-pool machinery, and a command at --jobs 2, whose workers are
 forked directly, loads none either. No run command loads numpy.ma, and the
 parent of a --jobs 2 command does not load numpy.random. The CLI freezes the
@@ -18,12 +19,14 @@ from pathlib import Path
 
 import pytest
 
+import cbfcert.bounds
 import cbfcert.cli
 import cbfcert.controller
 import cbfcert.errors
 import cbfcert.rollout
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cbfcert"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "cbfcert"
 ALLOWED = {"numpy", "cbfcert"}
 
 
@@ -69,6 +72,22 @@ TRACED_NAMES = {
 # (in a fresh interpreter, or in process when traced), and load_config is
 # what its setup_s probe times.
 ENTRY_POINTS = {cbfcert.cli: ("main", "load_config")}
+
+
+def _benchmark_constant(name: str):
+    """The literal value of a module-level constant of perfbench/run.py,
+    read from its source without importing the benchmark."""
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in perfbench/run.py")
+
+
+def test_benchmark_group_columns_are_the_report_columns():
+    # The benchmark checks groups.csv's header against its own copy of the
+    # columns; a drift would fail every verify command it runs.
+    assert _benchmark_constant("GROUP_COLUMNS") == ("group_id", *cbfcert.bounds.GROUP_COLUMNS)
 
 
 def _missing(names_by_module):

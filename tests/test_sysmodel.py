@@ -38,13 +38,13 @@ class TestDynamics:
 
     def test_single_integrator_actuation_is_identity(self):
         assert np.array_equal(SINGLE_MODEL.actuation, np.eye(2))
-        assert (SINGLE_MODEL.state_dim, SINGLE_MODEL.control_dim) == (2, 2)
+        assert SINGLE_MODEL.actuation.shape == (2, 2)
 
     def test_double_integrator_actuation_block_form(self):
         expected = np.zeros((4, 2))
         expected[2:, :] = np.eye(2)
         assert np.array_equal(DOUBLE_MODEL.actuation, expected)
-        assert (DOUBLE_MODEL.state_dim, DOUBLE_MODEL.control_dim) == (4, 2)
+        assert DOUBLE_MODEL.actuation.shape == (4, 2)
 
 
 class TestStep:
