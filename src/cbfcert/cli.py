@@ -30,7 +30,6 @@ if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
 import argparse
-import csv
 import gc
 import hashlib
 import json
@@ -38,6 +37,7 @@ import math
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -209,16 +209,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".6g")
-    return str(value)
-
-
 def _write(path: Path, written: list, write) -> None:
     """``write(fh)`` on ``path`` opened as text, which joins ``written`` once
     it is open; an OSError becomes ``SetupError``."""
@@ -230,14 +220,17 @@ def _write(path: Path, written: list, write) -> None:
         raise SetupError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path: Path, comments: list[str], columns: list[str], rows, written: list) -> None:
+def _write_csv(path: Path, comments, columns, row_format: str, rows, written: list) -> None:
+    """The ``#`` comment lines, then the header and ``row_format % tuple(row)``
+    for each row, each ended by CRLF. ``row_format`` takes ``%d`` for an
+    integer column and ``%.6g`` for a float one."""
+    line = row_format + "\r\n"
+
     def write(fh):
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
     _write(path, written, write)
 
@@ -250,28 +243,27 @@ def _dump_trajectories(
     out_dir: Path, rollouts: Rollouts, config: ExperimentConfig, written: list
 ) -> None:
     traj_dir = out_dir / "trajectories"
-    n = config.system.state_dim
-    m = config.system.control_dim
-    columns = (
-        ["t", "agent"]
-        + [f"x{c}" for c in range(n)]
-        + [f"u{c}" for c in range(m)]
-        + ["min_pair_margin"]
-    )
+    sys_cfg = config.system
+    n, m, n_agents = sys_cfg.state_dim, sys_cfg.control_dim, sys_cfg.n_agents
+    states, controls = [f"x{c}" for c in range(n)], [f"u{c}" for c in range(m)]
+    columns = ["t", "agent", *states, *controls, "min_pair_margin"]
+    row_format = "%.6g,%d" + ",%.6g" * (n + m + 1)
+    # One rollout's rows, (K+1, N, 2+n+m+1): t and agent fixed, the rest
+    # filled per rollout. t is dt added once per step, not k * dt: the two
+    # differ in the last bits, and the test suite pins the running sum.
+    block = np.empty((sys_cfg.horizon_steps + 1, n_agents, len(columns)))
+    t = accumulate(repeat(sys_cfg.dt, sys_cfg.horizon_steps), initial=0.0)
+    block[:, :, 0] = np.fromiter(t, float)[:, None]
+    block[:, :, 1] = np.arange(n_agents)
     xs, us, margins = rollouts.trajectory
     for g_index, p_index in np.ndindex(rollouts.seed.shape):
-        rows = []
-        # dt added once per step, not k * dt: the two differ in the last
-        # bits, and the golden trajectory digests pin this sequence.
-        t = 0.0
-        for x, u, min_margin in zip(
-            xs[g_index, p_index], us[g_index, p_index], margins[g_index, p_index]
-        ):
-            for agent in range(config.system.n_agents):
-                rows.append([t, agent, *x[agent].tolist(), *u[agent].tolist(), min_margin])
-            t += config.system.dt
+        block[:, :, 2 : 2 + n] = xs[g_index, p_index]
+        block[:, :, 2 + n : -1] = us[g_index, p_index]
+        block[:, :, -1] = margins[g_index, p_index][:, None]
         path = traj_dir / f"group{g_index:04d}_rollout{p_index:03d}.csv"
-        _write_csv(path, [f"seed: {rollouts.seed[g_index, p_index]}"], columns, rows, written)
+        rows = block.reshape(-1, len(columns)).tolist()
+        comments = [f"seed: {rollouts.seed[g_index, p_index]}"]
+        _write_csv(path, comments, columns, row_format, rows, written)
 
 
 def _run(args) -> int:
@@ -282,11 +274,12 @@ def _run(args) -> int:
     (``SetupError`` when it cannot, before any cell runs) and calls
     ``args.body(args, config, manifest, written)``, which runs the cells,
     writes its own extra files, prints its lines and returns (csv name,
-    columns, rows). That CSV is written under the provenance lines, then
-    ``run_manifest.json``, and only then the closing "wrote" line is
-    printed. Every file the run opens joins the list ``written``; when the
-    run fails after opening one (an output that cannot be written exits 3),
-    they are all removed, so a failed run leaves no file of its own.
+    columns, row format, rows) for ``_write_csv``. That CSV is written under
+    the provenance lines, then ``run_manifest.json``, and only then the
+    closing "wrote" line is printed. Every file the run opens joins the list
+    ``written``; when the run fails after opening one (an output that cannot
+    be written exits 3), they are all removed, so a failed run leaves no file
+    of its own.
 
     The body hands the chunks of all its cells to one
     ``rollout.run_experiments`` call, which forks as many workers as the
@@ -323,8 +316,8 @@ def _run(args) -> int:
     ]
     written = []
     try:
-        csv_name, columns, rows = args.body(args, config, manifest, written)
-        _write_csv(args.out / csv_name, provenance, columns, rows, written)
+        csv_name, columns, row_format, rows = args.body(args, config, manifest, written)
+        _write_csv(args.out / csv_name, provenance, columns, row_format, rows, written)
         _write_json(args.out / "run_manifest.json", manifest, written)
     except BaseException:
         for path in written:
@@ -373,7 +366,9 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
         f"analytic delta {delta:.6g}"
     )
     columns = ["group_id", *GROUP_COLUMNS]
-    return "groups.csv", columns, [[group[c] for c in columns] for group in groups]
+    # group_id, then GROUP_COLUMNS: five statistics and slacks, d_support
+    row_format = "%d" + ",%.6g" * 5 + ",%d"
+    return "groups.csv", columns, row_format, [[group[c] for c in columns] for group in groups]
 
 
 def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written: list):
@@ -394,7 +389,7 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written
         rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
         print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")
     columns = ["w_bar", "N", "p_hat", "eps_B", "eps_H", "eps_S", "B_sat", "H_sat", "S_sat"]
-    return "table1.csv", columns, rows
+    return "table1.csv", columns, "%.6g,%d" + ",%.6g" * 7, rows
 
 
 def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, written: list):
@@ -415,7 +410,7 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, written: list)
         min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))
         print(f"psi={psi:g}: p_hat_v {p_hat_v:.6g} min_dist {min_dist:.6g}")
-    return "psi_sweep.csv", ["psi", "p_hat_v", "min_dist"], rows
+    return "psi_sweep.csv", ["psi", "p_hat_v", "min_dist"], "%.6g,%.6g,%.6g", rows
 
 
 def cmd_print_config_schema(args) -> int:

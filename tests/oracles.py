@@ -7,13 +7,17 @@ bit), the constraint rows are built pair by pair from the scalar formulas,
 the samplers are plain rejection sampling, noise is scaled one agent at a
 time, and the certificate's per-group statistics are computed one group at a
 time (``group_stats_one_by_one``, which the array pass must match bit for
-bit). The exceptions are ``solve_qp``, the package's batch solve and
+bit), and CSV rows go through ``csv.writer`` with a per-value type dispatch
+(``csv_rows_reference``, whose bytes the CLI's row formats must match). The
+exceptions are ``solve_qp``, the package's batch solve and
 relaxation run on one problem; ``spawn_one_by_one``, which drives the
 package's own sampler and ``solve_qp`` one rollout and one candidate at a
 time, as the reference for the engine's batched spawn rounds; and
 ``rollout_one_by_one``, which steps one rollout on that spawn.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -581,3 +585,25 @@ def margin_scores_two_pass(raw, theta, eps_norm):
     denom = max(h_tilde_max, eps_norm)
     z = np.where(violated, 0.0, np.clip(raw / denom, 0.0, 1.0))
     return z, (z < theta).astype(int)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".6g")
+    return str(value)
+
+
+def csv_rows_reference(columns, rows) -> str:
+    """The header and rows as ``csv.writer`` writes them (CRLF line ends),
+    each value formatted by its type: an integer in full, a float to six
+    significant digits."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buffer.getvalue()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cbfcert import cli, rollout
 from cbfcert.cli import (
@@ -19,6 +22,7 @@ from cbfcert.cli import (
 )
 from cbfcert.errors import ConfigError
 from cbfcert.rollout import run_experiment
+from oracles import csv_rows_reference
 import test_golden
 
 TINY = {
@@ -55,6 +59,29 @@ def record_forks(monkeypatch) -> list:
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return forks
+
+
+# Integers and floats that a row format must write as csv.writer wrote them.
+CSV_INTS = st.one_of(st.sampled_from([0, -1, 10**7, 2**63, -(2**63)]), st.integers())
+CSV_FLOATS = st.one_of(
+    st.sampled_from(
+        [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 123456.5, 0.1 + 0.2]
+    ),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.lists(st.booleans(), min_size=1, max_size=6), data=st.data())
+def test_write_csv_matches_csv_writer(tmp_path, kinds, data):
+    # True marks an integer (%d) column, False a float (%.6g) one.
+    columns = [f"c{i}" for i in range(len(kinds))]
+    row_format = ",".join("%d" if is_int else "%.6g" for is_int in kinds)
+    row = st.tuples(*(CSV_INTS if is_int else CSV_FLOATS for is_int in kinds))
+    rows = data.draw(st.lists(row, max_size=8))
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, ["comment"], columns, row_format, rows, [])
+    assert csv_body(path) == csv_rows_reference(columns, rows).encode("utf-8")
 
 
 def csv_body(path):
@@ -233,6 +260,43 @@ class TestVerifyCommand:
         assert list(rows[0]) == ["t", "agent", "x0", "x1", "u0", "u1", "min_pair_margin"]
         # horizon_steps + 1 time points, one row per agent each
         assert len(rows) == (TINY["system"]["horizon_steps"] + 1) * 2
+
+    def test_dump_trajectories_t_is_the_running_sum(self, tmp_path, monkeypatch):
+        # t is dt added once per step, not k * dt. The two differ only past
+        # the six digits the file keeps, so the rows are read on their way
+        # into _write_csv, at full precision. The golden digests stop at 30
+        # steps.
+        steps, dt = 120, 0.1
+        data = {
+            "groups": 1,
+            "rollouts_per_group": 2,
+            "system": {"horizon_steps": steps, "dt": dt, "domain_half_width": 4.0},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        calls = []
+        write_csv = cli._write_csv
+
+        def spy(path, comments, columns, row_format, rows, written):
+            calls.append((path, rows))
+            write_csv(path, comments, columns, row_format, rows, written)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+        assert main([*args, "--dump-trajectories"]) == 0
+        running, t = [], 0.0
+        for _ in range(steps + 1):
+            running.append(t)
+            t += dt
+        assert any(t != k * dt for k, t in enumerate(running))
+        expected = [t for t in running for _ in range(2)]  # one row per agent
+        dumps = [(path, rows) for path, rows in calls if path.parent.name == "trajectories"]
+        assert len(dumps) == 2
+        for path, rows in dumps:
+            assert [row[0] for row in rows] == expected
+            with open(path, newline="") as fh:
+                body = [line for line in fh if not line.startswith("#")][1:]
+            assert [line.split(",")[0] for line in body] == ["%.6g" % t for t in expected]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"system": {"noise_bound": -0.5}})

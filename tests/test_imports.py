@@ -7,8 +7,9 @@ reads, must stay in place, and the groups.csv columns that the benchmark
 checks must be the report's. Importing the CLI in a fresh interpreter loads a one-thread BLAS
 and no process-pool machinery, and a command at --jobs 2, whose workers are
 forked directly, loads none either. No run command loads numpy.ma, and the
-parent of a --jobs 2 command does not load numpy.random. The CLI freezes the
-heap its imports leave; the library modules leave the collector alone.
+parent of a --jobs 2 command does not load numpy.random, and neither the CLI's
+import nor a trajectory dump loads the csv module. The CLI freezes the heap its
+imports leave; the library modules leave the collector alone.
 """
 
 import ast
@@ -216,3 +217,30 @@ def test_forked_command_parent_loads_no_numpy_random(fresh_env, tmp_path, comman
         "print('numpy.random' in sys.modules)"
     )
     assert _fresh_import(fresh_env, code).splitlines()[-1] == "False"
+
+
+CSV_MODULES = "{'csv', '_csv'}"
+
+
+def test_cli_import_loads_no_csv_module(fresh_env):
+    # Every CSV is written from a printf-style row format; csv and _csv
+    # would add about 0.5 ms to every command's import.
+    code = f"import sys\nprint(sorted({CSV_MODULES} & set(sys.modules)))"
+    assert _fresh_import(fresh_env, code) == "[]\n"
+
+
+def test_trajectory_dump_loads_no_csv_module(fresh_env, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"groups": 1, "rollouts_per_group": 2, "system": {"horizon_steps": 2}}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    args = ["verify", "--config", str(config), "--out", str(out), "--jobs", "1"]
+    code = (
+        "import sys\n"
+        f"assert cbfcert.cli.main({[*args, '--dump-trajectories']!r}) == 0\n"
+        f"print(sorted({CSV_MODULES} & set(sys.modules)))"
+    )
+    assert _fresh_import(fresh_env, code).splitlines()[-1] == "[]"
+    assert len(list((out / "trajectories").glob("*.csv"))) == 2
