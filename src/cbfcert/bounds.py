@@ -130,8 +130,8 @@ def increment_bound(
     return dt * sup_grad_norm(domain_side) * (2.0 * u_max_observed + 2.0 * w_bar)
 
 
-def certificate(config, rollouts, z_scores, x_flags) -> dict:
-    """An experiment's certificate from its ``Rollouts`` and (G, P) scores and flags.
+def certificate(config, rollouts) -> dict:
+    """An experiment's certificate from its ``Rollouts``, scores and flags set.
 
     Returns every section of ``certificate.json`` but the provenance, in file
     order: pooled_violation_rate, satisfaction, analytic_delta, groups and
@@ -142,17 +142,17 @@ def certificate(config, rollouts, z_scores, x_flags) -> dict:
     visited.
     """
     sys_cfg = config.system
-    flags = np.asarray(x_flags, dtype=float)
+    flags = np.asarray(rollouts.flag, dtype=float)
     p = flags.shape[-1]
     sigma2 = pairwise_variance(flags)
     p_hat = flags.mean(axis=-1)
-    d_support = count_support(z_scores)
+    d_support = count_support(rollouts.score)
     eps = {
         "bernstein": bernstein_slack(sigma2, p, config.delta),
         "hoeffding": np.full_like(p_hat, hoeffding_bound(p, config.delta)),
         "scenario": scenario_bound(d_support, p, config.delta),
     }
-    pooled = float(np.mean(x_flags))
+    pooled = float(np.mean(rollouts.flag))
     # A group satisfies a bound family when pooled <= p_hat + slack; the
     # pooled rate over all groups stands in for the unknown true probability.
     satisfaction = {

@@ -7,7 +7,7 @@ Subcommands:
   print-config-schema  dump the JSON config schema with defaults
 
 Exit codes: 0 success, 2 config error, 3 runtime setup error, 4 internal
-solver failure, 5 a --jobs worker process died.
+solver failure, 5 a --jobs worker process could not start or died.
 
 Two runs with the same config file and seed produce byte-identical CSV bodies
 regardless of --jobs; only the '#'-prefixed provenance header lines (which
@@ -255,11 +255,10 @@ def _dump_trajectories(
     t = accumulate(repeat(sys_cfg.dt, sys_cfg.horizon_steps), initial=0.0)
     block[:, :, 0] = np.fromiter(t, float)[:, None]
     block[:, :, 1] = np.arange(n_agents)
-    xs, us, margins = rollouts.trajectory
     for g_index, p_index in np.ndindex(rollouts.seed.shape):
-        block[:, :, 2 : 2 + n] = xs[g_index, p_index]
-        block[:, :, 2 + n : -1] = us[g_index, p_index]
-        block[:, :, -1] = margins[g_index, p_index][:, None]
+        block[:, :, 2 : 2 + n] = rollouts.states[g_index, p_index]
+        block[:, :, 2 + n : -1] = rollouts.controls[g_index, p_index]
+        block[:, :, -1] = rollouts.step_margins[g_index, p_index][:, None]
         path = traj_dir / f"group{g_index:04d}_rollout{p_index:03d}.csv"
         rows = block.reshape(-1, len(columns)).tolist()
         comments = [f"seed: {rollouts.seed[g_index, p_index]}"]
@@ -343,10 +342,8 @@ def _cell(config: ExperimentConfig, manifest: dict, **overrides) -> ExperimentCo
 
 
 def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
-    rollouts, z, x_flags = run_experiment(
-        config, jobs=args.jobs, record_trajectory=args.dump_trajectories
-    )
-    cert = certificate(config, rollouts, z, x_flags)
+    rollouts = run_experiment(config, jobs=args.jobs, record_trajectory=args.dump_trajectories)
+    cert = certificate(config, rollouts)
     provenance = {
         "tool_version": manifest["tool_version"],
         "generated_utc": manifest["timestamp_utc"],
@@ -378,8 +375,8 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written
         for w_bar in TABLE1_NOISE_GRID
     ]
     rows = []
-    for cell, triple in zip(cells, run_experiments(cells, args.jobs)):
-        _, satisfaction, _, groups, *_ = certificate(cell, *triple).values()
+    for cell, rollouts in zip(cells, run_experiments(cells, args.jobs)):
+        _, satisfaction, _, groups, *_ = certificate(cell, rollouts).values()
         p_hat, eps_b, eps_h, eps_s = (
             float(np.mean([group[name] for group in groups]))
             for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
@@ -405,8 +402,8 @@ def cmd_sweep_psi(args, config: ExperimentConfig, manifest: dict, written: list)
         for psi in PSI_GRID
     ]
     rows = []
-    for psi, (rollouts, _, x_flags) in zip(PSI_GRID, run_experiments(cells, args.jobs)):
-        p_hat_v = float(x_flags.mean())
+    for psi, rollouts in zip(PSI_GRID, run_experiments(cells, args.jobs)):
+        p_hat_v = float(rollouts.flag.mean())
         min_dist = float(rollouts.min_distance.mean())
         rows.append((psi, p_hat_v, min_dist))
         print(f"psi={psi:g}: p_hat_v {p_hat_v:.6g} min_dist {min_dist:.6g}")

@@ -16,7 +16,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,13 +47,14 @@ class Rollouts:
     """Verdicts of closed-loop trajectories, one entry per seed.
 
     Every array leads with the batch shape: (R,) from ``run_rollouts``,
-    (G, P) from ``run_experiment``. ``raw_min_margin`` is the minimum
-    weighted margin over all time steps and agent pairs (the rollout is
-    violated when it is negative); ``relaxed_steps`` counts the steps that
-    ran on the QP's slack relaxation; ``max_control_norm`` feeds the per-step
-    increment bound of the analytic certificate. ``trajectory`` is populated
-    only when requested: the joint states, joint controls and min pair
-    margins at the K + 1 grid points, shaped (..., K + 1, N, n),
+    (G, P) from ``run_experiment``, which also sets ``score`` and ``flag``
+    from ``margin_scores``. ``raw_min_margin`` is the minimum weighted
+    margin over all time steps and agent pairs (the rollout is violated when
+    it is negative); ``relaxed_steps`` counts the steps that ran on the QP's
+    slack relaxation; ``max_control_norm`` feeds the per-step increment bound
+    of the analytic certificate. Only a recorded trajectory sets ``states``,
+    ``controls`` and ``step_margins``: the joint states, joint controls and
+    min pair margins at the K + 1 grid points, shaped (..., K + 1, N, n),
     (..., K + 1, N, m) and (..., K + 1).
     """
 
@@ -62,7 +63,11 @@ class Rollouts:
     min_distance: np.ndarray
     relaxed_steps: np.ndarray
     max_control_norm: np.ndarray
-    trajectory: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    score: np.ndarray | None = None
+    flag: np.ndarray | None = None
+    states: np.ndarray | None = None
+    controls: np.ndarray | None = None
+    step_margins: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError("rollouts_per_group must be >= 2")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
+        if self.base_seed + self.groups * self.rollouts_per_group > 2**63:  # int64 seeds
+            raise ConfigError("base_seed + groups * rollouts_per_group must be at most 2**63")
         if self.h_min < 0:
             raise ConfigError("h_min must be >= 0")
         if self.eps_norm <= 0:
@@ -178,7 +185,7 @@ def run_rollouts(
     min_dist = np.full(len(rngs), np.inf)
     relaxed_steps = np.zeros(len(rngs), dtype=int)
     max_u = np.zeros(len(rngs))
-    frames = [] if record_trajectory else None
+    frames = []
     for k in range(sys_cfg.horizon_steps + 1):
         # np.where(new < old, new, old), not np.minimum: a NaN step value
         # leaves the running extreme as it is.
@@ -187,7 +194,7 @@ def run_rollouts(
         relaxed_steps += relaxed
         norm = np.max(np.sqrt(np.einsum("...j,...j->...", u, u)), axis=-1)
         max_u = np.where(norm > max_u, norm, max_u)
-        if frames is not None:
+        if record_trajectory:
             frames.append((x, u, step_min))
         if k == sys_cfg.horizon_steps:
             break
@@ -195,16 +202,16 @@ def run_rollouts(
             noise = noise_array(sys_cfg, rngs, w_bar)
         x = euler_step(x, u, noise[:, k % NOISE_BLOCK_STEPS], sys_cfg.dt, plant)
         u, relaxed, step_min, step_dist = _control(config, plant, x, u, w_bar, passive)
-
+    states, controls, step_margins = [np.stack(f, axis=1) for f in zip(*frames)] or [None] * 3
     return Rollouts(
         seed=np.array(seeds),
         raw_min_margin=raw_min,
         min_distance=min_dist,
         relaxed_steps=relaxed_steps,
         max_control_norm=max_u,
-        trajectory=(
-            None if frames is None else tuple(np.stack(f, axis=1) for f in zip(*frames))
-        ),
+        states=states,
+        controls=controls,
+        step_margins=step_margins,
     )
 
 
@@ -227,8 +234,9 @@ def margin_scores(raw, theta: float, eps_norm: float) -> tuple[np.ndarray, np.nd
     return z, (z < theta).astype(int)
 
 
-def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index: int) -> int:
-    """Seed layout: consecutive blocks of P seeds per group above base_seed."""
+def rollout_seed(config: ExperimentConfig, group_index: int, rollout_index):
+    """Seed layout: consecutive blocks of P seeds per group above base_seed, each
+    below 2**63, so that an array of rollout indices gives int64 seeds."""
     return config.base_seed + group_index * config.rollouts_per_group + rollout_index
 
 
@@ -236,11 +244,8 @@ def run_group(
     config: ExperimentConfig, group_index: int, record_trajectory: bool = False
 ) -> Rollouts:
     """The P rollouts of one group, as one lockstep batch."""
-    return run_rollouts(
-        config,
-        [rollout_seed(config, group_index, p) for p in range(config.rollouts_per_group)],
-        record_trajectory,
-    )
+    seeds = rollout_seed(config, group_index, np.arange(config.rollouts_per_group))
+    return run_rollouts(config, seeds, record_trajectory)
 
 
 def _run_units(units: list, n_workers: int) -> list:
@@ -253,9 +258,9 @@ def _run_units(units: list, n_workers: int) -> list:
     its own pipe and leaves through ``os._exit``, so nothing the parent had
     buffered is written twice. A worker runs all of its units below the one
     that failed, so the smallest failing index over all workers is the unit
-    whose exception a serial run raises, and it is raised. Every worker is
-    reaped on every path; on an error, an interrupt or a dead worker the
-    remaining ones are killed first.
+    whose exception a serial run raises, and it is raised; a worker that
+    cannot start or dies raises ``WorkerError``. Every worker is reaped on
+    every path; on an error or an interrupt the others are killed first.
     """
     n_workers = min(n_workers, len(units))
     if n_workers == 0 or not hasattr(os, "fork"):
@@ -263,13 +268,15 @@ def _run_units(units: list, n_workers: int) -> list:
     workers = {}  # pid -> read end of its result pipe, until it is reaped
     try:
         for w in range(n_workers):
-            result_r, result_w = os.pipe()
+            fds = ()
             try:
+                fds = os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(result_r)
-                os.close(result_w)
-                raise
+            except OSError as exc:  # EAGAIN, EMFILE, ENOMEM
+                for fd in fds:
+                    os.close(fd)
+                raise WorkerError(f"cannot start a worker process: {exc}") from exc
+            result_r, result_w = fds
             if pid == 0:
                 code = 1
                 try:
@@ -324,10 +331,8 @@ _BATCH_ROLLOUTS = 1024
 _ROW_STEPS_PER_WORKER = 150_000
 
 
-def run_experiments(
-    configs, jobs: int = 1, record_trajectory: bool = False
-) -> list[tuple[Rollouts, np.ndarray, np.ndarray]]:
-    """Every cell's rollouts as (G, P) arrays, with their scores and flags, per cell.
+def run_experiments(configs, jobs: int = 1, record_trajectory: bool = False) -> list[Rollouts]:
+    """Every cell's ``Rollouts`` as (G, P) arrays, scores and flags included.
 
     ``jobs`` is the most worker processes to fork. At ``jobs = 1`` nothing
     forks. Otherwise the command's work, the sum over cells of
@@ -344,8 +349,8 @@ def run_experiments(
     larger of ``_BATCH_ROLLOUTS`` and the largest cell. Each chunk is one
     ``run_rollouts`` batch, a work unit of ``_run_units``, which runs all
     units of all stacks at once on ``min(n, units)`` workers. Each stack's
-    batches are joined in seed order and split back into its cells, so the
-    result is the same for any ``jobs``.
+    batches are joined in seed order, every array field alike, and split
+    back into its cells, so the result is the same for any ``jobs``.
     """
     stacks = {}
     for i, config in enumerate(configs):
@@ -365,13 +370,9 @@ def run_experiments(
     per_stack = math.ceil(n_workers / len(stacks))
     plan, units = [], []
     for cells in stacks.values():
-        seeds = [
-            rollout_seed(configs[i], g, p)
-            for i in cells
-            for g in range(configs[i].groups)
-            for p in range(configs[i].rollouts_per_group)
-        ]
-        w_bar = np.repeat([configs[i].system.noise_bound for i in cells], [sizes[i] for i in cells])
+        size = sizes[cells[0]]
+        seeds = np.tile(rollout_seed(configs[cells[0]], 0, np.arange(size)), len(cells))
+        w_bar = np.repeat([configs[i].system.noise_bound for i in cells], size)
         n_chunks = min(len(seeds), max(per_stack, math.ceil(len(seeds) / cap)))
         bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
         units += [
@@ -381,27 +382,27 @@ def run_experiments(
         plan.append((cells, n_chunks))
     batches = iter(_run_units(units, n_workers))
 
-    names = [f.name for f in fields(Rollouts) if f.name != "trajectory"]
     results = [None] * len(configs)
     for cells, n_chunks in plan:
         parts = [next(batches) for _ in range(n_chunks)]
-        arrays = [np.concatenate([getattr(b, name) for b in parts]) for name in names]
-        if record_trajectory:
-            arrays += [np.concatenate(t) for t in zip(*(b.trajectory for b in parts))]
+        joined = {
+            name: np.concatenate([getattr(b, name) for b in parts])
+            for name, value in vars(parts[0]).items()
+            if value is not None
+        }
         stop = 0
         for i in cells:
             config, start, stop = configs[i], stop, stop + sizes[i]
             shape = (config.groups, config.rollouts_per_group)
-            cut = [v[start:stop].reshape(shape + v.shape[1:]) for v in arrays]
-            rollouts = Rollouts(*cut[: len(names)], trajectory=tuple(cut[len(names) :]) or None)
-            z, x_flags = margin_scores(rollouts.raw_min_margin, config.theta, config.eps_norm)
-            results[i] = (rollouts, z, x_flags)
+            cut = {name: v[start:stop].reshape(shape + v.shape[1:]) for name, v in joined.items()}
+            score, flag = margin_scores(cut["raw_min_margin"], config.theta, config.eps_norm)
+            results[i] = Rollouts(**cut, score=score, flag=flag)
     return results
 
 
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, record_trajectory: bool = False
-) -> tuple[Rollouts, np.ndarray, np.ndarray]:
+) -> Rollouts:
     """All rollouts of one experiment: ``run_experiments`` on one cell, whose
     G x P seeds are cut into ``min(G * P, max(n, ceil(G * P / cap)))``
     chunks for its n workers."""

@@ -50,8 +50,10 @@ def cell_certificate(x_flags, z_scores=None, config=CONFIG):
         min_distance=ones,
         relaxed_steps=np.zeros(flags.shape, dtype=int),
         max_control_norm=ones,
+        score=np.asarray(z_scores, dtype=float),
+        flag=flags,
     )
-    return certificate(config, rollouts, np.asarray(z_scores, dtype=float), flags)
+    return certificate(config, rollouts)
 
 
 class TestEmpiricalMean:
@@ -378,10 +380,12 @@ class TestCertificate:
         min_distance=np.ones((2, 4)),
         relaxed_steps=np.array([[0, 2, 0, 0], [1, 0, 0, 3]]),
         max_control_norm=np.array([[0.1, 0.7, 0.2, 0.3], [0.4, 0.0, 0.5, 0.6]]),
+        score=SCORES,
+        flag=FLAGS,
     )
 
     def cert(self):
-        return certificate(self.CONFIG, self.ROLLOUTS, self.SCORES, self.FLAGS)
+        return certificate(self.CONFIG, self.ROLLOUTS)
 
     def test_sections_in_file_order(self):
         cert = self.cert()

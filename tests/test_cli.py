@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -223,7 +224,7 @@ class TestVerifyCommand:
         cfg_path = write_config(tmp_path, data)
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
-        steps = run_experiment(build_config(data))[0].relaxed_steps.ravel().tolist()
+        steps = run_experiment(build_config(data)).relaxed_steps.ravel().tolist()
         assert 0 in steps and sum(steps) > 0
         assert cert["diagnostics"] == {
             "relaxed_steps": sum(steps),
@@ -260,6 +261,25 @@ class TestVerifyCommand:
         assert list(rows[0]) == ["t", "agent", "x0", "x1", "u0", "u1", "min_pair_margin"]
         # horizon_steps + 1 time points, one row per agent each
         assert len(rows) == (TINY["system"]["horizon_steps"] + 1) * 2
+
+    def test_dump_trajectories_keeps_seeds_next_to_two_to_the_63(self, tmp_path):
+        # The cell's seeds are 2**63 - 2 and 2**63 - 1, the largest an int64
+        # holds; each file names its seed exactly.
+        data = {"groups": 1, "rollouts_per_group": 2, "system": {"horizon_steps": 2}}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+        assert main([*args, "--seed", str(2**63 - 2), "--dump-trajectories"]) == 0
+        files = sorted((out / "trajectories").glob("*.csv"))
+        seeds = [path.read_text().splitlines()[0] for path in files]
+        assert seeds == [f"# seed: {2**63 - 2}", f"# seed: {2**63 - 1}"]
+
+    def test_seed_beyond_int64_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out), "--seed", str(2**64), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not out.exists()
 
     def test_dump_trajectories_t_is_the_running_sum(self, tmp_path, monkeypatch):
         # t is dt added once per step, not k * dt. The two differ only past
@@ -629,6 +649,35 @@ class TestWorkerPool:
         assert result.returncode == 5
         assert re.search(r"^worker failure: worker process \d+ died .*exit status 9", result.stderr), result.stderr
         assert result.stdout == "no child left\n"
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_worker_that_cannot_start_fails_the_command(
+        self, tmp_path, monkeypatch, capsys, failing_call
+    ):
+        # A fork that fails with EAGAIN makes the command exit 5 with one
+        # error line and no output file; at the second call, the worker that
+        # did start is killed and reaped. TINY's work forks one worker at
+        # --jobs 2, or two when one row-step pays for a worker.
+        if failing_call == 2:
+            monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
+        calls, fork = [], os.fork
+
+        def failing_fork():
+            calls.append(fork)
+            if len(calls) == failing_call:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        cfg_path = write_config(tmp_path, TINY)
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 5
+        assert len(calls) == failing_call
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("worker failure: cannot start a worker process: ")
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["verify", "reproduce-table1", "sweep-psi"])
     @pytest.mark.parametrize("jobs", ["-3", "0"])

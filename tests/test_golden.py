@@ -239,7 +239,7 @@ ROLLOUT_ARRAYS = ("seed", "raw_min_margin", "min_distance", "relaxed_steps", "ma
 
 def _rollouts_digest(case: str, jobs: int) -> str:
     """sha256 of each per-seed array's name, dtype, shape and bytes."""
-    rollouts = run_experiment(build_config(_config(case)), jobs)[0]
+    rollouts = run_experiment(build_config(_config(case)), jobs)
     sha = hashlib.sha256()
     for name in ROLLOUT_ARRAYS:
         array = getattr(rollouts, name)

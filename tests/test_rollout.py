@@ -41,9 +41,8 @@ from test_sysmodel import NOISE_BLOCK
 
 
 def arrays_of(rollouts):
-    """Every array of a Rollouts record in field order, the trajectory's included."""
-    per_seed = [f.name for f in dataclasses.fields(Rollouts) if f.name != "trajectory"]
-    return [getattr(rollouts, name) for name in per_seed] + list(rollouts.trajectory or ())
+    """Every array of a Rollouts record that is set, in field order."""
+    return [value for value in vars(rollouts).values() if value is not None]
 
 
 def assert_bitwise(got, want):
@@ -173,15 +172,14 @@ class TestRunRollout:
 
     def test_trajectory_capture(self):
         rec = run_rollout(SMALL, 5, record_trajectory=True)
-        assert rec.trajectory is not None
-        x, u, margin = rec.trajectory
+        x, u, margin = rec.states, rec.controls, rec.step_margins
         k1 = SMALL.system.horizon_steps + 1
         assert x.shape == (1, k1, 2, 2)
         assert u.shape == (1, k1, 2, 2)
         assert margin.shape == (1, k1)
         assert margin.min() == rec.raw_min_margin[0]
         trimmed = run_rollout(SMALL, 5)
-        assert trimmed.trajectory is None
+        assert trimmed.states is trimmed.controls is trimmed.step_margins is None
         assert trimmed.raw_min_margin[0] == rec.raw_min_margin[0]
 
     def test_unreachable_initial_margin_raises(self):
@@ -200,23 +198,22 @@ class TestRunRollout:
         # is scale-free in the spawn-domain size, so the flag rate is set by
         # the spawn geometry (measured 0.24) rather than by the noise level.
         cfg = ExperimentConfig(groups=1, rollouts_per_group=100)
-        _, _, x_flags = run_experiment(cfg)
-        rate = float(x_flags.mean())
+        rate = float(run_experiment(cfg).flag.mean())
         assert 0.14 <= rate <= 0.34
 
 
 class TestRunGroup:
     def test_flags_rederivable_from_scores(self):
-        rollouts, z, x_flags = run_experiment(SMALL)
-        assert np.array_equal(x_flags, (z < SMALL.theta).astype(int))
-        assert rollouts.seed.shape == z.shape == (SMALL.groups, SMALL.rollouts_per_group)
+        rollouts = run_experiment(SMALL)
+        assert np.array_equal(rollouts.flag, (rollouts.score < SMALL.theta).astype(int))
+        assert rollouts.score.shape == (SMALL.groups, SMALL.rollouts_per_group)
 
     def test_seed_layout(self):
         g = run_group(SMALL, 3)
         expected = [rollout_seed(SMALL, 3, p) for p in range(4)]
         assert g.seed.tolist() == expected
         assert expected == [SMALL.base_seed + 12 + p for p in range(4)]
-        rollouts, _, _ = run_experiment(SMALL)
+        rollouts = run_experiment(SMALL)
         assert rollouts.seed.ravel().tolist() == [SMALL.base_seed + k for k in range(8)]
 
     def test_base_seed_changes_records_not_distribution(self):
@@ -227,24 +224,21 @@ class TestRunGroup:
             rollouts_per_group=40,
             system=SystemConfig(horizon_steps=10),
         )
-        a = run_experiment(cfg)[1].ravel()
+        a = run_experiment(cfg).score.ravel()
         cfg_b = ExperimentConfig(
             groups=2,
             rollouts_per_group=40,
             base_seed=987654,
             system=SystemConfig(horizon_steps=10),
         )
-        b = run_experiment(cfg_b)[1].ravel()
+        b = run_experiment(cfg_b).score.ravel()
         assert not np.array_equal(a, b)
         assert ks_2samp(a, b).pvalue > 0.01
 
     def test_parallel_serial_equivalence(self):
-        rollouts, z, x_flags = run_experiment(SMALL, jobs=1)
-        p_rollouts, p_z, p_x_flags = run_experiment(SMALL, jobs=2)
-        assert z.shape == (SMALL.groups, SMALL.rollouts_per_group)
-        assert_bitwise(
-            arrays_of(p_rollouts) + [p_z, p_x_flags], arrays_of(rollouts) + [z, x_flags]
-        )
+        rollouts = run_experiment(SMALL, jobs=1)
+        assert rollouts.score.shape == (SMALL.groups, SMALL.rollouts_per_group)
+        assert_bitwise(arrays_of(run_experiment(SMALL, jobs=2)), arrays_of(rollouts))
 
     def test_chunks_do_not_change_a_group(self, monkeypatch):
         # 15 seeds cut into 2, 3 or 4 chunks, each on its own forked worker
@@ -254,12 +248,17 @@ class TestRunGroup:
         data = golden_config("control_bound")
         data.update(groups=3, rollouts_per_group=5)
         cfg = build_config(data)
-        groups = [run_group(cfg, g, record_trajectory=True) for g in range(cfg.groups)]
-        expected = [np.stack(parts) for parts in zip(*map(arrays_of, groups))]
-        expected += margin_scores(expected[1], cfg.theta, cfg.eps_norm)
-        runs = [run_experiment(cfg, jobs=jobs, record_trajectory=True) for jobs in (1, 2, 3, 4)]
-        for rollouts, z, x_flags in runs:
-            assert_bitwise(arrays_of(rollouts) + [z, x_flags], expected)
+        groups = [vars(run_group(cfg, g, record_trajectory=True)) for g in range(cfg.groups)]
+        stacked = {
+            name: np.stack([group[name] for group in groups])
+            for name, value in groups[0].items()
+            if value is not None
+        }
+        score, flag = margin_scores(stacked["raw_min_margin"], cfg.theta, cfg.eps_norm)
+        expected = arrays_of(Rollouts(**stacked, score=score, flag=flag))
+        for jobs in (1, 2, 3, 4):
+            rollouts = run_experiment(cfg, jobs=jobs, record_trajectory=True)
+            assert_bitwise(arrays_of(rollouts), expected)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + ["sphere"])
     def test_batching_does_not_change_a_rollout(self, case):
@@ -284,7 +283,7 @@ class TestRunGroup:
         data = json.loads(path.read_text(encoding="utf-8"))
         data.update(groups=1, rollouts_per_group=3)
         data["system"]["n_agents"] = 6
-        rollouts, _, _ = run_experiment(build_config(data))
+        rollouts = run_experiment(build_config(data))
         assert rollouts.relaxed_steps.shape == (1, 3)
         assert np.all(rollouts.relaxed_steps >= 1)
 
@@ -430,8 +429,8 @@ class TestWorkerCount:
         stacked = rollout.run_experiments(cells, jobs)
         assert len(forks) == workers
         assert_no_child_left()
-        for cell, (rollouts, _, _) in zip(cells, stacked):
-            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)[0]))
+        for cell, rollouts in zip(cells, stacked):
+            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)))
 
 
 class TestSpawn:
@@ -441,7 +440,8 @@ class TestSpawn:
         # cold-started step after it, bit for bit, with the same draws.
         cfg, seeds = spawn_case(case)
         draws = draws_per_rollout(monkeypatch)
-        xs, us, margins = run_rollouts(cfg, seeds, record_trajectory=True).trajectory
+        batch = run_rollouts(cfg, seeds, record_trajectory=True)
+        xs, us, margins = batch.states, batch.controls, batch.step_margins
         model = dynamics_model(cfg.system)
         params = cfg.safety
         statuses, ref_draws = [], []
@@ -518,8 +518,7 @@ def assert_matches_one_by_one(cfg, rollouts):
     """Every rollout's states and controls are those of ``rollout_one_by_one``
     on its seed, to rounding: its spawn, then its noise drawn in blocks."""
     model = dynamics_model(cfg.system)
-    xs, us, _ = rollouts.trajectory
-    for x, u, seed in zip(xs, us, rollouts.seed.tolist()):
+    for x, u, seed in zip(rollouts.states, rollouts.controls, rollouts.seed.tolist()):
         x_ref, u_ref = rollout_one_by_one(cfg, model, seed, NOISE_BLOCK)
         assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-12)
         assert np.allclose(u, u_ref, rtol=1e-9, atol=1e-9)
@@ -543,8 +542,11 @@ class TestStreams:
         seeds = list(range(2024, 2030))
         short = run_rollouts(horizon_config("single_psi2", horizon), seeds, True)
         full = run_rollouts(horizon_config("single_psi2", 64), seeds, True)
-        assert_bitwise(list(short.trajectory), [a[:, : horizon + 1] for a in full.trajectory])
-        assert np.array_equal(short.raw_min_margin, short.trajectory[2].min(axis=1))
+        assert_bitwise(
+            [short.states, short.controls, short.step_margins],
+            [a[:, : horizon + 1] for a in (full.states, full.controls, full.step_margins)],
+        )
+        assert np.array_equal(short.raw_min_margin, short.step_margins.min(axis=1))
         assert_matches_one_by_one(horizon_config("single_psi2", horizon), short)
 
     @pytest.mark.parametrize("case", ["control_bound", "crowded_n12", "double_integrator"])
@@ -559,7 +561,8 @@ class TestStreams:
         alone = [arrays_of(run_rollout(cfg, seed, True)) for seed in seeds]
         assert_bitwise(arrays_of(batch), [np.concatenate(parts) for parts in zip(*alone)])
         for jobs in (1, 2, 3, 4):
-            rollouts, _, _ = run_experiment(cfg, jobs=jobs, record_trajectory=True)
+            rollouts = run_experiment(cfg, jobs=jobs, record_trajectory=True)
+            rollouts = dataclasses.replace(rollouts, score=None, flag=None)
             flat = [a.reshape((len(seeds),) + a.shape[2:]) for a in arrays_of(rollouts)]
             assert_bitwise(flat, arrays_of(batch))
         assert_matches_one_by_one(cfg, batch)
@@ -586,9 +589,9 @@ class TestStacks:
         monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
         cells = table1_cells()
         stacked = rollout.run_experiments(cells, jobs, record_trajectory=True)
-        for cell, (rollouts, z, x_flags) in zip(cells, stacked):
-            alone, z_a, x_flags_a = run_experiment(cell, record_trajectory=True)
-            assert_bitwise(arrays_of(rollouts) + [z, x_flags], arrays_of(alone) + [z_a, x_flags_a])
+        for cell, rollouts in zip(cells, stacked):
+            alone = run_experiment(cell, record_trajectory=True)
+            assert_bitwise(arrays_of(rollouts), arrays_of(alone))
 
     def test_no_batch_exceeds_the_largest_cell_or_the_cap(self, monkeypatch):
         # With a cap of one rollout, each stack of three 6-rollout cells is
@@ -602,8 +605,26 @@ class TestStacks:
         cells = table1_cells()
         stacked = rollout.run_experiments(cells, 1)
         assert [len(unit[1]) for unit in units] == [6] * 6
-        for cell, (rollouts, _, _) in zip(cells, stacked):
-            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)[0]))
+        for cell, rollouts in zip(cells, stacked):
+            assert_bitwise(arrays_of(rollouts), arrays_of(run_experiment(cell)))
+
+    @pytest.mark.parametrize("record_trajectory", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_cell_is_one_record(self, jobs, record_trajectory, monkeypatch):
+        # Chunked stacks still give one record per cell: every array it sets
+        # leads with (G, P), its flags are its scores below theta, and only a
+        # recorded trajectory sets states, controls and step margins.
+        monkeypatch.setattr(rollout, "_ROW_STEPS_PER_WORKER", 1)
+        cells = table1_cells()
+        for cell, rollouts in zip(cells, rollout.run_experiments(cells, jobs, record_trajectory)):
+            shape = (cell.groups, cell.rollouts_per_group)
+            assert all(array.shape[:2] == shape for array in arrays_of(rollouts))
+            assert len(arrays_of(rollouts)) == (10 if record_trajectory else 7)
+            assert rollouts.seed.dtype == np.int64
+            assert rollouts.score is not None and rollouts.flag is not None
+            assert np.array_equal(rollouts.flag, rollouts.score < cell.theta)
+            trajectory = (rollouts.states, rollouts.controls, rollouts.step_margins)
+            assert all((array is not None) == record_trajectory for array in trajectory)
 
 
 class TestExperimentConfigValidation:
@@ -622,6 +643,13 @@ class TestExperimentConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_every_seed_fits_an_int64(self):
+        # The last seed, base_seed + G * P - 1, may be 2**63 - 1 but no more.
+        last = ExperimentConfig(groups=2, rollouts_per_group=3, base_seed=2**63 - 6)
+        assert rollout_seed(last, 1, 2) == 2**63 - 1
+        with pytest.raises(ConfigError, match=r"must be at most 2\*\*63"):
+            ExperimentConfig(groups=2, rollouts_per_group=3, base_seed=2**63 - 5)
 
     def test_zero_groups_rejected(self):
         # With no group there is no rollout to certify; such a run used to
