@@ -135,11 +135,9 @@ def certificate(config, rollouts) -> dict:
 
     Returns every section of ``certificate.json`` but the provenance, in file
     order: pooled_violation_rate, satisfaction, analytic_delta, groups and
-    diagnostics. The CLI reads the first four by position, so a new section
-    goes after them. The analytic delta is heuristic: its variance and
-    increment inputs use sup||grad h|| over the spawn square and the observed
-    maximum control (see :func:`increment_bound`), not bounds over the region
-    visited.
+    diagnostics. The analytic delta is heuristic: its variance and increment
+    inputs use sup||grad h|| over the spawn square and the observed maximum
+    control (see :func:`increment_bound`), not bounds over the region visited.
     """
     sys_cfg = config.system
     flags = np.asarray(rollouts.flag, dtype=float)

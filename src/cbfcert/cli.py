@@ -39,7 +39,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,47 +60,28 @@ TABLE1_AGENT_GRID = (2, 3)
 SWEEP_PSI_ROLLOUTS = 100
 SWEEP_PSI_NOISE = 0.03
 
-# JSON kind of each config field type; every config key is a field of
-# ExperimentConfig, SystemConfig or SafetyParams, which supply its default.
+# Each config field type: its JSON kind, the values it accepts and the words
+# its error uses. bool is an int subclass, so it passes only where listed.
+# Every config key is a field of ExperimentConfig, SystemConfig or
+# SafetyParams, declared as Annotated[type, description] with its default.
 _KINDS = {
-    int: "integer",
-    float: "number",
-    float | None: "number|null",
-    bool: "boolean",
-    str: "string",
-}
-_DESCRIPTIONS = {
-    "groups": "number of independent rollout groups",
-    "rollouts_per_group": "rollouts P per group (>= 2)",
-    "theta": "violation threshold on normalized scores, in (0, 1)",
-    "delta": "confidence level for all bounds, in (0, 1)",
-    "base_seed": "rollout p of group g is seeded base_seed + g*P + p",
-    "h_min": "minimum accepted initial weighted margin",
-    "eps_norm": "floor for the per-group score normalizer",
-    "n_agents": "number of agents N (>= 2)",
-    "state_dim": "per-agent state dimension n",
-    "control_dim": "per-agent control dimension m",
-    "noise_bound": "per-agent disturbance norm bound",
-    "dt": "integration step",
-    "horizon_steps": "number of Euler steps per rollout",
-    "domain_half_width": "side length of the square spawn region",
-    "min_initial_separation": "required pairwise spawn distance",
-    "dynamics": "single_integrator | double_integrator",
-    "noise_dist": "ball (uniform in ball) | sphere (norm pinned at bound)",
-    "psi": "control-alignment weight (>= 0)",
-    "reg_eps": "regularizer in the propagation vector",
-    "d_min": "minimum separation radius",
-    "kappa": "linear class-K gain",
-    "robust_margin_enabled": "subtract the worst-case noise margin",
-    "freeze_adot": "fold the frozen propagation derivative into the QP rhs",
-    "control_bound": "optional symmetric box bound on each control entry",
+    int: ("integer", (int,), "an integer"),
+    float: ("number", (int, float), "a number"),
+    float | None: ("number|null", (int, float, type(None)), "a number or null"),
+    bool: ("boolean", (bool,), "a boolean"),
+    str: ("string", (str,), "a string"),
 }
 
 
 def _config_fields(cls) -> list:
-    """(field, resolved type) for every field of a config dataclass."""
-    hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls)]
+    """(field, type, description) for every field of a config dataclass; a
+    nested section has no description."""
+    hints = get_type_hints(cls, include_extras=True)
+    rows = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        rows.append((f, *get_args(hint)) if get_origin(hint) is Annotated else (f, hint, None))
+    return rows
 
 
 def config_schema() -> dict:
@@ -108,7 +89,7 @@ def config_schema() -> dict:
 
     def section(cls) -> dict:
         props = {}
-        for f, hint in _config_fields(cls):
+        for f, hint, description in _config_fields(cls):
             if is_dataclass(hint):
                 props[f.name] = {
                     "type": "object",
@@ -117,8 +98,8 @@ def config_schema() -> dict:
                 }
             else:
                 props[f.name] = {
-                    "type": _KINDS[hint],
-                    "description": _DESCRIPTIONS[f.name],
+                    "type": _KINDS[hint][0],
+                    "description": description,
                     "default": f.default,
                 }
         return props
@@ -131,40 +112,26 @@ def config_schema() -> dict:
     }
 
 
-def _coerce(value, kind: str, path: str):
-    if kind == "integer":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+def _coerce(value, hint, path: str):
+    _, accepted, expected = _KINDS[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if value is None or float not in accepted:
         return value
-    if kind == "number|null" and value is None:
-        return None
-    if kind in ("number", "number|null"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            expected = "a number" if kind == "number" else "a number or null"
-            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-        # Python's JSON parser accepts NaN and Infinity, and integers too
-        # large for a float; no range check catches NaN, so reject them here.
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        return number
-    if kind == "boolean":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if kind == "string":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
+    # Python's JSON parser accepts NaN and Infinity, and integers too large
+    # for a float; no range check catches NaN, so reject them here.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _build(cls, data: dict, prefix: str):
     """One config dataclass from its JSON object; nested sections recurse."""
-    known = {f.name: hint for f, hint in _config_fields(cls)}
+    known = {f.name: hint for f, hint, _ in _config_fields(cls)}
     kwargs = {}
     for key, value in data.items():
         path = prefix + key
@@ -176,7 +143,7 @@ def _build(cls, data: dict, prefix: str):
                 raise ConfigError(f"{path}: expected an object")
             kwargs[key] = _build(hint, value, path + ".")
         else:
-            kwargs[key] = _coerce(value, _KINDS[hint], path)
+            kwargs[key] = _coerce(value, hint, path)
     return cls(**kwargs)
 
 
@@ -354,18 +321,19 @@ def cmd_verify(args, config: ExperimentConfig, manifest: dict, written: list):
     _write_json(args.out / "certificate.json", provenance | cert, written)
     if args.dump_trajectories:
         _dump_trajectories(args.out, rollouts, config, written)
-    pooled, satisfaction, delta, groups, *_ = cert.values()
-    b_sat, h_sat, s_sat = satisfaction.values()
+    sat = cert["satisfaction"]
+    b_sat, h_sat, s_sat = sat["bernstein"], sat["hoeffding"], sat["scenario"]
     print(
         f"verify: {config.groups} groups x {config.rollouts_per_group} rollouts | "
-        f"pooled violation rate {pooled:.6g} | "
+        f"pooled violation rate {cert['pooled_violation_rate']:.6g} | "
         f"B_sat {b_sat:.6g} H_sat {h_sat:.6g} S_sat {s_sat:.6g} | "
-        f"analytic delta {delta:.6g}"
+        f"analytic delta {cert['analytic_delta']:.6g}"
     )
     columns = ["group_id", *GROUP_COLUMNS]
     # group_id, then GROUP_COLUMNS: five statistics and slacks, d_support
     row_format = "%d" + ",%.6g" * 5 + ",%d"
-    return "groups.csv", columns, row_format, [[group[c] for c in columns] for group in groups]
+    rows = [[group[c] for c in columns] for group in cert["groups"]]
+    return "groups.csv", columns, row_format, rows
 
 
 def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written: list):
@@ -376,12 +344,13 @@ def cmd_reproduce_table1(args, config: ExperimentConfig, manifest: dict, written
     ]
     rows = []
     for cell, rollouts in zip(cells, run_experiments(cells, args.jobs)):
-        _, satisfaction, _, groups, *_ = certificate(cell, rollouts).values()
+        cert = certificate(cell, rollouts)
         p_hat, eps_b, eps_h, eps_s = (
-            float(np.mean([group[name] for group in groups]))
+            float(np.mean([group[name] for group in cert["groups"]]))
             for name in ("p_hat", "eps_bernstein", "eps_hoeffding", "eps_scenario")
         )
-        b_sat, h_sat, s_sat = satisfaction.values()
+        sat = cert["satisfaction"]
+        b_sat, h_sat, s_sat = sat["bernstein"], sat["hoeffding"], sat["scenario"]
         w_bar, n_agents = cell.system.noise_bound, cell.system.n_agents
         rows.append((w_bar, n_agents, p_hat, eps_b, eps_h, eps_s, b_sat, h_sat, s_sat))
         print(f"cell N={n_agents} w_bar={w_bar}: p_hat {p_hat:.6g} B_sat {b_sat:.6g}")

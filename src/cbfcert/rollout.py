@@ -17,6 +17,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -72,13 +73,13 @@ class Rollouts:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    groups: int = 100
-    rollouts_per_group: int = 50
-    theta: float = 0.1
-    delta: float = 0.1
-    base_seed: int = 12345
-    h_min: float = 0.05
-    eps_norm: float = 1e-9
+    groups: Annotated[int, "number of independent rollout groups"] = 100
+    rollouts_per_group: Annotated[int, "rollouts P per group (>= 2)"] = 50
+    theta: Annotated[float, "violation threshold on normalized scores, in (0, 1)"] = 0.1
+    delta: Annotated[float, "confidence level for all bounds, in (0, 1)"] = 0.1
+    base_seed: Annotated[int, "rollout p of group g is seeded base_seed + g*P + p"] = 12345
+    h_min: Annotated[float, "minimum accepted initial weighted margin"] = 0.05
+    eps_norm: Annotated[float, "floor for the per-group score normalizer"] = 1e-9
     system: SystemConfig = field(default_factory=SystemConfig)
     safety: SafetyParams = field(default_factory=SafetyParams)
 

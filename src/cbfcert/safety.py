@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Annotated
 
 import numpy as np
 
@@ -19,14 +20,14 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class SafetyParams:
-    psi: float = 2.0
-    reg_eps: float = 1e-6
-    d_min: float = 1.0
-    kappa: float = 1.0
-    robust_margin_enabled: bool = True
+    psi: Annotated[float, "control-alignment weight (>= 0)"] = 2.0
+    reg_eps: Annotated[float, "regularizer in the propagation vector"] = 1e-6
+    d_min: Annotated[float, "minimum separation radius"] = 1.0
+    kappa: Annotated[float, "linear class-K gain"] = 1.0
+    robust_margin_enabled: Annotated[bool, "subtract the worst-case noise margin"] = True
     # Constraint-assembly switches (see controller module).
-    freeze_adot: bool = False
-    control_bound: float | None = None
+    freeze_adot: Annotated[bool, "fold the frozen propagation derivative into the QP rhs"] = False
+    control_bound: Annotated[float | None, "optional symmetric box bound on each control entry"] = None
 
     def __post_init__(self) -> None:
         if self.psi < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -42,16 +42,16 @@ class SystemConfig:
     ``[0, domain_half_width]^2`` for agent positions.
     """
 
-    n_agents: int = 2
-    state_dim: int = 2
-    control_dim: int = 2
-    noise_bound: float = 0.03
-    dt: float = 0.1
-    horizon_steps: int = 50
-    domain_half_width: float = 10.0
-    min_initial_separation: float = 1.0
-    dynamics: str = SINGLE_INTEGRATOR
-    noise_dist: str = NOISE_BALL
+    n_agents: Annotated[int, "number of agents N (>= 2)"] = 2
+    state_dim: Annotated[int, "per-agent state dimension n"] = 2
+    control_dim: Annotated[int, "per-agent control dimension m"] = 2
+    noise_bound: Annotated[float, "per-agent disturbance norm bound"] = 0.03
+    dt: Annotated[float, "integration step"] = 0.1
+    horizon_steps: Annotated[int, "number of Euler steps per rollout"] = 50
+    domain_half_width: Annotated[float, "side length of the square spawn region"] = 10.0
+    min_initial_separation: Annotated[float, "required pairwise spawn distance"] = 1.0
+    dynamics: Annotated[str, "single_integrator | double_integrator"] = SINGLE_INTEGRATOR
+    noise_dist: Annotated[str, "ball (uniform in ball) | sphere (norm pinned at bound)"] = NOISE_BALL
 
     def __post_init__(self) -> None:
         if self.n_agents < 2:
@@ -66,8 +66,8 @@ class SystemConfig:
             raise ConfigError("domain_half_width must be > 0")
         if self.min_initial_separation <= 0:
             raise ConfigError("min_initial_separation must be > 0")
-        if self.state_dim < 2:
-            raise ConfigError("state_dim must be >= 2 (planar spawn region)")
+        if self.control_dim < 2:  # positions are the first m state coordinates
+            raise ConfigError("control_dim must be >= 2 (planar agent positions)")
         if self.dynamics == SINGLE_INTEGRATOR:
             if self.state_dim != self.control_dim:
                 raise ConfigError("single integrator requires state_dim == control_dim")

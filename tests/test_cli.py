@@ -1,12 +1,13 @@
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -91,6 +92,66 @@ def csv_body(path):
         return b"".join(line for line in fh if not line.startswith(b"#"))
 
 
+# Every JSON value a config file can hold, as json.loads reads it (Python's
+# parser also reads NaN, Infinity and integers too large for a float).
+PROBES = (0, 1, -1, 2, 10**400, True, False, None, 0.5, 1e308, math.nan, math.inf, "x", [], {}, 3.0)
+PROBE_IDS = (
+    "0", "1", "-1", "2", "10**400", "true", "false", "null",
+    "0.5", "1e308", "NaN", "Infinity", '"x"', "[]", "{}", "3.0",
+)
+TYPE_ERROR, NOT_FINITE = object(), object()
+T, NF = TYPE_ERROR, NOT_FINITE
+
+
+@dataclass(frozen=True)
+class OneOfEachKind:
+    """A config section with one field of each config field type and no
+    range checks, so that only the JSON kind check can reject a value."""
+
+    integer: int = 0
+    number: float = 0.0
+    number_or_null: float | None = None
+    boolean: bool = False
+    string: str = ""
+
+
+# Per field of OneOfEachKind: the words of its type error, then what each
+# probe (in PROBES order) resolves to: a value of the expected type,
+# TYPE_ERROR, or NOT_FINITE for a number that is not finite.
+KIND_TABLE = {
+    "integer": ("an integer", (0, 1, -1, 2, 10**400, T, T, T, T, T, T, T, T, T, T, T)),
+    "number": ("a number", (0.0, 1.0, -1.0, 2.0, NF, T, T, T, 0.5, 1e308, NF, NF, T, T, T, 3.0)),
+    "number_or_null": (
+        "a number or null",
+        (0.0, 1.0, -1.0, 2.0, NF, T, T, None, 0.5, 1e308, NF, NF, T, T, T, 3.0),
+    ),
+    "boolean": ("a boolean", (T, T, T, T, T, True, False, T, T, T, T, T, T, T, T, T)),
+    "string": ("a string", (T, T, T, T, T, T, T, T, T, T, T, T, "x", T, T, T)),
+}
+
+
+@pytest.mark.parametrize("index", range(len(PROBES)), ids=PROBE_IDS)
+@pytest.mark.parametrize("name", list(KIND_TABLE))
+def test_each_field_kind_accepts_or_names_the_value(name, index):
+    words, outcomes = KIND_TABLE[name]
+    value, outcome = PROBES[index], outcomes[index]
+    if outcome is TYPE_ERROR or outcome is NOT_FINITE:
+        expected = words if outcome is TYPE_ERROR else "a finite number"
+        with pytest.raises(ConfigError) as info:
+            cli._build(OneOfEachKind, {name: value}, "section.")
+        assert str(info.value) == f"section.{name}: expected {expected}, got {value!r}"
+    else:
+        got = getattr(cli._build(OneOfEachKind, {name: value}, "section."), name)
+        assert type(got) is type(outcome)
+        assert got == outcome
+
+
+# The sha256 of `cbfcert print-config-schema`'s stdout. When a config field
+# is added or changed on purpose, run `cbfcert print-config-schema | sha256sum`,
+# copy the digest here and say in CHANGES.md why it moved.
+SCHEMA_SHA256 = "408dbd64e9027e86704cb19685f760de7db17310af8f959219ca69b68d028b6a"
+
+
 class TestLoadConfig:
     def test_empty_object_resolves_to_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))
@@ -158,6 +219,25 @@ class TestLoadConfig:
             assert key in props["system"]["properties"]
         for key in resolved["safety"]:
             assert key in props["safety"]["properties"]
+
+    def test_every_leaf_field_declares_its_description_and_kind(self):
+        # Each leaf field declares its description on its dataclass field, as
+        # Annotated[type, description]; a field declared without one has none.
+        def leaves(props):
+            for name, prop in props.items():
+                if prop["type"] == "object":
+                    yield from leaves(prop["properties"])
+                else:
+                    yield name, prop
+
+        for name, prop in leaves(config_schema()["properties"]):
+            assert isinstance(prop["description"], str) and prop["description"], name
+            assert prop["type"] in {"integer", "number", "number|null", "boolean", "string"}, name
+
+    def test_print_config_schema_bytes(self, capsys):
+        assert main(["print-config-schema"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCHEMA_SHA256
 
 
 class TestVerifyCommand:
@@ -317,6 +397,25 @@ class TestVerifyCommand:
             with open(path, newline="") as fh:
                 body = [line for line in fh if not line.startswith("#")][1:]
             assert [line.split(",")[0] for line in body] == ["%.6g" % t for t in expected]
+
+    def test_double_integrator_with_one_position_coordinate_exits_2(self, tmp_path, capsys):
+        # Positions are the first control_dim state coordinates; at m = 1 the
+        # spawn's y coordinate used to land in the velocity.
+        system = {
+            "dynamics": "double_integrator",
+            "state_dim": 2,
+            "control_dim": 1,
+            "horizon_steps": 3,
+            "domain_half_width": 5.0,
+        }
+        data = {"groups": 1, "rollouts_per_group": 2, "system": system, "safety": {"psi": 0.0}}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "x"
+        args = ["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+        assert main([*args, "--dump-trajectories"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: control_dim must be >= 2 (planar agent positions)"]
+        assert not out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"system": {"noise_bound": -0.5}})
@@ -575,6 +674,28 @@ class TestSweepCommands:
         args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", jobs]
         assert main(args) == 0
         assert len(calls) == cells
+
+    @pytest.mark.parametrize(
+        "command, csv_name", [("verify", "groups.csv"), ("reproduce-table1", "table1.csv")]
+    )
+    def test_certificate_sections_are_read_by_name(
+        self, tmp_path, monkeypatch, capsys, command, csv_name
+    ):
+        # A section ahead of the others must not shift what the reports read.
+        cfg_path = write_config(tmp_path, TINY)
+
+        def run(name):
+            out = tmp_path / name
+            args = [command, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+            assert main(args) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1].startswith("wrote ")  # names the output directory
+            return lines[:-1], csv_body(out / csv_name)
+
+        plain = run("plain")
+        build = cli.certificate
+        monkeypatch.setattr(cli, "certificate", lambda *args: {"ahead": 0, **build(*args)})
+        assert run("ahead") == plain
 
     @pytest.mark.parametrize("command", ["reproduce-table1", "sweep-psi"])
     def test_sweeps_reject_dump_trajectories(self, tmp_path, capsys, command):

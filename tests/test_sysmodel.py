@@ -292,6 +292,8 @@ class TestConfigValidation:
             dict(noise_dist="gaussian"),
             dict(dynamics="double_integrator", state_dim=2, control_dim=2),
             dict(state_dim=3),  # single integrator needs m == n
+            dict(state_dim=1, control_dim=1),  # positions must be planar
+            dict(dynamics="double_integrator", state_dim=2, control_dim=1),
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
