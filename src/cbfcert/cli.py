@@ -35,17 +35,16 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, is_dataclass, replace
 from datetime import datetime, timezone
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .bounds import GROUP_COLUMNS, certificate
-from .errors import ConfigError, SetupError, SolverError, WorkerError
+from .errors import ConfigError, SetupError, SolverError, WorkerError, config_fields
 from .rollout import ExperimentConfig, Rollouts, run_experiment, run_experiments
 
 # Everything the imports above allocated lives until exit, so move it out of
@@ -63,7 +62,8 @@ SWEEP_PSI_NOISE = 0.03
 # Each config field type: its JSON kind, the values it accepts and the words
 # its error uses. bool is an int subclass, so it passes only where listed.
 # Every config key is a field of ExperimentConfig, SystemConfig or
-# SafetyParams, declared as Annotated[type, description] with its default.
+# SafetyParams, declared as Annotated[type, description, range] with its
+# default (see errors.config_fields).
 _KINDS = {
     int: ("integer", (int,), "an integer"),
     float: ("number", (int, float), "a number"),
@@ -73,23 +73,12 @@ _KINDS = {
 }
 
 
-def _config_fields(cls) -> list:
-    """(field, type, description) for every field of a config dataclass; a
-    nested section has no description."""
-    hints = get_type_hints(cls, include_extras=True)
-    rows = []
-    for f in fields(cls):
-        hint = hints[f.name]
-        rows.append((f, *get_args(hint)) if get_origin(hint) is Annotated else (f, hint, None))
-    return rows
-
-
 def config_schema() -> dict:
     """JSON-schema-style description of the config file, defaults included."""
 
     def section(cls) -> dict:
         props = {}
-        for f, hint, description in _config_fields(cls):
+        for f, hint, description, _ in config_fields(cls):
             if is_dataclass(hint):
                 props[f.name] = {
                     "type": "object",
@@ -129,14 +118,28 @@ def _coerce(value, hint, path: str):
     return number
 
 
+# The value of a key that a config file's object gives twice, so that _build
+# can name its path; json.loads alone keeps the last value.
+_REPEATED = object()
+
+
+def _mark_repeated(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        data[key] = _REPEATED if key in data else value
+    return data
+
+
 def _build(cls, data: dict, prefix: str):
     """One config dataclass from its JSON object; nested sections recurse."""
-    known = {f.name: hint for f, hint, _ in _config_fields(cls)}
+    known = {f.name: hint for f, hint, *_ in config_fields(cls)}
     kwargs = {}
     for key, value in data.items():
         path = prefix + key
         if key not in known:
             raise ConfigError(f"unknown config key {path!r}")
+        if value is _REPEATED:
+            raise ConfigError(f"duplicate config key {path!r}")
         hint = known[key]
         if is_dataclass(hint):
             if not isinstance(value, dict):
@@ -155,7 +158,8 @@ def build_config(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file; unknown keys are rejected."""
+    """Parse and validate a JSON config file; unknown and repeated keys are
+    rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -163,7 +167,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_mark_repeated)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -28,7 +28,7 @@ from .controller import (
     row_count,
     solve_batch,
 )
-from .errors import ConfigError, SetupError, WorkerError
+from .errors import ConfigError, SetupError, WorkerError, above, at_least, check_ranges, inside
 from .safety import PairTable, SafetyParams
 from .sysmodel import (
     NOISE_BLOCK_STEPS,
@@ -73,33 +73,20 @@ class Rollouts:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    groups: Annotated[int, "number of independent rollout groups"] = 100
-    rollouts_per_group: Annotated[int, "rollouts P per group (>= 2)"] = 50
-    theta: Annotated[float, "violation threshold on normalized scores, in (0, 1)"] = 0.1
-    delta: Annotated[float, "confidence level for all bounds, in (0, 1)"] = 0.1
-    base_seed: Annotated[int, "rollout p of group g is seeded base_seed + g*P + p"] = 12345
-    h_min: Annotated[float, "minimum accepted initial weighted margin"] = 0.05
-    eps_norm: Annotated[float, "floor for the per-group score normalizer"] = 1e-9
+    groups: Annotated[int, "number of independent rollout groups", at_least(1)] = 100
+    rollouts_per_group: Annotated[int, "rollouts P per group (>= 2)", at_least(2)] = 50
+    theta: Annotated[float, "violation threshold on normalized scores, in (0, 1)", inside(0, 1)] = 0.1
+    delta: Annotated[float, "confidence level for all bounds, in (0, 1)", inside(0, 1)] = 0.1
+    base_seed: Annotated[int, "rollout p of group g is seeded base_seed + g*P + p", at_least(0)] = 12345
+    h_min: Annotated[float, "minimum accepted initial weighted margin", at_least(0)] = 0.05
+    eps_norm: Annotated[float, "floor for the per-group score normalizer", above(0)] = 1e-9
     system: SystemConfig = field(default_factory=SystemConfig)
     safety: SafetyParams = field(default_factory=SafetyParams)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("theta must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
-        if self.groups < 1:
-            raise ConfigError("groups must be >= 1")
-        if self.rollouts_per_group < 2:
-            raise ConfigError("rollouts_per_group must be >= 2")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be >= 0")
+        check_ranges(self)
         if self.base_seed + self.groups * self.rollouts_per_group > 2**63:  # int64 seeds
             raise ConfigError("base_seed + groups * rollouts_per_group must be at most 2**63")
-        if self.h_min < 0:
-            raise ConfigError("h_min must be >= 0")
-        if self.eps_norm <= 0:
-            raise ConfigError("eps_norm must be > 0")
         # Spawn configurations must start inside the safe set.
         if self.system.min_initial_separation < self.safety.d_min:
             raise ConfigError(
@@ -149,8 +136,8 @@ def run_rollouts(
     cold start) and keeps the rollouts whose min weighted margin there reaches
     ``h_min``, within ``_MAX_INITIAL_DRAWS`` draws per rollout. The batch then
     alternates control solve and Euler step for ``horizon_steps`` steps,
-    recording margins at each of the ``horizon_steps + 1`` grid points, each
-    QP starting from the rows active at the rollout's previous solve. Noise
+    recording margins at each of the ``horizon_steps + 1`` grid points; each
+    step's QP after the first starts from the rows active at the previous one. Noise
     is drawn ``NOISE_BLOCK_STEPS`` steps at a time, at steps 0, B, 2B, ...
     """
     sys_cfg = config.system

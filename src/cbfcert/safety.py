@@ -15,31 +15,22 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import above, at_least, check_ranges
 
 
 @dataclass(frozen=True)
 class SafetyParams:
-    psi: Annotated[float, "control-alignment weight (>= 0)"] = 2.0
-    reg_eps: Annotated[float, "regularizer in the propagation vector"] = 1e-6
-    d_min: Annotated[float, "minimum separation radius"] = 1.0
-    kappa: Annotated[float, "linear class-K gain"] = 1.0
+    psi: Annotated[float, "control-alignment weight (>= 0)", at_least(0)] = 2.0
+    reg_eps: Annotated[float, "regularizer in the propagation vector", above(0)] = 1e-6
+    d_min: Annotated[float, "minimum separation radius", above(0)] = 1.0
+    kappa: Annotated[float, "linear class-K gain", above(0)] = 1.0
     robust_margin_enabled: Annotated[bool, "subtract the worst-case noise margin"] = True
     # Constraint-assembly switches (see controller module).
     freeze_adot: Annotated[bool, "fold the frozen propagation derivative into the QP rhs"] = False
-    control_bound: Annotated[float | None, "optional symmetric box bound on each control entry"] = None
+    control_bound: Annotated[float | None, "optional symmetric box bound on each control entry", above(0)] = None
 
     def __post_init__(self) -> None:
-        if self.psi < 0:
-            raise ConfigError("psi must be >= 0")
-        if self.reg_eps <= 0:
-            raise ConfigError("reg_eps must be > 0")
-        if self.d_min <= 0:
-            raise ConfigError("d_min must be > 0")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be > 0")
-        if self.control_bound is not None and self.control_bound <= 0:
-            raise ConfigError("control_bound must be > 0 when set")
+        check_ranges(self)
 
 
 @lru_cache(maxsize=64)

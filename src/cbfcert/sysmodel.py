@@ -15,7 +15,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SetupError
+from .errors import ConfigError, SetupError, above, at_least, check_ranges
 from .safety import pair_indices
 
 SINGLE_INTEGRATOR = "single_integrator"
@@ -42,32 +42,19 @@ class SystemConfig:
     ``[0, domain_half_width]^2`` for agent positions.
     """
 
-    n_agents: Annotated[int, "number of agents N (>= 2)"] = 2
+    n_agents: Annotated[int, "number of agents N (>= 2)", at_least(2)] = 2
     state_dim: Annotated[int, "per-agent state dimension n"] = 2
-    control_dim: Annotated[int, "per-agent control dimension m"] = 2
-    noise_bound: Annotated[float, "per-agent disturbance norm bound"] = 0.03
-    dt: Annotated[float, "integration step"] = 0.1
-    horizon_steps: Annotated[int, "number of Euler steps per rollout"] = 50
-    domain_half_width: Annotated[float, "side length of the square spawn region"] = 10.0
-    min_initial_separation: Annotated[float, "required pairwise spawn distance"] = 1.0
+    control_dim: Annotated[int, "per-agent control dimension m", at_least(2, " (planar agent positions)")] = 2
+    noise_bound: Annotated[float, "per-agent disturbance norm bound", at_least(0)] = 0.03
+    dt: Annotated[float, "integration step", above(0)] = 0.1
+    horizon_steps: Annotated[int, "number of Euler steps per rollout", at_least(1)] = 50
+    domain_half_width: Annotated[float, "side length of the square spawn region", above(0)] = 10.0
+    min_initial_separation: Annotated[float, "required pairwise spawn distance", above(0)] = 1.0
     dynamics: Annotated[str, "single_integrator | double_integrator"] = SINGLE_INTEGRATOR
     noise_dist: Annotated[str, "ball (uniform in ball) | sphere (norm pinned at bound)"] = NOISE_BALL
 
     def __post_init__(self) -> None:
-        if self.n_agents < 2:
-            raise ConfigError("n_agents must be >= 2")
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
-        if self.horizon_steps < 1:
-            raise ConfigError("horizon_steps must be >= 1")
-        if self.noise_bound < 0:
-            raise ConfigError("noise_bound must be >= 0")
-        if self.domain_half_width <= 0:
-            raise ConfigError("domain_half_width must be > 0")
-        if self.min_initial_separation <= 0:
-            raise ConfigError("min_initial_separation must be > 0")
-        if self.control_dim < 2:  # positions are the first m state coordinates
-            raise ConfigError("control_dim must be >= 2 (planar agent positions)")
+        check_ranges(self)
         if self.dynamics == SINGLE_INTEGRATOR:
             if self.state_dim != self.control_dim:
                 raise ConfigError("single integrator requires state_dim == control_dim")

@@ -22,8 +22,8 @@ from cbfcert.cli import (
     load_config,
     main,
 )
-from cbfcert.errors import ConfigError
-from cbfcert.rollout import run_experiment
+from cbfcert.errors import ConfigError, config_fields
+from cbfcert.rollout import ExperimentConfig, run_experiment
 from oracles import csv_rows_reference
 import test_golden
 
@@ -152,6 +152,86 @@ def test_each_field_kind_accepts_or_names_the_value(name, index):
 SCHEMA_SHA256 = "408dbd64e9027e86704cb19685f760de7db17310af8f959219ca69b68d028b6a"
 
 
+def declared_ranges(cls=ExperimentConfig, prefix=""):
+    """(section class, path, type, description, (breaks, words)) for every
+    config field that declares a range."""
+    for f, hint, description, bound in config_fields(cls):
+        if bound is not None:
+            yield cls, prefix + f.name, hint, description, bound
+        elif description is None:
+            yield from declared_ranges(hint, prefix + f.name + ".")
+
+
+# The floats next to 0 and 1.
+ABOVE_0, BELOW_0, BELOW_1 = math.nextafter(0, 1), math.nextafter(0, -1), math.nextafter(1, 0)
+
+# Per field with a declared range: its values at the edges of the range, which
+# load, the nearest values past those edges, and the exact error each of
+# those raises.
+RANGE_TABLE = {
+    "groups": ([1], [0], "groups must be >= 1"),
+    "rollouts_per_group": ([2], [1], "rollouts_per_group must be >= 2"),
+    "theta": ([ABOVE_0, BELOW_1], [0.0, 1.0], "theta must lie in (0, 1)"),
+    "delta": ([ABOVE_0, BELOW_1], [0.0, 1.0], "delta must lie in (0, 1)"),
+    "base_seed": ([0], [-1], "base_seed must be >= 0"),
+    "h_min": ([0.0], [BELOW_0], "h_min must be >= 0"),
+    "eps_norm": ([ABOVE_0], [0.0], "eps_norm must be > 0"),
+    "system.n_agents": ([2], [1], "n_agents must be >= 2"),
+    "system.control_dim": ([2], [1], "control_dim must be >= 2 (planar agent positions)"),
+    "system.noise_bound": ([0.0], [BELOW_0], "noise_bound must be >= 0"),
+    "system.dt": ([ABOVE_0], [0.0], "dt must be > 0"),
+    "system.horizon_steps": ([1], [0], "horizon_steps must be >= 1"),
+    "system.domain_half_width": ([ABOVE_0], [0.0], "domain_half_width must be > 0"),
+    "system.min_initial_separation": ([ABOVE_0], [0.0], "min_initial_separation must be > 0"),
+    "safety.psi": ([0.0], [BELOW_0], "psi must be >= 0"),
+    "safety.reg_eps": ([ABOVE_0], [0.0], "reg_eps must be > 0"),
+    "safety.d_min": ([ABOVE_0], [0.0], "d_min must be > 0"),
+    "safety.kappa": ([ABOVE_0], [0.0], "kappa must be > 0"),
+    "safety.control_bound": ([None, ABOVE_0], [0.0], "control_bound must be > 0 when set"),
+}
+
+
+# The section class of each field with a declared range, by path.
+RANGED = {path: cls for cls, path, *_ in declared_ranges()}
+
+
+def test_range_table_covers_every_declared_range():
+    assert list(RANGED) == list(RANGE_TABLE)
+
+
+@pytest.mark.parametrize("path", list(RANGED))
+def test_each_range_loads_its_edges_and_rejects_the_values_past_them(path):
+    # A section is built on its own, as the loader builds it, so that no
+    # check that relates two fields can reject an edge value.
+    name = path.rpartition(".")[2]
+    cls, prefix = RANGED[path], path.removesuffix(name)
+    loads, rejected, message = RANGE_TABLE[path]
+    for value in loads:
+        assert getattr(cli._build(cls, {name: value}, prefix), name) == value
+    for value in rejected:
+        with pytest.raises(ConfigError) as info:
+            cli._build(cls, {name: value}, prefix)
+        assert str(info.value) == message
+
+
+def test_descriptions_that_state_a_range_state_the_declared_one():
+    # The schema's descriptions are pinned by its sha256, so the few that
+    # state a range keep a second copy of it, in words the range must match.
+    stated = {}
+    for _, path, _, description, (_, words) in declared_ranges():
+        match = re.search(r"\((>= \d+)\)|in (\(\d+, \d+\))", description)
+        if match:
+            stated[path] = match[0]
+            assert words in (f"be {match[1]}", f"lie in {match[2]}"), path
+    assert stated == {
+        "rollouts_per_group": "(>= 2)",
+        "theta": "in (0, 1)",
+        "delta": "in (0, 1)",
+        "system.n_agents": "(>= 2)",
+        "safety.psi": "(>= 0)",
+    }
+
+
 class TestLoadConfig:
     def test_empty_object_resolves_to_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))
@@ -183,6 +263,24 @@ class TestLoadConfig:
         path.write_text('{"groups": 2,,}', encoding="utf-8")
         with pytest.raises(ConfigError, match=r"line 1"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"groups": 1, "rollouts_per_group": 2, "groups": 3, "system": {"horizon_steps": 3}}', "groups"),
+            ('{"groups": 1, "rollouts_per_group": 2, "system": {"horizon_steps": 3, "horizon_steps": 4}}', "system.horizon_steps"),
+        ],
+        ids=["top-level", "system"],
+    )
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, path):
+        # json.loads alone keeps the last of two equal keys, so such a file
+        # used to run with groups = 3.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: duplicate config key {path!r}"]
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -13,6 +13,7 @@ imports leave; the library modules leave the collector alone.
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -108,6 +109,36 @@ def test_traced_names_are_module_globals():
 def test_benchmark_entry_points_are_module_globals():
     missing = _missing(ENTRY_POINTS)
     assert not missing, missing
+
+
+def test_traced_run_counts_every_layer_and_restores_the_modules(tmp_path):
+    # Checking that the names exist does not show that the engine still calls
+    # them: a run that no longer went through rollout.fast_control would leave
+    # the benchmark's relaxation counters at 0. The double integrator is the
+    # benchmark workload whose steps relax.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    data = json.loads((REPO / "perfbench" / "configs" / "double-integrator.json").read_text(encoding="utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**data, "groups": 1, "rollouts_per_group": 3}), encoding="utf-8")
+    modules = (cbfcert.cli, cbfcert.rollout, cbfcert.controller, cbfcert.errors)
+    before = [dict(vars(module)) for module in modules]
+    tracer = tracer_module.Tracer()
+    with tracer.installed(*modules):
+        args = ["verify", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]
+        assert cbfcert.cli.main(args) == 0
+    metrics = tracer.metrics(wall_s=1.0)
+    for name in (
+        "controller.relaxed_count",
+        "sysmodel.noise_array.count",
+        "safety.PairTable.count",
+        "bounds.certificate.total_ms",
+    ):
+        assert metrics[name] > 0, name
+    for module, names in zip(modules, before):
+        rebound = [name for name, value in names.items() if vars(module).get(name) is not value]
+        assert not rebound, (module.__name__, rebound)
 
 
 def test_traced_values_are_module_globals():
